@@ -285,10 +285,10 @@ def write_vtk_snapshot(state: scheme.State, grid: Grid, path: str) -> None:
 
 
 def _snapshot_steps(cfg: RunConfig) -> dict[int, float]:
-    steps = {}
-    for t in cfg.snapshot_times:
-        steps[int(round(t / cfg.tau))] = t
-    return steps
+    return {
+        scheme.lattice_step(t, cfg.tau, cfg.t_end, "snapshot_times"): t
+        for t in cfg.snapshot_times
+    }
 
 
 def _run_one(cfg: RunConfig, out_dir: str, params: mdl.ModelParams, label: str = "") -> list[scheme.DiagRecord]:

