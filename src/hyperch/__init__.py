@@ -10,15 +10,7 @@ keeps the step matrix constant over a run.
 """
 
 from .grid import Grid, NormalStencil, build_grid, inward_normal_stencil
-from .linalg import (
-    DirectFactorization,
-    Ilu0Preconditioner,
-    SolveError,
-    SolveStats,
-    ilu0_setup,
-    matvec,
-    solve,
-)
+from .linalg import DirectFactorization, SolveError, SolveStats, matvec
 from .model import (
     F_val,
     G_val,
@@ -73,12 +65,9 @@ __all__ = [
     "build_grid",
     "inward_normal_stencil",
     "DirectFactorization",
-    "Ilu0Preconditioner",
     "SolveError",
     "SolveStats",
-    "ilu0_setup",
     "matvec",
-    "solve",
     "F_val",
     "G_val",
     "ModelParams",

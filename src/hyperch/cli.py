@@ -44,9 +44,7 @@ class RunConfig:
     delta: float = 0.02
     s1: float = 5000.0
     s2: float = 5000.0
-    solver: str = "direct"
     solver_tol: float = 1e-10
-    solver_max_iter: int = 10000
     diag_cadence: int = 1
     snapshot_times: tuple[float, ...] = ()
     betas: tuple[float, ...] = (1.0, 0.1, 0.0)
@@ -58,19 +56,14 @@ class RunConfig:
     def h(self) -> float:
         return 1.0 / self.n
 
-    def model_params(self, beta_override: float | None = None) -> mdl.ModelParams:
-        b1, b2 = self.beta1, self.beta2
-        if beta_override is not None:
-            b1 = b2 = beta_override
+    def model_params(self) -> mdl.ModelParams:
         return mdl.ModelParams(
-            M1=self.M1, M2=self.M2, beta1=b1, beta2=b2,
+            M1=self.M1, M2=self.M2, beta1=self.beta1, beta2=self.beta2,
             eps=self.eps, delta=self.delta, s1=self.s1, s2=self.s2, tau=self.tau,
         )
 
     def solver_config(self) -> scheme.SolverConfig:
-        return scheme.SolverConfig(
-            method=self.solver, tol=self.solver_tol, max_iter=self.solver_max_iter
-        )
+        return scheme.SolverConfig(tol=self.solver_tol)
 
     def case_spec(self) -> exps.CaseSpec:
         return exps.CaseSpec(
@@ -104,9 +97,7 @@ _PARSERS = {
     "delta": float,
     "s1": float,
     "s2": float,
-    "solver": str,
     "solver_tol": float,
-    "solver_max_iter": int,
     "diag_cadence": int,
     "snapshot_times": _parse_float_list,
     "betas": _parse_float_list,
@@ -127,9 +118,7 @@ _CONSTRAINTS = {
     "delta": lambda v: v > 0 or "delta must be positive",
     "s1": lambda v: v >= 0 or "s1 must be nonnegative",
     "s2": lambda v: v >= 0 or "s2 must be nonnegative",
-    "solver": lambda v: v in ("direct", "bicgstab") or "solver must be direct or bicgstab",
     "solver_tol": lambda v: v > 0 or "solver_tol must be positive",
-    "solver_max_iter": lambda v: v >= 1 or "solver_max_iter must be >= 1",
     "diag_cadence": lambda v: v >= 1 or "diag_cadence must be >= 1",
     "snapshot_times": lambda v: all(t >= 0 for t in v) or "snapshot_times must be nonnegative",
     "betas": lambda v: all(b >= 0 for b in v) or "betas must be nonnegative",
@@ -227,10 +216,7 @@ def config_text(cfg: RunConfig) -> str:
 
 # ---- writers -----------------------------------------------------------
 
-_CSV_HEADER = (
-    "step,time,E_bulk,E_surf,E_total,E_modified,mass_bulk,mass_surf,"
-    "solver_iters,solver_residual"
-)
+_CSV_HEADER = "step,time,E_bulk,E_surf,E_total,E_modified,mass_bulk,mass_surf,solver_residual"
 
 
 def write_diag_csv(records: list[scheme.DiagRecord], path: str) -> None:
@@ -243,7 +229,7 @@ def write_diag_csv(records: list[scheme.DiagRecord], path: str) -> None:
             fh.write(
                 f"{r.step},{r.time:.17e},{r.e_bulk:.17e},{r.e_surf:.17e},"
                 f"{r.e_total:.17e},{r.e_modified:.17e},{r.mass_bulk:.17e},"
-                f"{r.mass_surf:.17e},{r.solver_iters},{r.solver_residual:.17e}\n"
+                f"{r.mass_surf:.17e},{r.solver_residual:.17e}\n"
             )
 
 
@@ -353,6 +339,7 @@ def cmd_beta_sweep(cfg: RunConfig) -> int:
     res = exps.beta_sweep(
         cfg.case_spec(), list(cfg.betas), cfg.t_end, probes,
         solver=cfg.solver_config(), poisson_tol=min(1e-10, cfg.solver_tol),
+        params=cfg.model_params(),
     )
     path = os.path.join(cfg.output_dir, "beta_sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:

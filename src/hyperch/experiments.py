@@ -8,7 +8,7 @@ Case 4: indicator of the rectangle [0.3, 0.7] x [0, 0.5].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,13 +156,19 @@ def beta_sweep(
     probe_times: list[float],
     solver: scheme.SolverConfig = scheme.SolverConfig(),
     poisson_tol: float = 1e-10,
+    params: mdl.ModelParams | None = None,
 ) -> BetaSweepResult:
-    """One run per beta from shared initial data, probed at fixed times."""
+    """One run per beta from shared initial data, probed at fixed times.
+
+    Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
+    the case's grid) with beta1 = beta2 = beta.
+    """
     grid = build_grid(case.n)
     phi0, psi0 = init_case(case, grid)
+    base = mdl.ModelParams.with_defaults(grid.h) if params is None else params
     probes: list[ProbeRecord] = []
     for beta in betas:
-        params = mdl.ModelParams.with_defaults(grid.h, beta1=beta, beta2=beta)
+        params = replace(base, beta1=beta, beta2=beta)
         probe_steps = {
             scheme.lattice_step(t, params.tau, t_end, "probe_times"): t for t in probe_times
         }

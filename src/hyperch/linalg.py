@@ -1,16 +1,15 @@
 """Sparse linear algebra for the time-constant coupled system.
 
-The system matrix is held in compressed-sparse-row form (scipy).  Two
-solve paths satisfy the same residual contract: a BiCGStab iteration with
-a zero-fill incomplete-LU preconditioner, and a reusable sparse direct
-factorization.  The direct path is the default for simulations because
-the matrix never changes within a run.
+The system matrix is held in compressed-sparse-row form (scipy).  The
+matrix never changes within a run, so it is factorized once by a sparse
+direct LU and every step pays one pair of triangular solves, held to a
+relative-residual contract.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 
 class SolveError(RuntimeError):
-    """Linear solve failed; carries the best iterate and its stats."""
+    """Linear solve missed its residual contract; carries the solution and its stats."""
 
     def __init__(self, message: str, x: np.ndarray | None = None, stats: "SolveStats | None" = None):
         super().__init__(message)
@@ -28,10 +27,8 @@ class SolveError(RuntimeError):
 
 @dataclass
 class SolveStats:
-    iterations: int
     rel_residual: float
     wall_time: float
-    preconditioner_shifted: bool = False
 
     def __post_init__(self):
         if self.rel_residual < 0:
@@ -63,203 +60,6 @@ def matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return a @ x
 
 
-@dataclass
-class Ilu0Preconditioner:
-    """Zero-fill ILU factors on the matrix's own sparsity pattern.
-
-    The matrix is row-equilibrated before factorization (rows scaled to
-    unit max), which leaves full-pattern factorizations exact but keeps
-    the elimination stable when row magnitudes differ by orders of
-    magnitude.  ``apply`` performs the scaling and the two triangular
-    solves.  ``shifted`` records that a diagonal shift was needed to
-    avoid a zero pivot; ``jacobi`` records a structural breakdown
-    (missing diagonal entry), in which case the preconditioner degrades
-    to diagonal scaling.
-    """
-
-    lower: sp.csr_matrix | None
-    upper: sp.csr_matrix | None
-    row_scale: np.ndarray | None = None
-    inv_diag: np.ndarray | None = None
-    shifted: bool = False
-    jacobi: bool = False
-    shape: tuple[int, int] = field(default=(0, 0))
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        if self.jacobi:
-            return self.inv_diag * r
-        y = spla.spsolve_triangular(self.lower, self.row_scale * r, lower=True,
-                                    unit_diagonal=True)
-        return spla.spsolve_triangular(self.upper, y, lower=False)
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(self.shape, matvec=self.apply)
-
-
-def _ilu0_factor(a: sp.csr_matrix) -> tuple[np.ndarray, bool]:
-    """IKJ in-place ILU(0) on a copy of the CSR value array.
-
-    Returns (values, hit_zero_pivot).  The factorization aborts on the
-    first zero pivot so the caller can retry with a diagonal shift.
-    """
-    n = a.shape[0]
-    indptr, indices = a.indptr, a.indices
-    vals = a.data.astype(float).copy()
-    diag_pos = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        row = indices[indptr[i]:indptr[i + 1]]
-        p = np.searchsorted(row, i)
-        if p < row.size and row[p] == i:
-            diag_pos[i] = indptr[i] + p
-    if np.any(diag_pos < 0):
-        raise ValueError("structural breakdown: missing diagonal entry")
-    tiny = 1e-300
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        row_cols = indices[lo:hi]
-        for t in range(lo, hi):
-            k = indices[t]
-            if k >= i:
-                break
-            piv = vals[diag_pos[k]]
-            if abs(piv) < tiny:
-                return vals, True
-            lik = vals[t] / piv
-            vals[t] = lik
-            # subtract lik * U(k, j) for j > k present in row i
-            klo, khi = diag_pos[k] + 1, indptr[k + 1]
-            if klo >= khi:
-                continue
-            kcols = indices[klo:khi]
-            pos = np.searchsorted(row_cols, kcols)
-            ok = (pos < row_cols.size)
-            ok[ok] &= row_cols[pos[ok]] == kcols[ok]
-            vals[lo + pos[ok]] -= lik * vals[klo:khi][ok]
-        if abs(vals[diag_pos[i]]) < tiny:
-            return vals, True
-    return vals, False
-
-
-def ilu0_setup(a: sp.csr_matrix) -> Ilu0Preconditioner:
-    """ILU(0) factorization with diagonal-shift fallback on zero pivots.
-
-    If the pattern lacks a diagonal entry the factorization cannot
-    proceed (structural breakdown); the returned preconditioner then
-    falls back to diagonal scaling and is flagged accordingly.
-    """
-    a = check_csr(a)
-    n = a.shape[0]
-    row_max = np.zeros(n)
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    if a.nnz:
-        np.maximum.at(row_max, rows, np.abs(a.data))
-    row_max[row_max == 0.0] = 1.0
-    row_scale = 1.0 / row_max
-    # scale the value array directly: keeps explicit zeros in the pattern
-    a_eq = a.copy()
-    a_eq.data = a.data * row_scale[rows]
-    try:
-        vals, bad = _ilu0_factor(a_eq)
-    except ValueError:
-        d = a.diagonal()
-        d = np.where(np.abs(d) > 0, d, 1.0)
-        return Ilu0Preconditioner(None, None, inv_diag=1.0 / d, jacobi=True, shape=(n, n))
-    shifted = False
-    if bad:
-        shifted = True
-        shift = 1e-8  # equilibrated rows have unit max
-        a_shift = (a_eq + shift * sp.identity(n, format="csr")).tocsr()
-        a_shift.sort_indices()
-        vals, bad = _ilu0_factor(a_shift)
-        if bad:
-            d = a.diagonal()
-            d = np.where(np.abs(d) > 0, d, 1.0)
-            return Ilu0Preconditioner(None, None, inv_diag=1.0 / d, jacobi=True,
-                                      shifted=True, shape=(n, n))
-        a_eq = a_shift
-    factored = sp.csr_matrix((vals, a_eq.indices.copy(), a_eq.indptr.copy()), shape=a.shape)
-    lower = sp.tril(factored, k=-1, format="csr") + sp.identity(n, format="csr")
-    upper = sp.triu(factored, k=0, format="csr")
-    return Ilu0Preconditioner(lower.tocsr(), upper.tocsr(), row_scale=row_scale,
-                              shifted=shifted, shape=(n, n))
-
-
-def solve(
-    a: sp.csr_matrix,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    precond: Ilu0Preconditioner | None = None,
-) -> tuple[np.ndarray, SolveStats]:
-    """Preconditioned BiCGStab with a true-residual guarantee.
-
-    The iteration runs in chunks; each chunk restarts from the current
-    iterate, which re-seeds BiCGStab's recursive residual with the true
-    one and so repairs residual drift.  Returns x with
-    ||b - Ax|| / ||b|| <= tol.  On breakdown the iteration restarts once;
-    on failure a SolveError carrying the best iterate is raised.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = check_csr(a)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({a.shape[0]},)")
-    t0 = time.perf_counter()
-    b_norm = float(np.linalg.norm(b))
-    shifted = bool(precond is not None and precond.shifted)
-    if b_norm == 0.0:
-        return np.zeros_like(b), SolveStats(0, 0.0, time.perf_counter() - t0, shifted)
-    m = precond.as_linear_operator() if precond is not None else None
-    iters = 0
-
-    def cb(_):
-        nonlocal iters
-        iters += 1
-
-    def true_rel(x):
-        return float(np.linalg.norm(b - a @ x)) / b_norm
-
-    chunk = 250
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float)
-    best_x, best_rel = x.copy(), true_rel(x)
-    breakdown_allowance = 1
-    stale = 0
-    failure = "non-convergence"
-    while iters < max_iter:
-        budget = min(chunk, max_iter - iters)
-        x_new, info = spla.bicgstab(
-            a, b, x0=x, rtol=0.0, atol=0.3 * tol * b_norm, maxiter=budget,
-            M=m, callback=cb,
-        )
-        rel = true_rel(x_new)
-        improved = rel < 0.5 * best_rel
-        if rel < best_rel:
-            best_x, best_rel = x_new, rel
-        if best_rel <= tol:
-            stats = SolveStats(iters, best_rel, time.perf_counter() - t0, shifted)
-            return best_x, stats
-        if info < 0:
-            if breakdown_allowance == 0:
-                failure = "breakdown"
-                break
-            breakdown_allowance -= 1
-            x = best_x.copy()
-            continue
-        stale = 0 if improved else stale + 1
-        if stale >= 3:  # no progress across three restarts: stagnated
-            break
-        x = x_new
-    stats = SolveStats(iters, best_rel, time.perf_counter() - t0, shifted)
-    raise SolveError(
-        f"BiCGStab {failure}: relative residual {best_rel:.3e} > tol {tol:.3e} "
-        f"after {iters} iterations",
-        x=best_x,
-        stats=stats,
-    )
-
-
 def check_residual(
     a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, tol: float, t0: float
 ) -> tuple[np.ndarray, SolveStats]:
@@ -270,7 +70,7 @@ def check_residual(
     """
     b_norm = float(np.linalg.norm(b))
     rel = 0.0 if b_norm == 0.0 else float(np.linalg.norm(b - a @ x)) / b_norm
-    stats = SolveStats(0, rel, time.perf_counter() - t0)
+    stats = SolveStats(rel, time.perf_counter() - t0)
     if rel > tol:
         raise SolveError(
             f"direct solve residual {rel:.3e} > tol {tol:.3e}", x=x, stats=stats

@@ -2,14 +2,14 @@
 
 One time step solves the coupled linear system for the stacked unknowns
 [phi | mu_int | mu_edge | psi | mu_loop].  Every chemical potential is an
-explicit sparse function of (phi, psi), so the direct path eliminates
-them exactly: it factors the Schur-reduced system on [phi | psi], half
-the unknowns, and rebuilds mu by matrix-vector products after each solve.
+explicit sparse function of (phi, psi), so the solve eliminates them
+exactly: it factors the Schur-reduced system on [phi | psi], half the
+unknowns, and rebuilds mu by matrix-vector products after each solve.
 The explicit treatment of the well derivatives plus the linear
 stabilizers keeps both matrices constant in time, so they are assembled
-and factorized once per run.  The rate fields are maintained as exact
-difference quotients of consecutive states and start at zero, which
-realizes the mass-conservation initialization.
+once per run and the reduced one is factorized once.  The rate fields
+are maintained as exact difference quotients of consecutive states and
+start at zero, which realizes the mass-conservation initialization.
 """
 
 from __future__ import annotations
@@ -114,17 +114,11 @@ class UnknownLayout:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "direct"  # "direct" | "bicgstab"
-    tol: float = 1e-10
-    max_iter: int = 10000
+    tol: float = 1e-10  # relative residual the full coupled system is held to
 
     def __post_init__(self):
-        if self.method not in ("direct", "bicgstab"):
-            raise ValueError(f"unknown solver method {self.method!r}")
         if self.tol <= 0:
             raise ValueError("solver tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("solver max_iter must be >= 1")
 
 
 def _interior_coupling(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -205,20 +199,19 @@ def _boundary_coupling(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr
 @dataclass
 class SparseSystem:
     """Time-constant coupled matrix, its Schur-reduced (phi, psi) matrix
-    and reusable solver assets.
+    and the reusable factor of the latter.
 
     ``matrix`` is the coupled system of the stacked unknowns.  Its
     chemical-potential rows (b), (b') and (d) have identity diagonal
     blocks, so every mu is an explicit sparse function of (phi, psi) and
     of the right-hand side; ``schur`` is the Schur complement that
-    eliminating them leaves on [phi | psi].  The direct path factors
-    ``schur`` only; the iterative path works on ``matrix``.
+    eliminating them leaves on [phi | psi].  Only ``schur`` is factored;
+    ``matrix`` is the system every solution's residual is checked against.
     """
 
     matrix: sp.csr_matrix
     schur: sp.csr_matrix
     layout: UnknownLayout
-    grid: Grid
     params: mdl.ModelParams
     # sub-operators of the elimination (see assemble_system): the bulk
     # rows' mu-Laplacian after eliminating mu_edge and its mu_edge
@@ -231,37 +224,22 @@ class SparseSystem:
     rows_mu_int: sp.csr_matrix = field(repr=False)
     rows_mu_loop: sp.csr_matrix = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
-    _precond: linalg.Ilu0Preconditioner | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
         if self._direct is None:
             self._direct = linalg.DirectFactorization(self.schur)
         return self._direct
 
-    def preconditioner(self) -> linalg.Ilu0Preconditioner:
-        if self._precond is None:
-            self._precond = linalg.ilu0_setup(self.matrix)
-        return self._precond
-
-    def solve(
-        self, b: np.ndarray, solver: SolverConfig, x0: np.ndarray | None = None
-    ) -> tuple[np.ndarray, linalg.SolveStats]:
+    def solve(self, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, linalg.SolveStats]:
         """Solve ``matrix @ x = b`` for the stacked unknowns.
 
-        Either path returns x with ||b - matrix x|| / ||b|| <= solver.tol
-        or raises a SolveError carrying x and its stats.
+        Eliminates mu from b, solves with the factor of ``schur``, rebuilds
+        mu from rows (b), (b') and (d), and returns x with
+        ||b - matrix x|| / ||b|| <= solver.tol or raises a SolveError
+        carrying x and its stats.
         """
-        if solver.method == "direct":
-            return self._solve_reduced(np.asarray(b, dtype=float), solver.tol)
-        return linalg.solve(
-            self.matrix, b, x0=x0, tol=solver.tol, max_iter=solver.max_iter,
-            precond=self.preconditioner(),
-        )
-
-    def _solve_reduced(self, b: np.ndarray, tol: float) -> tuple[np.ndarray, linalg.SolveStats]:
-        """Eliminate mu from b, solve with the factor of ``schur``, rebuild
-        mu, and check the full system."""
         t0 = time.perf_counter()
+        b = np.asarray(b, dtype=float)
         lay, p = self.layout, self.params
         rhs = np.concatenate([
             lay.phi_of(b) + p.M1 * (self.l_mu @ lay.mu_int_of(b) + self.l_ie @ lay.mu_edge_of(b)),
@@ -270,25 +248,15 @@ class SparseSystem:
         # no check on the reduced residual: the full system's residual
         # below is what the solve is held to
         y, _ = self.direct().solve(rhs, tol=math.inf)
-        return linalg.check_residual(self.matrix, b, self._with_potentials(b, y), tol, t0)
-
-    def _with_potentials(self, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Stacked vector of y = [phi | psi] and the potentials that rows
-        (b), (b') and (d) give for the right-hand side b."""
-        lay = self.layout
         mu_i = lay.mu_int_of(b) - self.rows_mu_int @ y
-        return np.concatenate([
+        x = np.concatenate([
             y[: lay.n_int],
             mu_i,
             lay.mu_edge_of(b) - self.b_ei @ mu_i,
             y[lay.n_int :],
             lay.mu_loop_of(b) - self.rows_mu_loop @ y,
         ])
-
-    def warm_start(self, state: State) -> np.ndarray:
-        """Initial iterate from the current state's consistent potentials."""
-        b = assemble_rhs(state, self.grid, self.params)
-        return self._with_potentials(b, np.concatenate([state.phi, state.psi]))
+        return linalg.check_residual(self.matrix, b, x, solver.tol, t0)
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
@@ -360,7 +328,6 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
         matrix=matrix,
         schur=schur,
         layout=layout,
-        grid=grid,
         params=params,
         l_mu=l_mu,
         l_ie=l_ie,
@@ -398,8 +365,7 @@ def step(
 ) -> tuple[State, linalg.SolveStats]:
     """Advance one time step; rates become exact difference quotients."""
     b = assemble_rhs(state, grid, params)
-    x0 = system.warm_start(state) if solver.method == "bicgstab" else None
-    x, stats = system.solve(b, solver, x0=x0)
+    x, stats = system.solve(b, solver)
     if not np.all(np.isfinite(x)):
         raise NonFiniteStateError(f"non-finite solution at step {state.step + 1}")
     lay = system.layout
@@ -419,7 +385,7 @@ def step(
 
 @dataclass(frozen=True)
 class DiagRecord:
-    """Per-step diagnostics: energies, masses, solver statistics."""
+    """Per-step diagnostics: energies, masses, solve residual."""
 
     step: int
     time: float
@@ -429,7 +395,6 @@ class DiagRecord:
     e_modified: float
     mass_bulk: float
     mass_surf: float
-    solver_iters: int
     solver_residual: float
 
 
@@ -451,7 +416,6 @@ def _diag(
         e_modified=e_mod,
         mass_bulk=mdl.bulk_mass(state.phi, grid),
         mass_surf=mdl.surface_mass(state.psi, grid),
-        solver_iters=0 if stats is None else stats.iterations,
         solver_residual=0.0 if stats is None else stats.rel_residual,
     )
 

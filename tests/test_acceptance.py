@@ -3,7 +3,9 @@
 The heavy fixture runs all twelve production-scale simulations (cases 1-4
 times relaxation strengths 0, 0.1, 1 at n=50 for 2000 steps) once and
 shares the per-step diagnostics across the energy, mass, ordering and
-solver-health criteria.
+solver-health criteria.  Solver health is the full coupled system's
+relative residual (the ``solver_residual`` of every step), which the
+Schur-reduced direct solve must hold to 1e-10.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ STEPS = 2000
 BETAS = (0.0, 0.1, 1.0)
 CASES = (1, 2, 3, 4)
 CASE2_SEED = 7
-SOLVER = hc.SolverConfig(method="direct", tol=1e-10)
+SOLVER = hc.SolverConfig(tol=1e-10)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -257,47 +259,14 @@ def test_criterion_8_inverse_laplacian_diagnostics():
 
 
 def test_criterion_9_solver_health(production_runs):
-    # the criterion is an OR: either BiCGStab+ILU(0) stays under 500
-    # iterations per step, or the direct substitute meets the 1e-10
-    # residual contract on the production runs
+    # every step of the production runs meets the 1e-10 residual
+    # contract on the full coupled system
     worst_resid = max(
         max(r.solver_residual for r in records)
         for records in production_runs.values()
     )
-    ok_direct = worst_resid <= 1e-10
-
-    # iterative path, measured on steps sampled across the transient
-    # (trajectory advanced by the direct solver so an iterative failure
-    # is recorded rather than fatal; 600 iterations cap the probe since
-    # anything above 500 already misses the branch)
-    grid = hc.build_grid(N_RUN)
-    sample_steps = {1, 2, 3, 4, 5, 100, 200, 300, 400, 500}
-    max_iters = 0
-    for beta in BETAS:
-        params = hc.ModelParams.with_defaults(grid.h, beta1=beta, beta2=beta)
-        system = hc.assemble_system(grid, params)
-        pre = system.preconditioner()
-        for case in CASES:
-            phi0, psi0 = hc.init_case(case_for(case), grid)
-            state = hc.init_state(phi0, psi0, grid)
-            for k in range(1, max(sample_steps) + 1):
-                if k in sample_steps:
-                    b = hc.assemble_rhs(state, grid, params)
-                    try:
-                        _, stats = hc.solve(
-                            system.matrix, b, x0=system.warm_start(state),
-                            tol=1e-10, max_iter=600, precond=pre,
-                        )
-                        max_iters = max(max_iters, stats.iterations)
-                    except hc.SolveError as err:
-                        max_iters = max(max_iters, err.stats.iterations)
-                state, _ = hc.step(state, system, grid, params, SOLVER)
-    ok_iter = max_iters <= 500
     report(
         "criterion 9 (solver health)",
-        ok_direct or ok_iter,
-        f"direct residual max {worst_resid:.2e} (contract 1e-10): "
-        f"{'met' if ok_direct else 'MISSED'}; BiCGStab+ILU(0) max {max_iters} "
-        f"iterations/step over sampled steps (limit 500): "
-        f"{'met' if ok_iter else 'MISSED'}",
+        worst_resid <= 1e-10,
+        f"direct residual max {worst_resid:.2e} over 12 runs x 2000 steps (contract 1e-10)",
     )

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from hyperch import CaseSpec, DiagRecord, build_grid, init_case, init_state
 from hyperch.cli import (
     ConfigError,
+    RunConfig,
     config_text,
     main,
     parse_config,
@@ -68,10 +71,9 @@ def test_list_values():
 def test_effective_config_round_trip():
     cfg = parse_config("n = 12\ncase = 3\nbeta1 = 0.5\nsnapshot_times = 0.001\n")
     echoed = parse_config(config_text(cfg))
-    for name in ("n", "tau", "t_end", "case", "seed", "M1", "M2", "beta1", "beta2",
-                 "eps", "delta", "s1", "s2", "solver", "solver_tol", "solver_max_iter",
-                 "diag_cadence", "snapshot_times", "betas", "probe_times", "output_dir"):
-        assert getattr(echoed, name) == getattr(cfg, name), name
+    for f in fields(RunConfig):
+        if f.name != "provided":
+            assert getattr(echoed, f.name) == getattr(cfg, f.name), f.name
 
 
 # ---- CSV writer --------------------------------------------------------------
@@ -80,8 +82,7 @@ def test_effective_config_round_trip():
 def make_record(step=0, time=0.0):
     return DiagRecord(
         step=step, time=time, e_bulk=1.0 / 3.0, e_surf=2.0 / 7.0, e_total=0.619,
-        e_modified=0.62, mass_bulk=0.0199, mass_surf=4.0,
-        solver_iters=3, solver_residual=1.234e-12,
+        e_modified=0.62, mass_bulk=0.0199, mass_surf=4.0, solver_residual=1.234e-12,
     )
 
 
@@ -91,8 +92,7 @@ def test_diag_csv_single_record(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0] == (
-        "step,time,E_bulk,E_surf,E_total,E_modified,mass_bulk,mass_surf,"
-        "solver_iters,solver_residual"
+        "step,time,E_bulk,E_surf,E_total,E_modified,mass_bulk,mass_surf,solver_residual"
     )
 
 
@@ -104,13 +104,14 @@ def test_diag_csv_round_trip_last_bit(tmp_path):
     assert path.read_text().endswith("\n")
     for rec, line in zip(recs, lines):
         toks = line.split(",")
+        assert len(toks) == 9
         assert int(toks[0]) == rec.step
         assert float(toks[1]) == rec.time
         assert float(toks[2]) == rec.e_bulk
         assert float(toks[3]) == rec.e_surf
         assert float(toks[6]) == rec.mass_bulk
-        assert int(toks[8]) == rec.solver_iters
-        assert float(toks[9]) == rec.solver_residual
+        assert float(toks[7]) == rec.mass_surf
+        assert float(toks[8]) == rec.solver_residual
 
 
 def test_diag_csv_empty_series_rejected(tmp_path):
@@ -237,6 +238,29 @@ def test_main_beta_sweep_rejects_probe_off_lattice(tmp_path, capsys):
     assert not (out / "beta_sweep.csv").exists()
 
 
+def test_main_beta_sweep_honours_tau(tmp_path, capsys):
+    # 0.0015 is on the default 1e-4 lattice but not on tau = 1e-3
+    out = tmp_path / "o"
+    rc = main(["beta-sweep", "n=8", "t_end=0.002", "tau=0.001", "betas=0",
+               "probe_times=0.0015", f"output_dir={out}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "probe_times" in err and "multiple of tau" in err
+    assert not (out / "beta_sweep.csv").exists()
+
+
+def test_main_beta_sweep_matches_run(tmp_path):
+    keys = ["n=8", "t_end=0.002", "tau=0.001", "case=3", "M1=0.002", "betas=0",
+            "probe_times=0.002"]
+    assert main(["run", *keys, f"output_dir={tmp_path / 'run'}"]) == 0
+    assert main(["beta-sweep", *keys, f"output_dir={tmp_path / 'sweep'}"]) == 0
+    diag = (tmp_path / "run" / "diag.csv").read_text().splitlines()
+    sweep = (tmp_path / "sweep" / "beta_sweep.csv").read_text().splitlines()
+    assert diag[0].split(",")[4] == sweep[0].split(",")[3] == "E_total"
+    assert len(sweep) == 2
+    assert sweep[1].split(",")[3] == diag[-1].split(",")[4]
+
+
 def test_main_reruns_identically(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "n=8", "t_end=0.0005", "case=2", "seed=5", f"output_dir={out1}"]) == 0
@@ -256,6 +280,15 @@ def test_main_bad_config_exits_nonzero(tmp_path, capsys):
     rc = main(["run", "beta1=-2"])
     assert rc != 0
     assert "beta1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["solver=bicgstab", "solver_max_iter=5"])
+def test_main_run_rejects_removed_solver_keys(tmp_path, capsys, override):
+    out = tmp_path / "o"
+    assert main(["run", "n=8", "t_end=0", override, f"output_dir={out}"]) == 1
+    key = override.split("=")[0]
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_unknown_subcommand_fails():

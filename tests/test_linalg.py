@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hyperch.linalg import (
-    DirectFactorization,
-    SolveError,
-    check_csr,
-    ilu0_setup,
-    matvec,
-    solve,
-)
+from hyperch.linalg import DirectFactorization, check_csr, matvec
 
 
 def csr(dense):
@@ -55,71 +48,20 @@ def test_check_csr_rejects_nonsquare():
         check_csr(sp.csr_matrix(np.ones((2, 3))))
 
 
-# ---- ILU(0) ---------------------------------------------------------------
-
-
-def test_ilu0_diagonal_exact():
-    a = csr(np.diag([2.0, 4.0, -5.0]))
-    pre = ilu0_setup(a)
-    r = np.array([2.0, 8.0, 5.0])
-    assert np.allclose(pre.apply(r), [1.0, 2.0, -1.0], rtol=1e-14)
-    assert not pre.shifted and not pre.jacobi
-
-
-def test_ilu0_tridiagonal_is_exact_lu():
-    # tridiagonal pattern suffers no fill-in, so ILU(0) equals complete LU
-    rng = np.random.default_rng(1)
-    n = 12
-    dense = np.diag(rng.uniform(2, 3, n))
-    dense += np.diag(rng.uniform(-0.5, 0.5, n - 1), 1)
-    dense += np.diag(rng.uniform(-0.5, 0.5, n - 1), -1)
-    pre = ilu0_setup(csr(dense))
-    b = rng.standard_normal(n)
-    assert np.allclose(pre.apply(b), np.linalg.solve(dense, b), rtol=1e-12, atol=1e-12)
-
-
-def test_ilu0_zero_pivot_shift_fallback():
-    # explicit zero on the diagonal: pattern is intact but the pivot vanishes
-    a = sp.csr_matrix(
-        (np.array([0.0, 1.0, 1.0, 1.0]), np.array([0, 1, 0, 1]), np.array([0, 2, 4])),
-        shape=(2, 2),
-    )
-    pre = ilu0_setup(a)
-    assert pre.shifted
-    # still usable as a preconditioner inside the solver
-    x, stats = solve(a, np.array([1.0, 2.0]), tol=1e-12, precond=pre)
-    assert np.allclose(a @ x, [1.0, 2.0], atol=1e-10)
-    assert stats.preconditioner_shifted
-
-
-def test_ilu0_structural_breakdown_jacobi_fallback():
-    a = sp.csr_matrix((np.array([1.0, 1.0]), (np.array([0, 1]), np.array([1, 0]))), shape=(2, 2))
-    pre = ilu0_setup(a)
-    assert pre.jacobi
-
-
-# ---- solve ----------------------------------------------------------------
-
-
-def test_solve_identity_one_iteration():
-    a = sp.identity(6, format="csr")
-    b = np.arange(6.0)
-    x, stats = solve(a, b, tol=1e-12)
-    assert np.allclose(x, b, rtol=1e-12)
-    assert stats.iterations <= 1
+# ---- direct solve -----------------------------------------------------------
 
 
 def test_solve_hand_system():
     a = csr([[2.0, 1.0], [1.0, 2.0]])
-    x, _ = solve(a, np.array([3.0, 3.0]), tol=1e-12)
+    x, _ = DirectFactorization(a).solve(np.array([3.0, 3.0]), tol=1e-12)
     assert np.allclose(x, [1.0, 1.0], rtol=1e-10)
 
 
 def test_solve_zero_rhs():
     a = csr([[2.0, 1.0], [1.0, 2.0]])
-    x, stats = solve(a, np.zeros(2), tol=1e-12)
+    x, stats = DirectFactorization(a).solve(np.zeros(2), tol=1e-12)
     assert np.array_equal(x, np.zeros(2))
-    assert stats.iterations == 0
+    assert stats.rel_residual == 0.0
 
 
 def test_solve_residual_contract_posthoc():
@@ -129,42 +71,9 @@ def test_solve_residual_contract_posthoc():
     a = csr(dense)
     b = rng.standard_normal(n)
     tol = 1e-11
-    x, stats = solve(a, b, tol=tol, precond=ilu0_setup(a))
+    x, stats = DirectFactorization(a).solve(b, tol=tol)
     assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= tol
     assert stats.rel_residual <= tol
-
-
-def test_solve_warm_start_consistent():
-    rng = np.random.default_rng(3)
-    n = 40
-    dense = np.eye(n) * 5 + rng.standard_normal((n, n)) * 0.1
-    a = csr(dense)
-    b = rng.standard_normal(n)
-    tol = 1e-12
-    x_cold, _ = solve(a, b, tol=tol)
-    x_warm, _ = solve(a, b, x0=x_cold + 1e-8 * rng.standard_normal(n), tol=tol)
-    assert np.linalg.norm(x_cold - x_warm) <= 10 * tol * np.linalg.norm(x_cold) + 1e-13
-
-
-def test_solve_nonconvergence_carries_iterate():
-    rng = np.random.default_rng(4)
-    n = 60
-    dense = rng.standard_normal((n, n)) + np.eye(n) * 1e-3  # nasty system
-    a = csr(dense)
-    b = rng.standard_normal(n)
-    with pytest.raises(SolveError) as exc_info:
-        solve(a, b, tol=1e-14, max_iter=2)
-    err = exc_info.value
-    assert err.x is not None and err.x.shape == (n,)
-    assert err.stats is not None and err.stats.rel_residual > 0
-
-
-def test_solve_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        solve(csr(np.eye(2)), np.ones(2), tol=0.0)
-
-
-# ---- direct factorization --------------------------------------------------
 
 
 def test_direct_factorization_contract():
@@ -176,4 +85,4 @@ def test_direct_factorization_contract():
         b = rng.standard_normal(n)
         x, stats = fac.solve(b, tol=1e-10)
         assert np.linalg.norm(b - dense @ x) / np.linalg.norm(b) <= 1e-10
-        assert stats.iterations == 0
+        assert stats.rel_residual <= 1e-10

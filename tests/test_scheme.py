@@ -202,7 +202,6 @@ def test_direct_solve_reports_full_system_residual():
     want = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
     assert x.shape == (system.layout.dim,)
     assert stats.rel_residual == want
-    assert stats.iterations == 0
 
 
 def test_direct_solve_raises_with_full_solution_and_stats():
@@ -335,7 +334,7 @@ def test_run_zero_time(g4):
     final, records = run(st, g4, params, t_end=0.0)
     assert final.step == 0
     assert len(records) == 1
-    assert records[0].solver_iters == 0
+    assert records[0].solver_residual == 0.0
 
 
 def test_run_ten_steps_cadence_one(g4):
@@ -353,25 +352,6 @@ def test_run_cadence_and_final_record(g4):
     assert [r.step for r in records] == [0, 3, 6, 7]
 
 
-def test_iterative_matches_direct_trajectory():
-    g = build_grid(8)
-    params = params_for(g)
-    phi0, psi0 = init_case(CaseSpec(case=3), g)
-    tol = 1e-12
-    direct, _ = run(init_state(phi0, psi0, g), g, params, t_end=5 * params.tau)
-    iterative, _ = run(
-        init_state(phi0, psi0, g), g, params, t_end=5 * params.tau,
-        solver=SolverConfig(method="bicgstab", tol=tol),
-    )
-    scale = np.abs(direct.phi).max()
-    assert np.abs(direct.phi - iterative.phi).max() <= 50 * tol * max(1.0, scale)
-    assert np.abs(direct.psi - iterative.psi).max() <= 50 * tol
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(method="gmres")
-    with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
