@@ -10,7 +10,7 @@ keeps the step matrix constant over a run.
 """
 
 from .grid import Grid, NormalStencil, build_grid, inward_normal_stencil
-from .linalg import DirectFactorization, SolveError, SolveStats, matvec
+from .linalg import DirectFactorization, SolveError, SolveStats
 from .model import (
     F_val,
     G_val,
@@ -67,7 +67,6 @@ __all__ = [
     "DirectFactorization",
     "SolveError",
     "SolveStats",
-    "matvec",
     "F_val",
     "G_val",
     "ModelParams",

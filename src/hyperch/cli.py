@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import experiments as exps
 from . import model as mdl
@@ -50,11 +50,6 @@ class RunConfig:
     betas: tuple[float, ...] = (1.0, 0.1, 0.0)
     probe_times: tuple[float, ...] = ()
     output_dir: str = "hyperch_out"
-    provided: frozenset[str] = frozenset()
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
 
     def model_params(self) -> mdl.ModelParams:
         return mdl.ModelParams(
@@ -66,14 +61,19 @@ class RunConfig:
         return scheme.SolverConfig(tol=self.solver_tol)
 
     def case_spec(self) -> exps.CaseSpec:
-        return exps.CaseSpec(
-            case=self.case,
-            seed=self.seed if self.case == 2 else None,
-            betas=self.betas,
-            n=self.n,
-            t_end=self.t_end,
-            snapshot_times=self.snapshot_times,
-        )
+        return exps.CaseSpec(case=self.case, seed=self.seed if self.case == 2 else None, n=self.n)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_MODEL_KEYS = frozenset(f.name for f in fields(mdl.ModelParams))
+
+# range checks of the keys that no domain type validates while the config is read
+_CONSTRAINTS = {
+    "n": lambda v: v >= 4 or "n must be >= 4",
+    "t_end": lambda v: v >= 0 or "t_end must be nonnegative",
+    "diag_cadence": lambda v: v >= 1 or "diag_cadence must be >= 1",
+    "betas": lambda v: all(b >= 0 for b in v) or "betas must be nonnegative",
+}
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -83,114 +83,88 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-_PARSERS = {
-    "n": int,
-    "tau": float,
-    "t_end": float,
-    "case": int,
-    "seed": int,
-    "M1": float,
-    "M2": float,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "delta": float,
-    "s1": float,
-    "s2": float,
-    "solver_tol": float,
-    "diag_cadence": int,
-    "snapshot_times": _parse_float_list,
-    "betas": _parse_float_list,
-    "probe_times": _parse_float_list,
-    "output_dir": str,
-}
-
-_CONSTRAINTS = {
-    "n": lambda v: v >= 4 or "n must be >= 4",
-    "tau": lambda v: v > 0 or "tau must be positive",
-    "t_end": lambda v: v >= 0 or "t_end must be nonnegative",
-    "case": lambda v: v in (1, 2, 3, 4) or "case must be one of 1, 2, 3, 4",
-    "M1": lambda v: v > 0 or "M1 must be positive",
-    "M2": lambda v: v > 0 or "M2 must be positive",
-    "beta1": lambda v: v >= 0 or "beta1 must be nonnegative",
-    "beta2": lambda v: v >= 0 or "beta2 must be nonnegative",
-    "eps": lambda v: v > 0 or "eps must be positive",
-    "delta": lambda v: v > 0 or "delta must be positive",
-    "s1": lambda v: v >= 0 or "s1 must be nonnegative",
-    "s2": lambda v: v >= 0 or "s2 must be nonnegative",
-    "solver_tol": lambda v: v > 0 or "solver_tol must be positive",
-    "diag_cadence": lambda v: v >= 1 or "diag_cadence must be >= 1",
-    "snapshot_times": lambda v: all(t >= 0 for t in v) or "snapshot_times must be nonnegative",
-    "betas": lambda v: all(b >= 0 for b in v) or "betas must be nonnegative",
-    "probe_times": lambda v: all(t >= 0 for t in v) or "probe_times must be nonnegative",
-}
+def _parse_value(key: str, raw: str):
+    """Parse raw text by the type of the key's RunConfig default."""
+    kind = type(_DEFAULTS[key])
+    return _parse_float_list(raw) if kind is tuple else kind(raw)
 
 
-def _apply_pairs(pairs: list[tuple[int, str, str]]) -> RunConfig:
+def _check_value(key: str, value) -> None:
+    """Raise ValueError when value is out of range for key.
+
+    The domain type that owns a key checks it: ModelParams the model
+    keys, SolverConfig ``solver_tol`` and CaseSpec ``case``.
+    """
+    if key in _MODEL_KEYS:
+        mdl.ModelParams(**{key: value})
+    elif key == "solver_tol":
+        scheme.SolverConfig(tol=value)
+    elif key == "case":
+        exps.CaseSpec(case=value, seed=0)
+    elif key in _CONSTRAINTS and (verdict := _CONSTRAINTS[key](value)) is not True:
+        raise ValueError(verdict)
+
+
+def _apply_pairs(pairs: list[tuple[str, str, str]]) -> RunConfig:
+    """Apply (where, key, raw) pairs in order, later pairs winning.
+
+    eps, delta, s1 and s2 that no pair sets are derived from n by
+    ``ModelParams.with_defaults``.
+    """
     values: dict = {}
-    provided: set[str] = set()
-    for lineno, key, raw in pairs:
-        if key not in _PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    for where, key, raw in pairs:
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
         try:
-            val = _PARSERS[key](raw)
+            value = _parse_value(key, raw)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {key}: cannot parse {raw!r}") from exc
-        check = _CONSTRAINTS.get(key)
-        if check is not None:
-            verdict = check(val)
-            if verdict is not True:
-                raise ConfigError(f"line {lineno}: {key}: {verdict}")
-        values[key] = val
-        provided.add(key)
-    # derived defaults: interface widths track the mesh, stabilizers track
-    # the widths, unless given explicitly
-    n = values.get("n", RunConfig.n)
-    h = 1.0 / n
-    if "eps" not in values:
-        values["eps"] = 2.0 * h
-    if "delta" not in values:
-        values["delta"] = 2.0 * h
-    if "s1" not in values:
-        values["s1"] = 2.0 / values["eps"] ** 2
-    if "s2" not in values:
-        values["s2"] = 2.0 / values["delta"] ** 2
-    return RunConfig(provided=frozenset(provided), **values)
+            raise ConfigError(f"{where}: {key}: cannot parse {raw!r}") from exc
+        try:
+            _check_value(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from exc
+        values[key] = value
+    given = {k: values.pop(k) for k in _MODEL_KEYS & values.keys()}
+    params = mdl.ModelParams.with_defaults(1.0 / values.get("n", RunConfig.n), **given)
+    return RunConfig(**values, **asdict(params))
+
+
+def _pair(where: str, text: str) -> tuple[str, str, str]:
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, _, raw = text.partition("=")
+    return where, key.strip(), raw.strip()
+
+
+def _text_pairs(text: str) -> list[tuple[str, str, str]]:
+    pairs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            pairs.append(_pair(f"line {lineno}", body))
+    return pairs
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key = value configuration text into a RunConfig."""
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = body.partition("=")
-        pairs.append((lineno, key.strip(), raw.strip()))
-    return _apply_pairs(pairs)
+    return _apply_pairs(_text_pairs(text))
 
 
-def load_config(path: str | None, overrides: list[str]) -> RunConfig:
-    """Config file plus command-line ``key=value`` overrides."""
+def load_config(
+    path: str | None, overrides: list[str], leading: tuple[tuple[str, str, str], ...] = ()
+) -> RunConfig:
+    """Config file plus command-line ``key=value`` overrides.
+
+    The ``leading`` (where, key, raw) pairs of a subcommand, the file's
+    pairs and then the overrides are applied in one pass; later pairs win.
+    Errors name the key and where it was set (``line 3``, ``override 2``).
+    """
     text = ""
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    cfg = parse_config(text)
-    if overrides:
-        pairs = []
-        for i, ov in enumerate(overrides, start=1):
-            if "=" not in ov:
-                raise ConfigError(f"override {i}: expected key=value, got {ov!r}")
-            key, _, raw = ov.partition("=")
-            pairs.append((i, key.strip(), raw.strip()))
-        # overrides are re-parsed on top of the file's explicit pairs so
-        # that derived defaults (eps, s1, ...) track overridden keys
-        file_pairs = [(0, k, _format_value(getattr(cfg, k))) for k in sorted(cfg.provided)]
-        cfg = _apply_pairs(file_pairs + pairs)
-    return cfg
+    given = [_pair(f"override {i}", ov) for i, ov in enumerate(overrides, start=1)]
+    return _apply_pairs([*leading, *_text_pairs(text), *given])
 
 
 def _format_value(value) -> str:
@@ -208,8 +182,6 @@ def config_text(cfg: RunConfig) -> str:
         f"# rng: {exps.RNG_KIND}",
     ]
     for f in fields(RunConfig):
-        if f.name == "provided":
-            continue
         lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
     return "\n".join(lines) + "\n"
 
@@ -277,7 +249,7 @@ def _snapshot_steps(cfg: RunConfig) -> dict[int, float]:
     }
 
 
-def _run_one(cfg: RunConfig, out_dir: str, params: mdl.ModelParams, label: str = "") -> list[scheme.DiagRecord]:
+def _run_one(cfg: RunConfig, out_dir: str, label: str = "") -> list[scheme.DiagRecord]:
     grid = build_grid(cfg.n)
     phi0, psi0 = exps.init_case(cfg.case_spec(), grid)
     state = scheme.init_state(phi0, psi0, grid)
@@ -288,10 +260,9 @@ def _run_one(cfg: RunConfig, out_dir: str, params: mdl.ModelParams, label: str =
             write_vtk_snapshot(st, grid, os.path.join(out_dir, f"snap_step{st.step:07d}.vtk"))
 
     final, records = scheme.run(
-        state, grid, params, cfg.t_end,
+        state, grid, cfg.model_params(), cfg.t_end,
         solver=cfg.solver_config(),
         diag_cadence=cfg.diag_cadence,
-        poisson_tol=min(1e-10, cfg.solver_tol),
         on_step=on_step if snap_steps else None,
     )
     write_diag_csv(records, os.path.join(out_dir, "diag.csv"))
@@ -309,23 +280,32 @@ def cmd_run(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
         fh.write(config_text(cfg))
-    _run_one(cfg, cfg.output_dir, cfg.model_params())
+    _run_one(cfg, cfg.output_dir)
     return 0
 
 
-def cmd_convergence(cfg: RunConfig, full_scale: bool = False) -> int:
+def cmd_convergence(path: str | None, overrides: list[str], full_scale: bool = False) -> int:
+    """Temporal-convergence study under the config's case, model keys and solver.
+
+    The study's scale enters as leading config pairs (desk scale n = 32;
+    full scale n = 50, T = 1), so the file and the overrides win over it
+    and the derived eps, delta, s1 and s2 track the study's n.  ``tau``
+    is replaced by each tested step.
+    """
     if full_scale:
-        n, t_end = 50, 1.0
+        leading = (("--full-scale", "n", "50"), ("--full-scale", "t_end", "1.0"))
         taus = [0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0003125]
         tau_ref = 1e-6
     else:
-        n = cfg.n if "n" in cfg.provided else 32
-        t_end = cfg.t_end if "t_end" in cfg.provided else 0.1
+        leading = (("convergence default", "n", "32"),)
         taus = [4e-3, 2e-3, 1e-3, 5e-4]
         tau_ref = 2.5e-5
-    case = exps.CaseSpec(case=cfg.case, seed=cfg.seed if cfg.case == 2 else None, n=n)
-    print(f"temporal convergence: n={n}, T={t_end}, reference tau={tau_ref:g}")
-    res = exps.convergence_study(n, taus, tau_ref, t_end, case, solver=cfg.solver_config())
+    cfg = load_config(path, overrides, leading)
+    print(f"temporal convergence: n={cfg.n}, T={cfg.t_end}, reference tau={tau_ref:g}")
+    res = exps.convergence_study(
+        cfg.n, taus, tau_ref, cfg.t_end, cfg.case_spec(),
+        solver=cfg.solver_config(), params=cfg.model_params(),
+    )
     print(f"{'tau':>12} {'err_phi':>14} {'err_psi':>14}")
     for tau, ep, es in zip(res.taus, res.err_phi, res.err_psi):
         print(f"{tau:>12g} {ep:>14.6e} {es:>14.6e}")
@@ -338,8 +318,7 @@ def cmd_beta_sweep(cfg: RunConfig) -> int:
     probes = list(cfg.probe_times) if cfg.probe_times else [cfg.t_end]
     res = exps.beta_sweep(
         cfg.case_spec(), list(cfg.betas), cfg.t_end, probes,
-        solver=cfg.solver_config(), poisson_tol=min(1e-10, cfg.solver_tol),
-        params=cfg.model_params(),
+        solver=cfg.solver_config(), params=cfg.model_params(),
     )
     path = os.path.join(cfg.output_dir, "beta_sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -366,7 +345,7 @@ def cmd_cases(cfg: RunConfig) -> int:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
             fh.write(config_text(sub))
-        _run_one(sub, out_dir, sub.model_params(), label=f"case {case}")
+        _run_one(sub, out_dir, label=f"case {case}")
     return 0
 
 
@@ -388,18 +367,19 @@ def main(argv: list[str] | None = None) -> int:
                        help="config file path and/or key=value overrides")
         if name == "convergence":
             p.add_argument("--full-scale", action="store_true",
-                           help="full-size study (h=1/50, T=1, reference tau=1e-6)")
+                           help="full-size study (n=50 and T=1 unless set, reference tau=1e-6)")
     try:
         args = parser.parse_args(argv)
         paths = [a for a in args.args if "=" not in a]
         overrides = [a for a in args.args if "=" in a]
         if len(paths) > 1:
             raise ConfigError(f"expected at most one config path, got {paths}")
-        cfg = load_config(paths[0] if paths else None, overrides)
+        path = paths[0] if paths else None
+        if args.command == "convergence":
+            return cmd_convergence(path, overrides, full_scale=args.full_scale)
+        cfg = load_config(path, overrides)
         if args.command == "run":
             return cmd_run(cfg)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, full_scale=args.full_scale)
         if args.command == "beta-sweep":
             return cmd_beta_sweep(cfg)
         return cmd_cases(cfg)

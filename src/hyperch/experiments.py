@@ -25,10 +25,7 @@ class CaseSpec:
 
     case: int
     seed: int | None = None
-    betas: tuple[float, ...] = ()
     n: int = 100
-    t_end: float = 0.1
-    snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4):
@@ -80,12 +77,12 @@ def _final_fields(
     grid: Grid,
     phi0: np.ndarray,
     psi0: np.ndarray,
+    params: mdl.ModelParams,
     tau: float,
     t_end: float,
-    beta: float,
     solver: scheme.SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    params = mdl.ModelParams.with_defaults(grid.h, tau=tau, beta1=beta, beta2=beta)
+    params = replace(params, tau=tau)
     system = scheme.assemble_system(grid, params)
     state = scheme.init_state(phi0, psi0, grid)
     for _ in range(scheme.num_steps(t_end, tau)):
@@ -99,23 +96,27 @@ def convergence_study(
     tau_ref: float,
     t_end: float,
     case: CaseSpec,
-    beta: float = 0.0,
     solver: scheme.SolverConfig = scheme.SolverConfig(),
+    params: mdl.ModelParams | None = None,
 ) -> ConvergenceResult:
     """Cauchy temporal-convergence study against a fine reference.
 
     Runs the reference once and each tau once, measures the discrete
     L2(bulk) and L2(loop) errors at t_end, and fits log-log slopes.
+    Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
+    the grid of n) with its tau replaced by the run's step.
     """
     if tau_ref >= min(taus):
         raise ValueError("reference tau must be smaller than every tested tau")
     grid = build_grid(n)
     phi0, psi0 = init_case(case, grid)
-    phi_ref, psi_ref = _final_fields(grid, phi0, psi0, tau_ref, t_end, beta, solver)
+    if params is None:
+        params = mdl.ModelParams.with_defaults(grid.h)
+    phi_ref, psi_ref = _final_fields(grid, phi0, psi0, params, tau_ref, t_end, solver)
     h = grid.h
     err_phi, err_psi = [], []
     for tau in taus:
-        phi, psi = _final_fields(grid, phi0, psi0, tau, t_end, beta, solver)
+        phi, psi = _final_fields(grid, phi0, psi0, params, tau, t_end, solver)
         err_phi.append(float(np.sqrt(h * h * ((phi - phi_ref) ** 2).sum())))
         err_psi.append(float(np.sqrt(h * ((psi - psi_ref) ** 2).sum())))
     return ConvergenceResult(
@@ -155,13 +156,14 @@ def beta_sweep(
     t_end: float,
     probe_times: list[float],
     solver: scheme.SolverConfig = scheme.SolverConfig(),
-    poisson_tol: float = 1e-10,
     params: mdl.ModelParams | None = None,
 ) -> BetaSweepResult:
     """One run per beta from shared initial data, probed at fixed times.
 
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
-    the case's grid) with beta1 = beta2 = beta.
+    the case's grid) with beta1 = beta2 = beta.  Each probe time must be a
+    step of the run (``scheme.lattice_step``); the modified energy's
+    Poisson solves are held to ``solver.kinetic_tol``.
     """
     grid = build_grid(case.n)
     phi0, psi0 = init_case(case, grid)
@@ -180,7 +182,7 @@ def beta_sweep(
                     ProbeRecord(
                         beta=beta,
                         time=steps[state.step],
-                        e_modified=mdl.modified_energy(state, grid, params, poisson_tol),
+                        e_modified=mdl.modified_energy(state, grid, params, solver.kinetic_tol),
                         e_total=e_total,
                         mass_bulk=mdl.bulk_mass(state.phi, grid),
                         mass_surf=mdl.surface_mass(state.psi, grid),
@@ -192,7 +194,6 @@ def beta_sweep(
             state, grid, params, t_end,
             solver=solver,
             diag_cadence=max(1, scheme.num_steps(t_end, params.tau)),
-            poisson_tol=poisson_tol,
             on_step=collect,
         )
     return BetaSweepResult(betas=tuple(betas), probes=tuple(probes))

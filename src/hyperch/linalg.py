@@ -52,14 +52,6 @@ def check_csr(a: sp.csr_matrix) -> sp.csr_matrix:
     return a
 
 
-def matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    a = check_csr(a)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise ValueError(f"vector has shape {x.shape}, expected ({a.shape[1]},)")
-    return a @ x
-
-
 def check_residual(
     a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, tol: float, t0: float
 ) -> tuple[np.ndarray, SolveStats]:

@@ -120,6 +120,12 @@ class SolverConfig:
         if self.tol <= 0:
             raise ValueError("solver tol must be positive")
 
+    @property
+    def kinetic_tol(self) -> float:
+        """Residual bound of the Poisson solves behind the modified
+        energy's kinetic terms: tol, capped at 1e-10."""
+        return min(1e-10, self.tol)
+
 
 def _interior_coupling(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """5-point Laplacian split into interior-interior and interior-loop parts."""
@@ -403,10 +409,10 @@ def _diag(
     grid: Grid,
     params: mdl.ModelParams,
     stats: linalg.SolveStats | None,
-    poisson_tol: float,
+    solver: SolverConfig,
 ) -> DiagRecord:
     e_bulk, e_surf, e_total = mdl.total_energy(state.phi, state.psi, grid, params)
-    e_mod = mdl.modified_energy(state, grid, params, tol=poisson_tol)
+    e_mod = mdl.modified_energy(state, grid, params, tol=solver.kinetic_tol)
     return DiagRecord(
         step=state.step,
         time=state.t,
@@ -432,9 +438,12 @@ def lattice_step(t: float, tau: float, t_end: float, key: str) -> int:
     """Step index k of an output time t = k * tau in a run to t_end.
 
     Raises a ValueError naming the config ``key`` when t lies more than
-    1e-9 * tau off the step lattice or after the run's last step.
+    1e-9 * tau off the step lattice, before step 0 or after the run's
+    last step.
     """
     k = round(t / tau)
+    if k < 0:
+        raise ValueError(f"{key}: time {t!r} is before the run starts at 0")
     if abs(t - k * tau) > 1e-9 * tau:
         raise ValueError(f"{key}: time {t!r} is not a multiple of tau = {tau!r}")
     if k > num_steps(t_end, tau):
@@ -449,29 +458,30 @@ def run(
     t_end: float,
     solver: SolverConfig = SolverConfig(),
     diag_cadence: int = 1,
-    poisson_tol: float = 1e-10,
     on_step: Callable[[State], None] | None = None,
     system: SparseSystem | None = None,
 ) -> tuple[State, list[DiagRecord]]:
     """March the scheme to t_end, collecting diagnostics.
 
     Diagnostics are recorded at step 0, every ``diag_cadence`` steps, and
-    at the final step unconditionally.  ``on_step`` is invoked with every
-    state, the initial one included.
+    at the final step unconditionally.  Every solve is held to
+    ``solver.tol``, and the modified energy's Poisson solves to
+    ``solver.kinetic_tol``.  ``on_step`` is invoked with every state, the
+    initial one included.
     """
     if diag_cadence < 1:
         raise ValueError("diag_cadence must be >= 1")
     if system is None:
         system = assemble_system(grid, params)
     state = initial
-    records = [_diag(state, grid, params, None, poisson_tol)]
+    records = [_diag(state, grid, params, None, solver)]
     if on_step is not None:
         on_step(state)
     total = num_steps(t_end, params.tau)
     for k in range(1, total + 1):
         state, stats = step(state, system, grid, params, solver)
         if k % diag_cadence == 0 or k == total:
-            records.append(_diag(state, grid, params, stats, poisson_tol))
+            records.append(_diag(state, grid, params, stats, solver))
         if on_step is not None:
             on_step(state)
     return state, records

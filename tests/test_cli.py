@@ -2,8 +2,18 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperch import CaseSpec, DiagRecord, build_grid, init_case, init_state
+from hyperch import (
+    CaseSpec,
+    DiagRecord,
+    ModelParams,
+    build_grid,
+    convergence_study,
+    init_case,
+    init_state,
+)
 from hyperch.cli import (
     ConfigError,
     RunConfig,
@@ -72,8 +82,21 @@ def test_effective_config_round_trip():
     cfg = parse_config("n = 12\ncase = 3\nbeta1 = 0.5\nsnapshot_times = 0.001\n")
     echoed = parse_config(config_text(cfg))
     for f in fields(RunConfig):
-        if f.name != "provided":
-            assert getattr(echoed, f.name) == getattr(cfg, f.name), f.name
+        assert getattr(echoed, f.name) == getattr(cfg, f.name), f.name
+
+
+MODEL_KEYS = [f.name for f in fields(ModelParams)]
+positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 400), given_keys=st.dictionaries(st.sampled_from(MODEL_KEYS), positive))
+def test_model_fields_match_with_defaults(n, given_keys):
+    text = f"n = {n}\n" + "".join(f"{k} = {v!r}\n" for k, v in given_keys.items())
+    cfg = parse_config(text)
+    want = ModelParams.with_defaults(1 / n, **given_keys)
+    for key in MODEL_KEYS:
+        assert getattr(cfg, key) == getattr(want, key), key
 
 
 # ---- CSV writer --------------------------------------------------------------
@@ -282,6 +305,13 @@ def test_main_bad_config_exits_nonzero(tmp_path, capsys):
     assert "beta1" in capsys.readouterr().err
 
 
+def test_main_override_error_names_override(tmp_path, capsys):
+    assert main(["run", "n=8", "beta1=-1", f"output_dir={tmp_path / 'o'}"]) == 1
+    err = capsys.readouterr().err
+    assert "override 2: beta1:" in err and "line" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("override", ["solver=bicgstab", "solver_max_iter=5"])
 def test_main_run_rejects_removed_solver_keys(tmp_path, capsys, override):
     out = tmp_path / "o"
@@ -323,3 +353,22 @@ def test_main_convergence_smoke(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "fitted slopes" in out
+
+
+def convergence_slopes(out):
+    return next(line for line in out.splitlines() if line.startswith("fitted slopes"))
+
+
+def test_main_convergence_honours_model_keys(capsys):
+    keys = ["n=8", "t_end=0.004"]
+    model = {"M1": 0.5, "eps": 0.3, "beta1": 1.0, "beta2": 1.0}
+    assert main(["convergence", *keys]) == 0
+    plain = convergence_slopes(capsys.readouterr().out)
+    assert main(["convergence", *keys, *(f"{k}={v!r}" for k, v in model.items())]) == 0
+    tuned = convergence_slopes(capsys.readouterr().out)
+    assert tuned != plain
+    res = convergence_study(
+        8, [4e-3, 2e-3, 1e-3, 5e-4], 2.5e-5, 0.004, CaseSpec(case=1, n=8),
+        params=ModelParams.with_defaults(1 / 8, **model),
+    )
+    assert tuned == f"fitted slopes: phi {res.slope_phi:.4f}, psi {res.slope_psi:.4f}"

@@ -156,6 +156,11 @@ def test_beta_sweep_rejects_probe_beyond_end():
         beta_sweep(CaseSpec(case=1, n=8), [0.0], 1e-3, [2e-3])
 
 
+def test_beta_sweep_rejects_probe_before_start():
+    with pytest.raises(ValueError, match="probe_times: time -0.0002 is before"):
+        beta_sweep(CaseSpec(case=1, n=8), [0.0], 1e-3, [-2e-4, 5e-4])
+
+
 def test_runs_are_deterministic():
     spec = CaseSpec(case=2, seed=123, n=8)
     g = build_grid(8)

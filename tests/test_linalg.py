@@ -2,45 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hyperch.linalg import DirectFactorization, check_csr, matvec
+from hyperch.linalg import DirectFactorization, check_csr
 
 
 def csr(dense):
     return sp.csr_matrix(np.asarray(dense, dtype=float))
-
-
-# ---- matvec --------------------------------------------------------------
-
-
-def test_matvec_identity():
-    a = sp.identity(5, format="csr")
-    x = np.arange(5.0)
-    assert np.array_equal(matvec(a, x), x)
-
-
-def test_matvec_hand_value():
-    a = csr([[2.0, 1.0], [1.0, 2.0]])
-    assert np.array_equal(matvec(a, np.array([1.0, 1.0])), [3.0, 3.0])
-
-
-def test_matvec_zero_matrix():
-    a = csr(np.zeros((3, 3)))
-    assert np.array_equal(matvec(a, np.ones(3)), np.zeros(3))
-
-
-def test_matvec_matches_dense_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        n = rng.integers(2, 64)
-        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
-        x = rng.standard_normal(n)
-        got = matvec(csr(dense), x)
-        assert np.allclose(got, dense @ x, rtol=1e-13, atol=1e-13)
-
-
-def test_matvec_size_mismatch():
-    with pytest.raises(ValueError):
-        matvec(csr(np.eye(3)), np.ones(4))
 
 
 def test_check_csr_rejects_nonsquare():
