@@ -10,6 +10,7 @@ rebuilt from disk.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -70,9 +71,9 @@ _MODEL_KEYS = frozenset(f.name for f in fields(mdl.ModelParams))
 # range checks of the keys that no domain type validates while the config is read
 _CONSTRAINTS = {
     "n": lambda v: v >= 4 or "n must be >= 4",
-    "t_end": lambda v: v >= 0 or "t_end must be nonnegative",
+    "t_end": lambda v: 0 <= v < math.inf or "t_end must be nonnegative and finite",
     "diag_cadence": lambda v: v >= 1 or "diag_cadence must be >= 1",
-    "betas": lambda v: all(b >= 0 for b in v) or "betas must be nonnegative",
+    "betas": lambda v: all(0 <= b < math.inf for b in v) or "betas must be nonnegative and finite",
 }
 
 
@@ -284,23 +285,27 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_convergence(path: str | None, overrides: list[str], full_scale: bool = False) -> int:
+# scale of the convergence study by --full-scale: leading config pairs,
+# tested steps and reference step
+_CONVERGENCE_SCALE = {
+    False: ((("convergence default", "n", "32"),), [4e-3, 2e-3, 1e-3, 5e-4], 2.5e-5),
+    True: (
+        (("--full-scale", "n", "50"), ("--full-scale", "t_end", "1.0")),
+        [0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0003125],
+        1e-6,
+    ),
+}
+
+
+def cmd_convergence(cfg: RunConfig, full_scale: bool = False) -> int:
     """Temporal-convergence study under the config's case, model keys and solver.
 
-    The study's scale enters as leading config pairs (desk scale n = 32;
-    full scale n = 50, T = 1), so the file and the overrides win over it
-    and the derived eps, delta, s1 and s2 track the study's n.  ``tau``
-    is replaced by each tested step.
+    The study's scale enters the config as leading pairs (desk scale
+    n = 32; full scale n = 50, T = 1), so the file and the overrides win
+    over it and the derived eps, delta, s1 and s2 track the study's n.
+    ``tau`` is replaced by each tested step.
     """
-    if full_scale:
-        leading = (("--full-scale", "n", "50"), ("--full-scale", "t_end", "1.0"))
-        taus = [0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0003125]
-        tau_ref = 1e-6
-    else:
-        leading = (("convergence default", "n", "32"),)
-        taus = [4e-3, 2e-3, 1e-3, 5e-4]
-        tau_ref = 2.5e-5
-    cfg = load_config(path, overrides, leading)
+    _, taus, tau_ref = _CONVERGENCE_SCALE[full_scale]
     print(f"temporal convergence: n={cfg.n}, T={cfg.t_end}, reference tau={tau_ref:g}")
     res = exps.convergence_study(
         cfg.n, taus, tau_ref, cfg.t_end, cfg.case_spec(),
@@ -375,9 +380,12 @@ def main(argv: list[str] | None = None) -> int:
         if len(paths) > 1:
             raise ConfigError(f"expected at most one config path, got {paths}")
         path = paths[0] if paths else None
+        leading = ()
         if args.command == "convergence":
-            return cmd_convergence(path, overrides, full_scale=args.full_scale)
-        cfg = load_config(path, overrides)
+            leading = _CONVERGENCE_SCALE[args.full_scale][0]
+        cfg = load_config(path, overrides, leading)
+        if args.command == "convergence":
+            return cmd_convergence(cfg, args.full_scale)
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "beta-sweep":

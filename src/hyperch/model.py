@@ -9,6 +9,7 @@ it is the quantity the hyperbolic relaxation dissipates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -43,12 +44,13 @@ class ModelParams:
     tau: float = 1e-4
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for name in ("M1", "M2", "eps", "delta", "tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("beta1", "beta2", "s1", "s2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
 
     @classmethod
     def with_defaults(cls, h: float, **overrides) -> "ModelParams":

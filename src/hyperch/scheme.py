@@ -117,8 +117,8 @@ class SolverConfig:
     tol: float = 1e-10  # relative residual the full coupled system is held to
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("solver tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"solver tol must be positive and finite, got {self.tol}")
 
     @property
     def kinetic_tol(self) -> float:
@@ -429,18 +429,20 @@ def _diag(
 def num_steps(t_end: float, tau: float) -> int:
     """Step count covering [0, t_end]: ceiling with a roundoff guard so
     that divisors of t_end are not overcounted."""
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
     return max(0, math.ceil(t_end / tau - 1e-9))
 
 
 def lattice_step(t: float, tau: float, t_end: float, key: str) -> int:
     """Step index k of an output time t = k * tau in a run to t_end.
 
-    Raises a ValueError naming the config ``key`` when t lies more than
-    1e-9 * tau off the step lattice, before step 0 or after the run's
-    last step.
+    Raises a ValueError naming the config ``key`` when t is not finite,
+    lies more than 1e-9 * tau off the step lattice, or falls before
+    step 0 or after the run's last step.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"{key}: time {t!r} is not finite")
     k = round(t / tau)
     if k < 0:
         raise ValueError(f"{key}: time {t!r} is before the run starts at 0")

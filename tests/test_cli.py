@@ -305,6 +305,35 @@ def test_main_bad_config_exits_nonzero(tmp_path, capsys):
     assert "beta1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key", ["tau", "t_end", "M1", "M2", "beta1", "beta2", "eps", "delta", "s1", "s2", "solver_tol", "betas"]
+)
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_non_finite_value_rejected_with_key(key, raw):
+    with pytest.raises(ConfigError, match=rf"line 2: {key}: "):
+        parse_config(f"n = 8\n{key} = {raw}\n")
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("run", "tau=nan"),
+        ("run", "eps=nan"),
+        ("run", "solver_tol=nan"),
+        ("run", "snapshot_times=nan"),
+        ("run", "snapshot_times=inf"),
+        ("beta-sweep", "probe_times=nan"),
+        ("convergence", "beta1=nan"),
+    ],
+)
+def test_main_non_finite_override_exits_with_key(tmp_path, capsys, command, override):
+    out = tmp_path / "o"
+    assert main([command, "n=8", "t_end=0.001", override, f"output_dir={out}"]) == 1
+    key = override.split("=")[0]
+    assert f"{key}: " in capsys.readouterr().err
+    assert not (out / "diag.csv").exists() and not (out / "beta_sweep.csv").exists()
+
+
 def test_main_override_error_names_override(tmp_path, capsys):
     assert main(["run", "n=8", "beta1=-1", f"output_dir={tmp_path / 'o'}"]) == 1
     err = capsys.readouterr().err
