@@ -162,8 +162,8 @@ def beta_sweep(
 
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
     the case's grid) with beta1 = beta2 = beta.  Each probe time must be a
-    step of the run (``scheme.lattice_step``); the modified energy's
-    Poisson solves are held to ``solver.kinetic_tol``.
+    step of the run (``scheme.lattice_step``); probes read the run's own
+    diagnostic row (``scheme.diag_record``).
     """
     grid = build_grid(case.n)
     phi0, psi0 = init_case(case, grid)
@@ -177,15 +177,15 @@ def beta_sweep(
 
         def collect(state: scheme.State, beta=beta, params=params, steps=probe_steps):
             if state.step in steps:
-                _, _, e_total = mdl.total_energy(state.phi, state.psi, grid, params)
+                row = scheme.diag_record(state, grid, params)
                 probes.append(
                     ProbeRecord(
                         beta=beta,
                         time=steps[state.step],
-                        e_modified=mdl.modified_energy(state, grid, params, solver.kinetic_tol),
-                        e_total=e_total,
-                        mass_bulk=mdl.bulk_mass(state.phi, grid),
-                        mass_surf=mdl.surface_mass(state.psi, grid),
+                        e_modified=row.e_modified,
+                        e_total=row.e_total,
+                        mass_bulk=row.mass_bulk,
+                        mass_surf=row.mass_surf,
                     )
                 )
 

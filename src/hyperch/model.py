@@ -4,7 +4,10 @@ The free energy splits into a bulk part (quartic well F plus Dirichlet
 energy over the square) and a surface part (quartic well G plus Dirichlet
 energy over the perimeter loop).  The modified energy augments the total
 by kinetic-like terms built from inverse Laplacians of the rate fields;
-it is the quantity the hyperbolic relaxation dissipates.
+it is the quantity the hyperbolic relaxation dissipates.  Runs read those
+inverses from the potentials the step carries (``scheme.diag_record``);
+``modified_energy`` here computes them by Poisson solves and is the
+reference the run's rows are tested against.
 """
 
 from __future__ import annotations
@@ -168,11 +171,14 @@ def total_energy(
 
 
 def modified_energy(state: "State", grid: Grid, params: ModelParams, tol: float = 1e-10) -> float:
-    """Total energy plus the hyperbolic kinetic terms.
+    """Total energy plus the hyperbolic kinetic terms, by Poisson solves.
 
     Adds (beta1/2M1)*|grad inv-lap Phi|^2 and (beta2/2M2)*|grad-loop
     inv-lap Psi|^2, with the inverse Laplacians from the zero-mean Poisson
-    solves.  Reduces exactly to the total energy when beta1 = beta2 = 0.
+    solves of the rate fields alone (the state's carried potentials are
+    not read).  Reduces exactly to the total energy when beta1 = beta2 =
+    0.  This is the definition the run's diagnostic rows, which read the
+    carried potentials instead, are checked against.
     """
     _, _, e_total = total_energy(state.phi, state.psi, grid, params)
     e = e_total

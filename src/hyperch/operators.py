@@ -4,7 +4,9 @@ Bulk operators use the second-order 5-point stencil, reading boundary
 trace values from the loop field.  Loop operators act on the closed
 perimeter chain (periodic in the loop index).  The Poisson solvers invert
 the mirror-ghost Neumann Laplacian (bulk) and the periodic loop Laplacian
-on mean-free right-hand sides; they back the modified-energy diagnostics.
+on mean-free right-hand sides.  They back ``model.modified_energy``, the
+reference the tests hold a run's kinetic terms to; runs read those terms
+from the potentials the step carries and never call the solvers.
 """
 
 from __future__ import annotations

@@ -246,7 +246,7 @@ def test_criterion_8_inverse_laplacian_diagnostics():
     st = hc.State(
         phi=st.phi, psi=st.psi,
         Phi=rng.standard_normal(g.n_int), Psi=rng.standard_normal(g.n_loop),
-        t=0.0, step=0,
+        P=st.P, Q=st.Q, t=0.0, step=0,
     )
     _, _, e_total = hc.total_energy(st.phi, st.psi, g, params)
     exact_equal = hc.modified_energy(st, g, params) == e_total

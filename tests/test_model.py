@@ -177,7 +177,7 @@ def test_modified_energy_beta_zero_ignores_rates():
     st = type(st)(
         phi=st.phi, psi=st.psi,
         Phi=rng.standard_normal(g.n_int), Psi=rng.standard_normal(g.n_loop),
-        t=0.0, step=0,
+        P=st.P, Q=st.Q, t=0.0, step=0,
     )
     _, _, et = total_energy(st.phi, st.psi, g, p)
     assert modified_energy(st, g, p) == et
@@ -191,7 +191,7 @@ def test_modified_energy_summation_by_parts():
     Phi = rng.standard_normal(g.n_int)
     Phi -= Phi.mean()
     st = init_state(np.zeros(g.n_int), np.zeros(g.n_loop), g)
-    st = type(st)(phi=st.phi, psi=st.psi, Phi=Phi, Psi=st.Psi, t=0.0, step=0)
+    st = type(st)(phi=st.phi, psi=st.psi, Phi=Phi, Psi=st.Psi, P=st.P, Q=st.Q, t=0.0, step=0)
     dense = neumann_laplacian_matrix(g.n).toarray()
     sol, *_ = np.linalg.lstsq(dense, Phi, rcond=None)
     sol -= sol.mean()
@@ -208,7 +208,7 @@ def test_modified_energy_dominates_total():
     st = type(st)(
         phi=st.phi, psi=st.psi,
         Phi=rng.standard_normal(g.n_int), Psi=rng.standard_normal(g.n_loop),
-        t=0.0, step=0,
+        P=st.P, Q=st.Q, t=0.0, step=0,
     )
     _, _, et = total_energy(st.phi, st.psi, g, p)
     assert modified_energy(st, g, p) >= et

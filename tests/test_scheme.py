@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from dense_oracle import dense_matrix, dense_rhs, offsets
 
@@ -13,15 +15,18 @@ from hyperch import (
     UnknownLayout,
     assemble_rhs,
     assemble_system,
+    beta_sweep,
     build_grid,
     bulk_quadrature_weights,
     init_case,
     init_state,
+    modified_energy,
     run,
     step,
 )
-from hyperch.operators import neumann_laplacian_matrix
-from hyperch.scheme import num_steps
+from hyperch import operators
+from hyperch.operators import loop_laplacian_matrix, neumann_laplacian_matrix
+from hyperch.scheme import diag_record, num_steps
 
 
 @pytest.fixture
@@ -112,6 +117,8 @@ def test_rhs_matches_dense_oracle(g4, beta):
         psi=rng.standard_normal(g4.n_loop),
         Phi=rng.standard_normal(g4.n_int),
         Psi=rng.standard_normal(g4.n_loop),
+        P=np.zeros(g4.n_int),
+        Q=np.zeros(g4.n_loop),
         t=0.0,
         step=0,
     )
@@ -140,6 +147,7 @@ def test_rhs_no_rate_memory_without_relaxation(g4):
     st = State(
         phi=phi, psi=np.zeros(g4.n_loop),
         Phi=rng.standard_normal(g4.n_int), Psi=np.zeros(g4.n_loop),
+        P=np.zeros(g4.n_int), Q=np.zeros(g4.n_loop),
         t=0.0, step=0,
     )
     b = assemble_rhs(st, g4, params)
@@ -188,6 +196,7 @@ def _rough_rhs(grid, params):
     st = State(
         phi=rng.uniform(-1, 1, grid.n_int), psi=rng.uniform(-1, 1, grid.n_loop),
         Phi=rng.standard_normal(grid.n_int), Psi=rng.standard_normal(grid.n_loop),
+        P=np.zeros(grid.n_int), Q=np.zeros(grid.n_loop),
         t=0.0, step=0,
     )
     return assemble_rhs(st, grid, params)
@@ -305,12 +314,73 @@ def test_energy_monotone_strong_relaxation_rough_data():
     assert float(np.diff(e).max()) <= 1e-8 * (1.0 + abs(e[0]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=hst.integers(4, 12),
+    case=hst.integers(1, 4),
+    beta=hst.one_of(hst.just(0.0), hst.floats(0.0, 1.0, exclude_min=True)),
+    seed=hst.integers(0, 2**16),
+)
+@example(n=4, case=4, beta=0.7890625, seed=0)  # computed residual ~1e-23, below Phi's roundoff
+def test_carried_potentials_match_poisson_oracle(n, case, beta, seed):
+    # every row's modified energy, read from the potentials the step
+    # carries, equals the Poisson-solve definition.  The potentials invert
+    # the rates up to the solve residual: l_mu P - (Phi - mean Phi) is at
+    # most 2 max_k ||r_k||_2, with r_k the full-system residual of step k,
+    # plus the roundoff of the difference quotient Phi (eps |phi|/tau) and
+    # of l_mu P (eps ||l_mu|| |P|).  Measured over 400 random runs: at
+    # most 0.33 of that bound.
+    eps = np.finfo(float).eps
+    g = build_grid(n)
+    params = params_for(g, beta1=beta, beta2=beta)
+    phi0, psi0 = init_case(CaseSpec(case=case, seed=seed, n=n), g)
+    state = init_state(phi0, psi0, g)
+    system = assemble_system(g, params)
+    laps = (neumann_laplacian_matrix(n), loop_laplacian_matrix(n))
+    lap_norms = [float(abs(lap).sum(axis=1).max()) for lap in laps]
+    field_max = [float(np.abs(phi0).max()), float(np.abs(psi0).max())]
+    resid = 0.0
+    for _ in range(30):
+        b = assemble_rhs(state, g, params)
+        state, stats = step(state, system, g, params)
+        resid = max(resid, stats.rel_residual * float(np.linalg.norm(b)))
+        row = diag_record(state, g, params, stats)
+        want = modified_energy(state, g, params)
+        assert abs(row.e_modified - want) <= 1e-10 * (1.0 + abs(row.e_total))
+        blocks = zip((state.phi, state.psi), (state.Phi, state.Psi), (state.P, state.Q))
+        for j, (fld, rate, pot) in enumerate(blocks):
+            field_max[j] = max(field_max[j], float(np.abs(fld).max()))
+            defect = float(np.abs(laps[j] @ pot - (rate - rate.mean())).max())
+            roundoff = eps * (field_max[j] / params.tau + lap_norms[j] * float(np.abs(pot).max())
+                              + float(np.abs(rate).max()))
+            assert defect <= 2.0 * resid + roundoff
+
+
+def test_run_with_relaxation_makes_no_poisson_solve(monkeypatch):
+    # diagnostic rows and beta-sweep probes read the carried potentials;
+    # the Poisson solvers are only the oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagnostic row called a Poisson solver")
+
+    monkeypatch.setattr(operators, "solve_poisson_neumann_zeromean", refuse)
+    monkeypatch.setattr(operators, "solve_poisson_loop_zeromean", refuse)
+    g = build_grid(8)
+    params = params_for(g, beta1=0.1, beta2=0.1)
+    phi0, psi0 = init_case(CaseSpec(case=2, seed=5, n=8), g)
+    _, records = run(init_state(phi0, psi0, g), g, params, t_end=20 * params.tau)
+    assert len(records) == 21
+    assert all(r.e_modified > r.e_total for r in records[1:])
+    res = beta_sweep(CaseSpec(case=1, n=8), [0.1], 10 * params.tau, [5 * params.tau])
+    assert len(res.probes) == 1
+
+
 def test_non_finite_state_aborts(g4):
     params = params_for(g4)
     system = assemble_system(g4, params)
     st = init_state(np.zeros(g4.n_int), np.zeros(g4.n_loop), g4)
     bad = State(
-        phi=np.full(g4.n_int, np.nan), psi=st.psi, Phi=st.Phi, Psi=st.Psi, t=0.0, step=0
+        phi=np.full(g4.n_int, np.nan), psi=st.psi, Phi=st.Phi, Psi=st.Psi, P=st.P, Q=st.Q,
+        t=0.0, step=0,
     )
     with pytest.raises(NonFiniteStateError):
         step(bad, system, g4, params)
