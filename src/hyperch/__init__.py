@@ -37,7 +37,6 @@ from .operators import (
 from .scheme import (
     DiagRecord,
     NonFiniteStateError,
-    SolverConfig,
     SparseSystem,
     State,
     UnknownLayout,
@@ -88,7 +87,6 @@ __all__ = [
     "to_full_grid",
     "DiagRecord",
     "NonFiniteStateError",
-    "SolverConfig",
     "SparseSystem",
     "State",
     "UnknownLayout",

@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import experiments as exps
 from . import model as mdl
@@ -28,45 +28,44 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (defaults follow the standard
-    experiment setup: unit square at n=100, tau=1e-4, mobilities 1e-3,
-    no hyperbolic relaxation, eps = delta = 2h, stabilizers 2/eps^2)."""
+    """Fully resolved run configuration.
+
+    ``params`` holds the model keys, with ModelParams's defaults; a parsed
+    configuration derives eps, delta, s1 and s2 from n unless they are
+    given (``ModelParams.with_defaults``).  The other defaults follow the
+    standard experiment setup: unit square at n=100, case 1, T = 0.1.
+    """
 
     n: int = 100
-    tau: float = 1e-4
     t_end: float = 0.1
     case: int = 1
     seed: int = 0
-    M1: float = 0.001
-    M2: float = 0.001
-    beta1: float = 0.0
-    beta2: float = 0.0
-    eps: float = 0.02
-    delta: float = 0.02
-    s1: float = 5000.0
-    s2: float = 5000.0
-    solver_tol: float = 1e-10
+    params: mdl.ModelParams = field(default_factory=mdl.ModelParams)
     diag_cadence: int = 1
     snapshot_times: tuple[float, ...] = ()
     betas: tuple[float, ...] = (1.0, 0.1, 0.0)
     probe_times: tuple[float, ...] = ()
     output_dir: str = "hyperch_out"
 
-    def model_params(self) -> mdl.ModelParams:
-        return mdl.ModelParams(
-            M1=self.M1, M2=self.M2, beta1=self.beta1, beta2=self.beta2,
-            eps=self.eps, delta=self.delta, s1=self.s1, s2=self.s2, tau=self.tau,
-        )
-
-    def solver_config(self) -> scheme.SolverConfig:
-        return scheme.SolverConfig(tol=self.solver_tol)
-
     def case_spec(self) -> exps.CaseSpec:
         return exps.CaseSpec(case=self.case, seed=self.seed if self.case == 2 else None, n=self.n)
 
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _MODEL_KEYS = frozenset(f.name for f in fields(mdl.ModelParams))
+
+# every config key, in the order effective.cfg lists them
+_KEYS = (
+    "n", "tau", "t_end", "case", "seed", "M1", "M2", "beta1", "beta2", "eps", "delta",
+    "s1", "s2", "diag_cadence", "snapshot_times", "betas", "probe_times", "output_dir",
+)
+
+
+def _values(cfg: RunConfig) -> dict:
+    """Value of every config key, the model keys read from ``cfg.params``."""
+    return {key: getattr(cfg.params if key in _MODEL_KEYS else cfg, key) for key in _KEYS}
+
+
+_DEFAULTS = _values(RunConfig())
 
 # range checks of the keys that no domain type validates while the config is read
 _CONSTRAINTS = {
@@ -94,12 +93,10 @@ def _check_value(key: str, value) -> None:
     """Raise ValueError when value is out of range for key.
 
     The domain type that owns a key checks it: ModelParams the model
-    keys, SolverConfig ``solver_tol`` and CaseSpec ``case``.
+    keys and CaseSpec ``case``.
     """
     if key in _MODEL_KEYS:
         mdl.ModelParams(**{key: value})
-    elif key == "solver_tol":
-        scheme.SolverConfig(tol=value)
     elif key == "case":
         exps.CaseSpec(case=value, seed=0)
     elif key in _CONSTRAINTS and (verdict := _CONSTRAINTS[key](value)) is not True:
@@ -127,7 +124,7 @@ def _apply_pairs(pairs: list[tuple[str, str, str]]) -> RunConfig:
         values[key] = value
     given = {k: values.pop(k) for k in _MODEL_KEYS & values.keys()}
     params = mdl.ModelParams.with_defaults(1.0 / values.get("n", RunConfig.n), **given)
-    return RunConfig(**values, **asdict(params))
+    return RunConfig(**values, params=params)
 
 
 def _pair(where: str, text: str) -> tuple[str, str, str]:
@@ -182,8 +179,8 @@ def config_text(cfg: RunConfig) -> str:
         "# effective configuration (parse to reproduce this run)",
         f"# rng: {exps.RNG_KIND}",
     ]
-    for f in fields(RunConfig):
-        lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
+    for key, value in _values(cfg).items():
+        lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -245,7 +242,7 @@ def write_vtk_snapshot(state: scheme.State, grid: Grid, path: str) -> None:
 
 def _snapshot_steps(cfg: RunConfig) -> dict[int, float]:
     return {
-        scheme.lattice_step(t, cfg.tau, cfg.t_end, "snapshot_times"): t
+        scheme.lattice_step(t, cfg.params.tau, cfg.t_end, "snapshot_times"): t
         for t in cfg.snapshot_times
     }
 
@@ -261,8 +258,7 @@ def _run_one(cfg: RunConfig, out_dir: str, label: str = "") -> list[scheme.DiagR
             write_vtk_snapshot(st, grid, os.path.join(out_dir, f"snap_step{st.step:07d}.vtk"))
 
     final, records = scheme.run(
-        state, grid, cfg.model_params(), cfg.t_end,
-        solver=cfg.solver_config(),
+        state, grid, cfg.params, cfg.t_end,
         diag_cadence=cfg.diag_cadence,
         on_step=on_step if snap_steps else None,
     )
@@ -298,7 +294,7 @@ _CONVERGENCE_SCALE = {
 
 
 def cmd_convergence(cfg: RunConfig, full_scale: bool = False) -> int:
-    """Temporal-convergence study under the config's case, model keys and solver.
+    """Temporal-convergence study under the config's case and model keys.
 
     The study's scale enters the config as leading pairs (desk scale
     n = 32; full scale n = 50, T = 1), so the file and the overrides win
@@ -308,8 +304,7 @@ def cmd_convergence(cfg: RunConfig, full_scale: bool = False) -> int:
     _, taus, tau_ref = _CONVERGENCE_SCALE[full_scale]
     print(f"temporal convergence: n={cfg.n}, T={cfg.t_end}, reference tau={tau_ref:g}")
     res = exps.convergence_study(
-        cfg.n, taus, tau_ref, cfg.t_end, cfg.case_spec(),
-        solver=cfg.solver_config(), params=cfg.model_params(),
+        cfg.n, taus, tau_ref, cfg.t_end, cfg.case_spec(), params=cfg.params,
     )
     print(f"{'tau':>12} {'err_phi':>14} {'err_psi':>14}")
     for tau, ep, es in zip(res.taus, res.err_phi, res.err_psi):
@@ -322,8 +317,7 @@ def cmd_beta_sweep(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     probes = list(cfg.probe_times) if cfg.probe_times else [cfg.t_end]
     res = exps.beta_sweep(
-        cfg.case_spec(), list(cfg.betas), cfg.t_end, probes,
-        solver=cfg.solver_config(), params=cfg.model_params(),
+        cfg.case_spec(), list(cfg.betas), cfg.t_end, probes, params=cfg.params,
     )
     path = os.path.join(cfg.output_dir, "beta_sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:

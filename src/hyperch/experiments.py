@@ -80,13 +80,12 @@ def _final_fields(
     params: mdl.ModelParams,
     tau: float,
     t_end: float,
-    solver: scheme.SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     params = replace(params, tau=tau)
     system = scheme.assemble_system(grid, params)
     state = scheme.init_state(phi0, psi0, grid)
     for _ in range(scheme.num_steps(t_end, tau)):
-        state, _ = scheme.step(state, system, grid, params, solver)
+        state, _ = scheme.step(state, system, grid, params)
     return state.phi, state.psi
 
 
@@ -96,7 +95,6 @@ def convergence_study(
     tau_ref: float,
     t_end: float,
     case: CaseSpec,
-    solver: scheme.SolverConfig = scheme.SolverConfig(),
     params: mdl.ModelParams | None = None,
 ) -> ConvergenceResult:
     """Cauchy temporal-convergence study against a fine reference.
@@ -112,11 +110,11 @@ def convergence_study(
     phi0, psi0 = init_case(case, grid)
     if params is None:
         params = mdl.ModelParams.with_defaults(grid.h)
-    phi_ref, psi_ref = _final_fields(grid, phi0, psi0, params, tau_ref, t_end, solver)
+    phi_ref, psi_ref = _final_fields(grid, phi0, psi0, params, tau_ref, t_end)
     h = grid.h
     err_phi, err_psi = [], []
     for tau in taus:
-        phi, psi = _final_fields(grid, phi0, psi0, params, tau, t_end, solver)
+        phi, psi = _final_fields(grid, phi0, psi0, params, tau, t_end)
         err_phi.append(float(np.sqrt(h * h * ((phi - phi_ref) ** 2).sum())))
         err_psi.append(float(np.sqrt(h * ((psi - psi_ref) ** 2).sum())))
     return ConvergenceResult(
@@ -155,15 +153,15 @@ def beta_sweep(
     betas: list[float],
     t_end: float,
     probe_times: list[float],
-    solver: scheme.SolverConfig = scheme.SolverConfig(),
     params: mdl.ModelParams | None = None,
 ) -> BetaSweepResult:
     """One run per beta from shared initial data, probed at fixed times.
 
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
-    the case's grid) with beta1 = beta2 = beta.  Each probe time must be a
-    step of the run (``scheme.lattice_step``); probes read the run's own
-    diagnostic row (``scheme.diag_record``).
+    the case's grid) with beta1 = beta2 = beta and steps to t_end.  Each
+    probe time must be a step of the run (``scheme.lattice_step``); a
+    probe is that step's diagnostic row (``scheme.diag_record``), and no
+    other row is computed.
     """
     grid = build_grid(case.n)
     phi0, psi0 = init_case(case, grid)
@@ -174,26 +172,21 @@ def beta_sweep(
         probe_steps = {
             scheme.lattice_step(t, params.tau, t_end, "probe_times"): t for t in probe_times
         }
-
-        def collect(state: scheme.State, beta=beta, params=params, steps=probe_steps):
-            if state.step in steps:
+        system = scheme.assemble_system(grid, params)
+        state = scheme.init_state(phi0, psi0, grid)
+        for k in range(scheme.num_steps(t_end, params.tau) + 1):
+            if k > 0:
+                state, _ = scheme.step(state, system, grid, params)
+            if k in probe_steps:
                 row = scheme.diag_record(state, grid, params)
                 probes.append(
                     ProbeRecord(
                         beta=beta,
-                        time=steps[state.step],
+                        time=probe_steps[k],
                         e_modified=row.e_modified,
                         e_total=row.e_total,
                         mass_bulk=row.mass_bulk,
                         mass_surf=row.mass_surf,
                     )
                 )
-
-        state = scheme.init_state(phi0, psi0, grid)
-        scheme.run(
-            state, grid, params, t_end,
-            solver=solver,
-            diag_cadence=max(1, scheme.num_steps(t_end, params.tau)),
-            on_step=collect,
-        )
     return BetaSweepResult(betas=tuple(betas), probes=tuple(probes))

@@ -1,12 +1,16 @@
 """Discrete differential operators and zero-mean Poisson solvers.
 
-Bulk operators use the second-order 5-point stencil, reading boundary
-trace values from the loop field.  Loop operators act on the closed
-perimeter chain (periodic in the loop index).  The Poisson solvers invert
-the mirror-ghost Neumann Laplacian (bulk) and the periodic loop Laplacian
-on mean-free right-hand sides.  They back ``model.modified_energy``, the
-reference the tests hold a run's kinetic terms to; runs read those terms
-from the potentials the step carries and never call the solvers.
+This module owns the stencils of the discretization.  The bulk 5-point
+Laplacian, split into interior and trace columns, the one-sided outward
+normal derivative and the periodic loop Laplacian are built here as
+sparse matrices; ``scheme.assemble_system`` assembles the step system
+from them, and ``apply_bulk_laplacian``, ``normal_derivative`` and
+``apply_loop_laplacian`` are products with the same matrices.  The
+Poisson solvers invert the mirror-ghost Neumann Laplacian (bulk) and the
+periodic loop Laplacian on mean-free right-hand sides.  They back
+``model.modified_energy``, the reference the tests hold a run's kinetic
+terms to; runs read those terms from the potentials the step carries and
+never call the solvers.
 """
 
 from __future__ import annotations
@@ -52,52 +56,93 @@ def to_full_grid(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     return full
 
 
-def apply_bulk_laplacian(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """5-point Laplacian of the bulk field at every interior vertex."""
-    full = to_full_grid(phi, psi, grid)
-    h2 = grid.h * grid.h
-    lap = (
-        full[2:, 1:-1] + full[:-2, 1:-1] + full[1:-1, 2:] + full[1:-1, :-2]
-        - 4.0 * full[1:-1, 1:-1]
-    ) / h2
-    return lap.ravel()
+def bulk_laplacian_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """5-point Laplacian split into interior-interior and interior-loop parts.
 
-
-def periodic_laplacian(values: np.ndarray, h: float) -> np.ndarray:
-    """Second difference on a closed uniform chain, in flux form.
-
-    Writing d_k = (v_{k+1} - v_k)/h, the result is (d_k - d_{k-1})/h, so
-    the plain sum of the output telescopes to zero.
+    Returns (l_ii, l_il): the Laplacian of the bulk field at every
+    interior vertex is l_ii @ phi + l_il @ psi, the trace values read from
+    the loop field.  l_il never touches a corner loop node.
     """
-    values = np.asarray(values, dtype=float)
-    d = (np.roll(values, -1) - values) / h
-    return (d - np.roll(d, 1)) / h
+    n = grid.n
+    m = n - 1
+    h2 = grid.h * grid.h
+    ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
+    rows_r = (ii - 1) * m + (jj - 1)
+
+    rows_ii, cols_ii, vals_ii = [rows_r], [rows_r], [np.full(grid.n_int, -4.0 / h2)]
+    rows_il, cols_il = [], []
+    # neighbor offsets and the loop index each boundary side maps to
+    for di, dj, loop_col in (
+        (1, 0, lambda i, j: n + j),        # i+1 == n: right edge
+        (-1, 0, lambda i, j: 4 * n - j),   # i-1 == 0: left edge
+        (0, 1, lambda i, j: 3 * n - i),    # j+1 == n: top edge
+        (0, -1, lambda i, j: i),           # j-1 == 0: bottom edge
+    ):
+        a, b = ii + di, jj + dj
+        inside = (1 <= a) & (a <= m) & (1 <= b) & (b <= m)
+        rows_ii.append(rows_r[inside])
+        cols_ii.append((a[inside] - 1) * m + (b[inside] - 1))
+        vals_ii.append(np.full(inside.sum(), 1.0 / h2))
+        out = ~inside
+        rows_il.append(rows_r[out])
+        cols_il.append(loop_col(ii[out], jj[out]))
+    l_ii = sp.csr_matrix(
+        (np.concatenate(vals_ii), (np.concatenate(rows_ii), np.concatenate(cols_ii))),
+        shape=(grid.n_int, grid.n_int),
+    )
+    l_il = sp.csr_matrix(
+        (
+            np.full(sum(len(r) for r in rows_il), 1.0 / h2),
+            (np.concatenate(rows_il), np.concatenate(cols_il)),
+        ),
+        shape=(grid.n_int, grid.n_loop),
+    )
+    return l_ii, l_il
 
 
-def apply_loop_laplacian(psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Periodic Laplace-Beltrami operator on the perimeter loop."""
-    return periodic_laplacian(_check_loop(psi, grid), grid.h)
+def normal_derivative_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Outward normal derivative of the bulk field at every loop node.
 
-
-def normal_derivative(phi: np.ndarray, psi: np.ndarray, grid: Grid, k: int) -> float:
-    """Outward normal derivative of the bulk field at loop node k.
-
+    Returns (nd_phi, nd_psi): the derivative is nd_phi @ phi + nd_psi @ psi.
     Edge node: one-sided second-order formula (3*psi_k - 4*v1 + v2)/(2h)
     with v1, v2 the first and second vertices along the inward normal.
     Corner node: average of the two one-sided edge-direction values.
     """
+    nd_phi = sp.lil_matrix((grid.n_loop, grid.n_int))
+    nd_psi = sp.lil_matrix((grid.n_loop, grid.n_loop))
+    inv2h = 1.0 / (2.0 * grid.h)
+    for k in range(grid.n_loop):
+        st = inward_normal_stencil(grid, k)
+        w = 1.0 / len(st.triples)
+        for (b, v1, v2) in st.triples:
+            for ref, coef in ((b, 3.0), (v1, -4.0), (v2, 1.0)):
+                kind, idx = ref
+                target = nd_phi if kind == "int" else nd_psi
+                target[k, idx] += w * coef * inv2h
+    return nd_phi.tocsr(), nd_psi.tocsr()
+
+
+def apply_bulk_laplacian(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
+    """5-point Laplacian of the bulk field at every interior vertex."""
+    l_ii, l_il = bulk_laplacian_matrices(grid)
+    return l_ii @ _check_bulk(phi, grid) + l_il @ _check_loop(psi, grid)
+
+
+def apply_loop_laplacian(psi: np.ndarray, grid: Grid) -> np.ndarray:
+    """Periodic Laplace-Beltrami operator on the perimeter loop."""
+    return loop_laplacian_matrix(grid.n) @ _check_loop(psi, grid)
+
+
+def normal_derivative(phi: np.ndarray, psi: np.ndarray, grid: Grid, k: int) -> float:
+    """Outward normal derivative of the bulk field at loop node k
+    (``normal_derivative_matrices``)."""
     phi = _check_bulk(phi, grid)
     psi = _check_loop(psi, grid)
-    st = inward_normal_stencil(grid, k)
-
-    def val(ref):
-        kind, idx = ref
-        return phi[idx] if kind == "int" else psi[idx]
-
-    acc = 0.0
-    for (b, v1, v2) in st.triples:
-        acc += (3.0 * val(b) - 4.0 * val(v1) + val(v2)) / (2.0 * grid.h)
-    return acc / len(st.triples)
+    if not 0 <= k < grid.n_loop:
+        raise IndexError(f"loop index {k} out of range")
+    nd_phi, nd_psi = normal_derivative_matrices(grid)
+    return float((nd_phi @ phi + nd_psi @ psi)[k])
 
 
 def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float:
@@ -117,19 +162,12 @@ def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float
     return 0.5 * (float((wx * dx * dx).sum()) + float((wy * dy * dy).sum()))
 
 
-def loop_dirichlet_energy(values: np.ndarray, h: float) -> float:
-    """(1/2) * sum over closed-chain links of ((difference)/h)^2 * h."""
-    values = np.asarray(values, dtype=float)
-    d = np.roll(values, -1) - values
-    return 0.5 * float((d * d).sum()) / h
-
-
 def dirichlet_energy_loop(psi: np.ndarray, grid: Grid) -> float:
     """Edge-based quadrature of (1/2) * integral over the loop of |grad psi|^2."""
-    return loop_dirichlet_energy(_check_loop(psi, grid), grid.h)
+    return 0.5 * grad_norm_sq_loop(psi, grid)
 
 
-# ---- diagnostic Laplacian matrices and cached factorizations ----------
+# ---- Laplacian matrices and cached Poisson factorizations -------------
 
 
 @lru_cache(maxsize=8)

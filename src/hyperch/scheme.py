@@ -12,7 +12,8 @@ are maintained as exact difference quotients of consecutive states and
 start at zero, which realizes the mass-conservation initialization.
 The step also carries the inverse-Laplacian potentials of the rate
 fields, read off the solved mu, so a diagnostic row prices the modified
-energy's kinetic terms without a Poisson solve.
+energy's kinetic terms without a Poisson solve.  The stencils are the
+``operators`` module's matrices; this module only places them in blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ import scipy.sparse as sp
 from . import linalg
 from . import model as mdl
 from . import operators as ops
-from .grid import Grid, inward_normal_stencil
+from .grid import Grid
+
+# relative residual ||b - matrix x|| / ||b|| every solve is held to
+RESIDUAL_TOL = 1e-10
 
 
 class NonFiniteStateError(RuntimeError):
@@ -122,90 +126,6 @@ class UnknownLayout:
         return x[self.off_mu_loop : self.off_mu_loop + self.n_loop]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10  # relative residual the full coupled system is held to
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"solver tol must be positive and finite, got {self.tol}")
-
-
-def _interior_coupling(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """5-point Laplacian split into interior-interior and interior-loop parts."""
-    n = grid.n
-    m = n - 1
-    h2 = grid.h * grid.h
-    ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    rows_r = (ii - 1) * m + (jj - 1)
-
-    rows_ii, cols_ii, vals_ii = [rows_r], [rows_r], [np.full(grid.n_int, -4.0 / h2)]
-    rows_il, cols_il = [], []
-    # neighbor offsets and the loop index each boundary side maps to
-    for di, dj, loop_col in (
-        (1, 0, lambda i, j: n + j),        # i+1 == n: right edge
-        (-1, 0, lambda i, j: 4 * n - j),   # i-1 == 0: left edge
-        (0, 1, lambda i, j: 3 * n - i),    # j+1 == n: top edge
-        (0, -1, lambda i, j: i),           # j-1 == 0: bottom edge
-    ):
-        a, b = ii + di, jj + dj
-        inside = (1 <= a) & (a <= m) & (1 <= b) & (b <= m)
-        rows_ii.append(rows_r[inside])
-        cols_ii.append((a[inside] - 1) * m + (b[inside] - 1))
-        vals_ii.append(np.full(inside.sum(), 1.0 / h2))
-        out = ~inside
-        rows_il.append(rows_r[out])
-        cols_il.append(loop_col(ii[out], jj[out]))
-    l_ii = sp.csr_matrix(
-        (np.concatenate(vals_ii), (np.concatenate(rows_ii), np.concatenate(cols_ii))),
-        shape=(grid.n_int, grid.n_int),
-    )
-    l_il = sp.csr_matrix(
-        (
-            np.full(sum(len(r) for r in rows_il), 1.0 / h2),
-            (np.concatenate(rows_il), np.concatenate(cols_il)),
-        ),
-        shape=(grid.n_int, grid.n_loop),
-    )
-    return l_ii, l_il
-
-
-def _boundary_coupling(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """Neumann-closure rows and the normal-derivative operator.
-
-    Returns (b_ei, nd_phi, nd_psi): b_ei holds the -1 interior couplings
-    of the mirror-closure rows mu_edge - mu_1 = 0, with mu_1 the chemical
-    potential at the first interior vertex along the inward normal;
-    nd_phi and nd_psi assemble the outward normal derivative of the bulk
-    field from interior and loop values.
-
-    The mirror closure is the summation-by-parts partner of the uniform
-    interior quadrature: with mu_edge eliminated, the bulk-evolution rows
-    apply exactly the symmetric mirror-ghost Neumann Laplacian
-    (operators.neumann_laplacian_matrix) to mu_int, the operator whose
-    inverse the modified energy's kinetic term uses, so the discrete
-    energy identity closes.
-    """
-    n = grid.n
-    b_ei = sp.lil_matrix((4 * (n - 1), grid.n_int))
-    nd_phi = sp.lil_matrix((grid.n_loop, grid.n_int))
-    nd_psi = sp.lil_matrix((grid.n_loop, grid.n_loop))
-    inv2h = 1.0 / (2.0 * grid.h)
-    for k in range(grid.n_loop):
-        st = inward_normal_stencil(grid, k)
-        w = 1.0 / len(st.triples)
-        for (b, v1, v2) in st.triples:
-            for ref, coef in ((b, 3.0), (v1, -4.0), (v2, 1.0)):
-                kind, idx = ref
-                target = nd_phi if kind == "int" else nd_psi
-                target[k, idx] += w * coef * inv2h
-        if not st.is_corner:
-            (_, v1, _) = st.triples[0]
-            b_ei[grid.edge_slot[k], v1[1]] = -1.0
-    return b_ei.tocsr(), nd_phi.tocsr(), nd_psi.tocsr()
-
-
 @dataclass
 class SparseSystem:
     """Time-constant coupled matrix, its Schur-reduced (phi, psi) matrix
@@ -240,12 +160,12 @@ class SparseSystem:
             self._direct = linalg.DirectFactorization(self.schur)
         return self._direct
 
-    def solve(self, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, linalg.SolveStats]:
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
         """Solve ``matrix @ x = b`` for the stacked unknowns.
 
         Eliminates mu from b, solves with the factor of ``schur``, rebuilds
         mu from rows (b), (b') and (d), and returns x with
-        ||b - matrix x|| / ||b|| <= solver.tol or raises a SolveError
+        ||b - matrix x|| / ||b|| <= RESIDUAL_TOL or raises a SolveError
         carrying x and its stats.
         """
         b = np.asarray(b, dtype=float)
@@ -265,7 +185,7 @@ class SparseSystem:
             y[lay.n_int :],
             lay.mu_loop_of(b) - self.rows_mu_loop @ y,
         ])
-        return linalg.check_residual(self.matrix, b, x, solver.tol)
+        return linalg.check_residual(self.matrix, b, x, RESIDUAL_TOL)
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
@@ -276,11 +196,15 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     potential, (b') mirror Neumann closure mu_edge = mu_1 of mu at edge
     nodes, (c) loop evolution, (d) loop chemical potential with the
     normal derivative coupling.  Entries depend only on grid and params.
+    The stencils are the operators module's: the bulk Laplacian
+    (l_ii, l_il), the normal derivative (nd_phi, nd_psi) and the loop
+    Laplacian l_loop; l_ie holds l_il's couplings in the mu_edge columns.
 
     Eliminating mu_edge through (b') turns the mu-Laplacian of (a) into
     l_mu = l_ii - l_ie b_ei, the mirror-ghost Neumann Laplacian, which is
     symmetric with zero column sums: the uniform interior quadrature of
-    phi is conserved and the modified energy dissipates.  Eliminating
+    phi is conserved, and since l_mu is the operator the modified
+    energy's kinetic term inverts, the modified energy dissipates.  Eliminating
     mu_int through (b) and mu_loop through (d) as well leaves, with
     k_i = (beta_i/tau + 1)/tau,
 
@@ -293,8 +217,8 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     of ``matrix`` by construction.
     """
     layout = UnknownLayout.for_grid(grid)
-    l_ii, l_il = _interior_coupling(grid)
-    b_ei, nd_phi, nd_psi = _boundary_coupling(grid)
+    l_ii, l_il = ops.bulk_laplacian_matrices(grid)
+    nd_phi, nd_psi = ops.normal_derivative_matrices(grid)
     l_loop = ops.loop_laplacian_matrix(grid.n)
     tau = params.tau
     k1 = (params.beta1 / tau + 1.0) / tau
@@ -311,6 +235,11 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
         shape=(grid.n_loop, layout.n_edge),
     )
     l_ie = (l_il @ remap).tocsr()
+    # closure rows (b'), mu_edge - mu_1 = 0: the only interior 5-point
+    # neighbour of a non-corner edge node is mu_1, the first interior
+    # vertex along its inward normal (tocsr copies: comparing the
+    # transposed view would sort l_ie's shared index arrays in place)
+    b_ei = -(l_ie.T.tocsr() != 0).astype(float)
     b_phi = l_ii - params.s1 * eye_i
     d_psi = l_loop - params.s2 * eye_l - nd_psi
     matrix = sp.bmat(
@@ -370,7 +299,6 @@ def step(
     system: SparseSystem,
     grid: Grid,
     params: mdl.ModelParams,
-    solver: SolverConfig = SolverConfig(),
 ) -> tuple[State, linalg.SolveStats]:
     """Advance one time step; rates become exact difference quotients.
 
@@ -382,7 +310,7 @@ def step(
     keep l_mu P = Phi and l_loop Q = Psi from the zero start onwards.
     """
     b = assemble_rhs(state, grid, params)
-    x, stats = system.solve(b, solver)
+    x, stats = system.solve(b)
     if not np.all(np.isfinite(x)):
         raise NonFiniteStateError(f"non-finite solution at step {state.step + 1}")
     lay = system.layout
@@ -483,7 +411,6 @@ def run(
     grid: Grid,
     params: mdl.ModelParams,
     t_end: float,
-    solver: SolverConfig = SolverConfig(),
     diag_cadence: int = 1,
     on_step: Callable[[State], None] | None = None,
     system: SparseSystem | None = None,
@@ -492,7 +419,7 @@ def run(
 
     Diagnostics are recorded at step 0, every ``diag_cadence`` steps, and
     at the final step unconditionally (``diag_record``).  Every solve is
-    held to ``solver.tol``.  ``on_step`` is invoked with every state, the
+    held to ``RESIDUAL_TOL``.  ``on_step`` is invoked with every state, the
     initial one included.
     """
     if diag_cadence < 1:
@@ -505,7 +432,7 @@ def run(
         on_step(state)
     total = num_steps(t_end, params.tau)
     for k in range(1, total + 1):
-        state, stats = step(state, system, grid, params, solver)
+        state, stats = step(state, system, grid, params)
         if k % diag_cadence == 0 or k == total:
             records.append(diag_record(state, grid, params, stats))
         if on_step is not None:

@@ -21,7 +21,6 @@ STEPS = 2000
 BETAS = (0.0, 0.1, 1.0)
 CASES = (1, 2, 3, 4)
 CASE2_SEED = 7
-SOLVER = hc.SolverConfig(tol=1e-10)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -46,7 +45,7 @@ def production_runs():
             state = hc.init_state(phi0, psi0, grid)
             _, records = hc.run(
                 state, grid, params, t_end=STEPS * params.tau,
-                solver=SOLVER, diag_cadence=1, system=system,
+                diag_cadence=1, system=system,
             )
             assert len(records) == STEPS + 1
             out[(case, beta)] = records
@@ -60,7 +59,6 @@ def test_criterion_1_temporal_convergence():
         tau_ref=2.5e-5,
         t_end=0.1,
         case=case_for(1, n=32),
-        solver=SOLVER,
     )
     monotone_phi = all(a > b for a, b in zip(res.err_phi, res.err_phi[1:]))
     monotone_psi = all(a > b for a, b in zip(res.err_psi, res.err_psi[1:]))
@@ -140,7 +138,7 @@ def test_criterion_5_fixed_points(value):
         np.full(grid.n_int, value), np.full(grid.n_loop, value), grid
     )
     for _ in range(100):
-        state, _ = hc.step(state, system, grid, params, SOLVER)
+        state, _ = hc.step(state, system, grid, params)
     dev = max(
         float(np.abs(state.phi - value).max()), float(np.abs(state.psi - value).max())
     )
@@ -201,7 +199,7 @@ def test_criterion_7_oracle_equivalence(beta):
     phi0, psi0 = hc.init_case(hc.CaseSpec(case=3, n=4), g)
     state = hc.init_state(phi0, psi0, g)
     system = hc.assemble_system(g, params)
-    x_sparse, _ = system.solve(hc.assemble_rhs(state, g, params), SOLVER)
+    x_sparse, _ = system.solve(hc.assemble_rhs(state, g, params))
     dense = dense_matrix(g, params)
     rhs = dense_rhs(g, params, state.phi, state.psi, state.Phi, state.Psi)
     x_dense = np.linalg.solve(dense, rhs)

@@ -31,25 +31,25 @@ from hyperch.cli import (
 
 def test_empty_config_gives_defaults():
     cfg = parse_config("")
-    assert cfg.M1 == 0.001 and cfg.M2 == 0.001
-    assert cfg.tau == 1e-4
+    assert cfg.params.M1 == 0.001 and cfg.params.M2 == 0.001
+    assert cfg.params.tau == 1e-4
     assert cfg.n == 100
-    assert cfg.beta1 == 0.0 and cfg.beta2 == 0.0
-    assert cfg.eps == pytest.approx(0.02) and cfg.delta == pytest.approx(0.02)
-    assert cfg.s1 == pytest.approx(5000.0) and cfg.s2 == pytest.approx(5000.0)
+    assert cfg.params.beta1 == 0.0 and cfg.params.beta2 == 0.0
+    assert cfg.params.eps == pytest.approx(0.02) and cfg.params.delta == pytest.approx(0.02)
+    assert cfg.params.s1 == pytest.approx(5000.0) and cfg.params.s2 == pytest.approx(5000.0)
 
 
 def test_derived_widths_track_n():
     cfg = parse_config("n = 50\n")
-    assert cfg.eps == pytest.approx(0.04) and cfg.delta == pytest.approx(0.04)
-    assert cfg.s1 == pytest.approx(1250.0) and cfg.s2 == pytest.approx(1250.0)
+    assert cfg.params.eps == pytest.approx(0.04) and cfg.params.delta == pytest.approx(0.04)
+    assert cfg.params.s1 == pytest.approx(1250.0) and cfg.params.s2 == pytest.approx(1250.0)
 
 
 def test_explicit_eps_not_overridden():
     cfg = parse_config("n = 50\neps = 0.1\n")
-    assert cfg.eps == 0.1
-    assert cfg.s1 == pytest.approx(2.0 / 0.01)
-    assert cfg.delta == pytest.approx(0.04)
+    assert cfg.params.eps == 0.1
+    assert cfg.params.s1 == pytest.approx(2.0 / 0.01)
+    assert cfg.params.delta == pytest.approx(0.04)
 
 
 def test_constraint_error_names_key():
@@ -85,6 +85,14 @@ def test_effective_config_round_trip():
         assert getattr(echoed, f.name) == getattr(cfg, f.name), f.name
 
 
+def test_effective_config_key_order():
+    lines = config_text(parse_config("")).splitlines()
+    assert [line.split(" = ")[0] for line in lines if not line.startswith("#")] == [
+        "n", "tau", "t_end", "case", "seed", "M1", "M2", "beta1", "beta2", "eps", "delta",
+        "s1", "s2", "diag_cadence", "snapshot_times", "betas", "probe_times", "output_dir",
+    ]
+
+
 MODEL_KEYS = [f.name for f in fields(ModelParams)]
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -96,7 +104,7 @@ def test_model_fields_match_with_defaults(n, given_keys):
     cfg = parse_config(text)
     want = ModelParams.with_defaults(1 / n, **given_keys)
     for key in MODEL_KEYS:
-        assert getattr(cfg, key) == getattr(want, key), key
+        assert getattr(cfg.params, key) == getattr(want, key), key
 
 
 # ---- CSV writer --------------------------------------------------------------
@@ -306,7 +314,7 @@ def test_main_bad_config_exits_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key", ["tau", "t_end", "M1", "M2", "beta1", "beta2", "eps", "delta", "s1", "s2", "solver_tol", "betas"]
+    "key", ["tau", "t_end", "M1", "M2", "beta1", "beta2", "eps", "delta", "s1", "s2", "betas"]
 )
 @pytest.mark.parametrize("raw", ["nan", "inf"])
 def test_non_finite_value_rejected_with_key(key, raw):
@@ -319,7 +327,6 @@ def test_non_finite_value_rejected_with_key(key, raw):
     [
         ("run", "tau=nan"),
         ("run", "eps=nan"),
-        ("run", "solver_tol=nan"),
         ("run", "snapshot_times=nan"),
         ("run", "snapshot_times=inf"),
         ("beta-sweep", "probe_times=nan"),
@@ -341,7 +348,7 @@ def test_main_override_error_names_override(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("override", ["solver=bicgstab", "solver_max_iter=5"])
+@pytest.mark.parametrize("override", ["solver=bicgstab", "solver_max_iter=5", "solver_tol=1e-10"])
 def test_main_run_rejects_removed_solver_keys(tmp_path, capsys, override):
     out = tmp_path / "o"
     assert main(["run", "n=8", "t_end=0", override, f"output_dir={out}"]) == 1

@@ -13,6 +13,7 @@ from hyperch import (
     init_state,
     run,
 )
+from hyperch import scheme
 
 
 # ---- initial conditions -----------------------------------------------------
@@ -138,6 +139,20 @@ def test_beta_sweep_single_beta_matches_plain_run():
         assert rec.e_modified == pytest.approx(by_step[k].e_modified, rel=1e-12)
         assert rec.e_total == pytest.approx(by_step[k].e_total, rel=1e-12)
         assert rec.mass_bulk == pytest.approx(by_step[k].mass_bulk, rel=1e-12, abs=1e-14)
+
+
+def test_beta_sweep_computes_only_probe_rows(monkeypatch):
+    steps = []
+    record = scheme.diag_record
+
+    def counted(state, *args, **kwargs):
+        steps.append(state.step)
+        return record(state, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "diag_record", counted)
+    res = beta_sweep(CaseSpec(case=1, n=8), [0.1], 10e-4, [5e-4, 10e-4])
+    assert steps == [5, 10]
+    assert [r.time for r in res.probes] == [5e-4, 10e-4]
 
 
 def test_beta_sweep_masses_constant_across_probes():

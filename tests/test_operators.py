@@ -16,10 +16,8 @@ from hyperch import (
 from hyperch.operators import (
     grad_norm_sq_interior,
     grad_norm_sq_loop,
-    loop_dirichlet_energy,
     loop_laplacian_matrix,
     neumann_laplacian_matrix,
-    periodic_laplacian,
 )
 
 
@@ -80,9 +78,13 @@ def test_loop_laplacian_constant(g10):
 
 
 def test_periodic_laplacian_four_node_chain():
-    out = periodic_laplacian(np.array([1.0, 0.0, -1.0, 0.0]), 1.0)
-    assert out[0] == -2.0
-    assert np.allclose(out, [-2.0, 0.0, 2.0, 0.0])
+    # the four-node pattern (1, 0, -1, 0) repeated around the n = 4 loop,
+    # h^2 = 1/16: second differences -2/h^2, 0, 2/h^2, 0, also across the
+    # wrap from node 15 to node 0
+    g = build_grid(4)
+    out = apply_loop_laplacian(np.tile([1.0, 0.0, -1.0, 0.0], 4), g)
+    assert out[0] == -32.0
+    assert np.array_equal(out, np.tile([-32.0, 0.0, 32.0, 0.0], 4))
 
 
 def test_loop_laplacian_linear_along_edge(g10):
@@ -147,9 +149,12 @@ def test_dirichlet_energy_bulk_linear_exact(g10):
 
 
 def test_dirichlet_energy_loop_values():
-    assert loop_dirichlet_energy(np.array([1.0, 0.0, 1.0, 0.0]), 1.0) == 2.0
-    # hand quadrature: diffs (1,1,1,-3), sum of squares 12, halved
-    assert loop_dirichlet_energy(np.array([0.0, 1.0, 2.0, 3.0]), 1.0) == 6.0
+    # n = 4 loop, h = 1/4: (1/2) * sum over the 16 links of diff^2 / h
+    g = build_grid(4)
+    # alternating 1, 0: every diff is +-1, sum of squares 16
+    assert dirichlet_energy_loop(np.tile([1.0, 0.0], 8), g) == 32.0
+    # 0, 1, ..., 15: fifteen diffs 1 and the wrap diff -15, sum of squares 240
+    assert dirichlet_energy_loop(np.arange(16.0), g) == 480.0
 
 
 def test_dirichlet_energy_loop_constant(g10):

@@ -10,7 +10,6 @@ from hyperch import (
     ModelParams,
     NonFiniteStateError,
     SolveError,
-    SolverConfig,
     State,
     UnknownLayout,
     assemble_rhs,
@@ -24,7 +23,7 @@ from hyperch import (
     run,
     step,
 )
-from hyperch import operators
+from hyperch import operators, scheme
 from hyperch.operators import loop_laplacian_matrix, neumann_laplacian_matrix
 from hyperch.scheme import diag_record, num_steps
 
@@ -163,7 +162,7 @@ def test_step_matches_dense_direct_solve(g4, beta):
     system = assemble_system(g4, params)
     b = assemble_rhs(st, g4, params)
     x_dense = np.linalg.solve(dense_matrix(g4, params), dense_rhs(g4, params, st.phi, st.psi, st.Phi, st.Psi))
-    x_sparse, _ = system.solve(b, SolverConfig())
+    x_sparse, _ = system.solve(b)
     assert np.abs(x_sparse - x_dense).max() < 1e-10
     new, _ = step(st, system, g4, params)
     off = offsets(g4)
@@ -191,6 +190,37 @@ def test_schur_matches_dense_schur_complement(g4, beta):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+def test_operators_are_the_blocks_the_scheme_solves_with():
+    # apply_bulk_laplacian, normal_derivative and apply_loop_laplacian are
+    # products with the matrices the step system is assembled from: rows
+    # (b), (d) and (c) of system.matrix, up to roundoff
+    g = build_grid(6)
+    params = params_for(g, beta1=0.3, beta2=0.3)
+    system = assemble_system(g, params)
+    lay = system.layout
+    rng = np.random.default_rng(8)
+    phi, psi, q = (rng.standard_normal(k) for k in (g.n_int, g.n_loop, g.n_loop))
+    x = np.zeros(lay.dim)
+    x[lay.off_phi : lay.off_phi + lay.n_int] = phi
+    x[lay.off_psi : lay.off_psi + lay.n_loop] = psi
+    y = system.matrix @ x
+    x_q = np.zeros(lay.dim)
+    x_q[lay.off_mu_loop :] = q
+    y_q = system.matrix @ x_q
+    lap_loop = operators.apply_loop_laplacian(psi, g)
+    nd = np.array([operators.normal_derivative(phi, psi, g, k) for k in range(g.n_loop)])
+    scale = 1e-13 * (1.0 / g.h**2 + params.s1 + params.s2)
+    # rows (b) on [phi | psi]: (l_ii - s1 I) phi + l_il psi
+    assert np.abs(operators.apply_bulk_laplacian(phi, psi, g)
+                  - (lay.mu_int_of(y) + params.s1 * phi)).max() <= scale * np.abs(x).max()
+    # rows (d): -nd_phi phi + (l_loop - s2 I - nd_psi) psi
+    assert np.abs(nd - (lap_loop - params.s2 * psi - lay.mu_loop_of(y))).max() <= (
+        scale * np.abs(x).max())
+    # rows (c) on mu_loop: -M2 l_loop q
+    assert np.abs(operators.apply_loop_laplacian(q, g) + lay.psi_of(y_q) / params.M2).max() <= (
+        scale * np.abs(q).max())
+
+
 def _rough_rhs(grid, params):
     rng = np.random.default_rng(7)
     st = State(
@@ -207,20 +237,21 @@ def test_direct_solve_reports_full_system_residual():
     params = params_for(g, beta1=0.5, beta2=0.5)
     system = assemble_system(g, params)
     b = _rough_rhs(g, params)
-    x, stats = system.solve(b, SolverConfig())
+    x, stats = system.solve(b)
     want = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
     assert x.shape == (system.layout.dim,)
     assert stats.rel_residual == want
 
 
-def test_direct_solve_raises_with_full_solution_and_stats():
+def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
     g = build_grid(8)
     params = params_for(g)
     system = assemble_system(g, params)
     b = _rough_rhs(g, params)
-    x, _ = system.solve(b, SolverConfig())
+    x, _ = system.solve(b)
+    monkeypatch.setattr(scheme, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(SolveError) as err:
-        system.solve(b, SolverConfig(tol=1e-300))
+        system.solve(b)
     assert np.array_equal(err.value.x, x)
     assert err.value.stats.rel_residual > 1e-300
     assert err.value.stats.rel_residual <= 1e-10
@@ -421,7 +452,3 @@ def test_run_cadence_and_final_record(g4):
     _, records = run(st, g4, params, t_end=7 * params.tau, diag_cadence=3)
     assert [r.step for r in records] == [0, 3, 6, 7]
 
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
