@@ -93,12 +93,14 @@ def _check_value(key: str, value) -> None:
     """Raise ValueError when value is out of range for key.
 
     The domain type that owns a key checks it: ModelParams the model
-    keys and CaseSpec ``case``.
+    keys and CaseSpec ``case`` and ``seed``.
     """
     if key in _MODEL_KEYS:
         mdl.ModelParams(**{key: value})
     elif key == "case":
         exps.CaseSpec(case=value, seed=0)
+    elif key == "seed":
+        exps.CaseSpec(case=2, seed=value)
     elif key in _CONSTRAINTS and (verdict := _CONSTRAINTS[key](value)) is not True:
         raise ValueError(verdict)
 

@@ -32,6 +32,8 @@ class CaseSpec:
             raise ValueError(f"unknown case id {self.case}")
         if self.case == 2 and self.seed is None:
             raise ValueError("case 2 requires a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_case(case: CaseSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +160,10 @@ def beta_sweep(
     """One run per beta from shared initial data, probed at fixed times.
 
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
-    the case's grid) with beta1 = beta2 = beta and steps to t_end.  Each
-    probe time must be a step of the run (``scheme.lattice_step``); a
-    probe is that step's diagnostic row (``scheme.diag_record``), and no
-    other row is computed.
+    the case's grid) with beta1 = beta2 = beta and steps to its last
+    probe.  Each probe time must be a step of a run to t_end
+    (``scheme.lattice_step``); a probe is that step's diagnostic row
+    (``scheme.diag_record``), and no other row is computed.
     """
     grid = build_grid(case.n)
     phi0, psi0 = init_case(case, grid)
@@ -174,7 +176,7 @@ def beta_sweep(
         }
         system = scheme.assemble_system(grid, params)
         state = scheme.init_state(phi0, psi0, grid)
-        for k in range(scheme.num_steps(t_end, params.tau) + 1):
+        for k in range(max(probe_steps, default=0) + 1):
             if k > 0:
                 state, _ = scheme.step(state, system, grid, params)
             if k in probe_steps:

@@ -43,8 +43,6 @@ class Grid:
     n_loop: int
     # loop_ij[k] = (i, j) vertex coordinates of loop node k
     loop_ij: np.ndarray = field(repr=False)
-    # edge_slot[k] = compact index among non-corner loop nodes, -1 at corners
-    edge_slot: np.ndarray = field(repr=False)
 
     def __hash__(self):
         return hash(self.n)
@@ -126,22 +124,14 @@ def build_grid(n: int) -> Grid:
         loop_ij[2 * n + i] = (n - i, n)
     for j in range(n):
         loop_ij[3 * n + j] = (0, n - j)
-    edge_slot = np.full(4 * n, -1, dtype=np.int64)
-    slot = 0
-    for k in range(4 * n):
-        if k % n != 0:
-            edge_slot[k] = slot
-            slot += 1
     g = Grid(
         n=n,
         h=1.0 / n,
         n_int=(n - 1) ** 2,
         n_loop=4 * n,
         loop_ij=loop_ij,
-        edge_slot=edge_slot,
     )
     loop_ij.setflags(write=False)
-    edge_slot.setflags(write=False)
     return g
 
 

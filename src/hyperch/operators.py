@@ -2,15 +2,16 @@
 
 This module owns the stencils of the discretization.  The bulk 5-point
 Laplacian, split into interior and trace columns, the one-sided outward
-normal derivative and the periodic loop Laplacian are built here as
-sparse matrices; ``scheme.assemble_system`` assembles the step system
-from them, and ``apply_bulk_laplacian``, ``normal_derivative`` and
+normal derivative, the mirror-ghost Neumann Laplacian and the periodic
+loop Laplacian are built here as sparse matrices;
+``scheme.assemble_system`` assembles the step system from them, and
+``apply_bulk_laplacian``, ``normal_derivative`` and
 ``apply_loop_laplacian`` are products with the same matrices.  The
-Poisson solvers invert the mirror-ghost Neumann Laplacian (bulk) and the
-periodic loop Laplacian on mean-free right-hand sides.  They back
-``model.modified_energy``, the reference the tests hold a run's kinetic
-terms to; runs read those terms from the potentials the step carries and
-never call the solvers.
+Poisson solvers invert the Neumann Laplacian (bulk) and the loop
+Laplacian on mean-free right-hand sides, so they invert the operators of
+the scheme's evolution rows.  They back ``model.modified_energy``, the
+reference the tests hold a run's kinetic terms to; runs read those terms
+from the potentials the step carries and never call the solvers.
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ def neumann_laplacian_matrix(n: int) -> sp.csr_matrix:
 
     Symmetric with zero row sums; the ghost value outside each side equals
     the first inside value, which realizes a homogeneous Neumann closure.
+    It is the operator the scheme's bulk evolution rows apply to mu, and
+    the one the bulk Poisson solver inverts.  The matrix is cached and
+    shared: callers must not modify it.
     """
     m = n - 1
     h2 = (1.0 / n) ** 2

@@ -1,8 +1,10 @@
 """Coupled linear scheme: assembly, per-step right-hand side, stepping.
 
 One time step solves the coupled linear system for the stacked unknowns
-[phi | mu_int | mu_edge | psi | mu_loop].  Every chemical potential is an
-explicit sparse function of (phi, psi), so the solve eliminates them
+[phi | mu_int | psi | mu_loop].  The bulk chemical potential has unknowns
+at interior nodes only; its no-flux condition enters the bulk evolution
+rows as the mirror-ghost Neumann Laplacian.  Every chemical potential is
+an explicit sparse function of (phi, psi), so the solve eliminates them
 exactly: it factors the Schur-reduced system on [phi | psi], half the
 unknowns, and rebuilds mu by matrix-vector products after each solve.
 The explicit treatment of the well derivatives plus the linear
@@ -79,12 +81,11 @@ class UnknownLayout:
     """Block offsets of the stacked unknown vector."""
 
     n_int: int
-    n_edge: int
     n_loop: int
 
     @classmethod
     def for_grid(cls, grid: Grid) -> "UnknownLayout":
-        return cls(n_int=grid.n_int, n_edge=4 * (grid.n - 1), n_loop=grid.n_loop)
+        return cls(n_int=grid.n_int, n_loop=grid.n_loop)
 
     @property
     def off_phi(self) -> int:
@@ -95,29 +96,22 @@ class UnknownLayout:
         return self.n_int
 
     @property
-    def off_mu_edge(self) -> int:
+    def off_psi(self) -> int:
         return 2 * self.n_int
 
     @property
-    def off_psi(self) -> int:
-        return 2 * self.n_int + self.n_edge
-
-    @property
     def off_mu_loop(self) -> int:
-        return 2 * self.n_int + self.n_edge + self.n_loop
+        return 2 * self.n_int + self.n_loop
 
     @property
     def dim(self) -> int:
-        return 2 * self.n_int + self.n_edge + 2 * self.n_loop
+        return 2 * self.n_int + 2 * self.n_loop
 
     def phi_of(self, x: np.ndarray) -> np.ndarray:
         return x[self.off_phi : self.off_phi + self.n_int]
 
     def mu_int_of(self, x: np.ndarray) -> np.ndarray:
         return x[self.off_mu_int : self.off_mu_int + self.n_int]
-
-    def mu_edge_of(self, x: np.ndarray) -> np.ndarray:
-        return x[self.off_mu_edge : self.off_mu_edge + self.n_edge]
 
     def psi_of(self, x: np.ndarray) -> np.ndarray:
         return x[self.off_psi : self.off_psi + self.n_loop]
@@ -132,25 +126,22 @@ class SparseSystem:
     and the reusable factor of the latter.
 
     ``matrix`` is the coupled system of the stacked unknowns.  Its
-    chemical-potential rows (b), (b') and (d) have identity diagonal
-    blocks, so every mu is an explicit sparse function of (phi, psi) and
-    of the right-hand side; ``schur`` is the Schur complement that
-    eliminating them leaves on [phi | psi].  Only ``schur`` is factored;
-    ``matrix`` is the system every solution's residual is checked against.
+    chemical-potential rows (b) and (d) have identity diagonal blocks, so
+    every mu is an explicit sparse function of (phi, psi) and of the
+    right-hand side; ``schur`` is the Schur complement that eliminating
+    them leaves on [phi | psi].  Only ``schur`` is factored; ``matrix`` is
+    the system every solution's residual is checked against.
     """
 
     matrix: sp.csr_matrix
     schur: sp.csr_matrix
     layout: UnknownLayout
     params: mdl.ModelParams
-    # sub-operators of the elimination (see assemble_system): the bulk
-    # rows' mu-Laplacian after eliminating mu_edge and its mu_edge
-    # columns, the loop Laplacian, the closure rows (b'), and rows (b)
-    # and (d) restricted to the [phi | psi] columns
+    # sub-operators of the elimination (see assemble_system): the
+    # Laplacians of the evolution rows (a) and (c), and rows (b) and (d)
+    # restricted to the [phi | psi] columns
     l_mu: sp.csr_matrix = field(repr=False)
-    l_ie: sp.csr_matrix = field(repr=False)
     l_loop: sp.csr_matrix = field(repr=False)
-    b_ei: sp.csr_matrix = field(repr=False)
     rows_mu_int: sp.csr_matrix = field(repr=False)
     rows_mu_loop: sp.csr_matrix = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
@@ -164,24 +155,22 @@ class SparseSystem:
         """Solve ``matrix @ x = b`` for the stacked unknowns.
 
         Eliminates mu from b, solves with the factor of ``schur``, rebuilds
-        mu from rows (b), (b') and (d), and returns x with
+        mu from rows (b) and (d), and returns x with
         ||b - matrix x|| / ||b|| <= RESIDUAL_TOL or raises a SolveError
         carrying x and its stats.
         """
         b = np.asarray(b, dtype=float)
         lay, p = self.layout, self.params
         rhs = np.concatenate([
-            lay.phi_of(b) + p.M1 * (self.l_mu @ lay.mu_int_of(b) + self.l_ie @ lay.mu_edge_of(b)),
+            lay.phi_of(b) + p.M1 * (self.l_mu @ lay.mu_int_of(b)),
             lay.psi_of(b) + p.M2 * (self.l_loop @ lay.mu_loop_of(b)),
         ])
         # no check on the reduced residual: the full system's residual
         # below is what the solve is held to
         y, _ = self.direct().solve(rhs, tol=math.inf)
-        mu_i = lay.mu_int_of(b) - self.rows_mu_int @ y
         x = np.concatenate([
             y[: lay.n_int],
-            mu_i,
-            lay.mu_edge_of(b) - self.b_ei @ mu_i,
+            lay.mu_int_of(b) - self.rows_mu_int @ y,
             y[lay.n_int :],
             lay.mu_loop_of(b) - self.rows_mu_loop @ y,
         ])
@@ -193,20 +182,19 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     (grid, params) pair.
 
     Row blocks: (a) bulk evolution at interior nodes, (b) bulk chemical
-    potential, (b') mirror Neumann closure mu_edge = mu_1 of mu at edge
-    nodes, (c) loop evolution, (d) loop chemical potential with the
+    potential, (c) loop evolution, (d) loop chemical potential with the
     normal derivative coupling.  Entries depend only on grid and params.
-    The stencils are the operators module's: the bulk Laplacian
-    (l_ii, l_il), the normal derivative (nd_phi, nd_psi) and the loop
-    Laplacian l_loop; l_ie holds l_il's couplings in the mu_edge columns.
+    The stencils are the operators module's: the Neumann Laplacian l_mu,
+    the bulk Laplacian (l_ii, l_il), the normal derivative
+    (nd_phi, nd_psi) and the loop Laplacian l_loop.
 
-    Eliminating mu_edge through (b') turns the mu-Laplacian of (a) into
-    l_mu = l_ii - l_ie b_ei, the mirror-ghost Neumann Laplacian, which is
-    symmetric with zero column sums: the uniform interior quadrature of
-    phi is conserved, and since l_mu is the operator the modified
-    energy's kinetic term inverts, the modified energy dissipates.  Eliminating
-    mu_int through (b) and mu_loop through (d) as well leaves, with
-    k_i = (beta_i/tau + 1)/tau,
+    Row (a) applies to mu the mirror-ghost Neumann Laplacian l_mu: the
+    ghost value of mu outside each side is the first interior value,
+    which realizes the no-flux condition.  l_mu is symmetric with zero
+    column sums, so the uniform interior quadrature of phi is conserved,
+    and since l_mu is the operator the modified energy's kinetic term
+    inverts, the modified energy dissipates.  Eliminating mu_int through
+    (b) and mu_loop through (d) leaves, with k_i = (beta_i/tau + 1)/tau,
 
         schur = [[k1 I, 0], [0, k2 I]]
                 + [[M1 l_mu, 0], [0, M2 l_loop]] @ [[rows (b)], [rows (d)]],
@@ -224,36 +212,20 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     k1 = (params.beta1 / tau + 1.0) / tau
     k2 = (params.beta2 / tau + 1.0) / tau
     eye_i = sp.identity(layout.n_int, format="csr")
-    eye_e = sp.identity(layout.n_edge, format="csr")
     eye_l = sp.identity(layout.n_loop, format="csr")
-    # mu_edge columns of the bulk-evolution Laplacian: same couplings as
-    # the trace columns, remapped from loop index to edge slot (interior
-    # stencils never touch corner loop nodes).
-    keep = grid.edge_slot >= 0
-    remap = sp.csr_matrix(
-        (np.ones(int(keep.sum())), (np.flatnonzero(keep), grid.edge_slot[keep])),
-        shape=(grid.n_loop, layout.n_edge),
-    )
-    l_ie = (l_il @ remap).tocsr()
-    # closure rows (b'), mu_edge - mu_1 = 0: the only interior 5-point
-    # neighbour of a non-corner edge node is mu_1, the first interior
-    # vertex along its inward normal (tocsr copies: comparing the
-    # transposed view would sort l_ie's shared index arrays in place)
-    b_ei = -(l_ie.T.tocsr() != 0).astype(float)
+    l_mu = ops.neumann_laplacian_matrix(grid.n)
     b_phi = l_ii - params.s1 * eye_i
     d_psi = l_loop - params.s2 * eye_l - nd_psi
     matrix = sp.bmat(
         [
-            [k1 * eye_i, -params.M1 * l_ii, -params.M1 * l_ie, None, None],
-            [b_phi, eye_i, None, l_il, None],
-            [None, b_ei, eye_e, None, None],
-            [None, None, None, k2 * eye_l, -params.M2 * l_loop],
-            [-nd_phi, None, None, d_psi, eye_l],
+            [k1 * eye_i, -params.M1 * l_mu, None, None],
+            [b_phi, eye_i, l_il, None],
+            [None, None, k2 * eye_l, -params.M2 * l_loop],
+            [-nd_phi, None, d_psi, eye_l],
         ],
         format="csr",
     )
     matrix.sort_indices()
-    l_mu = (l_ii - l_ie @ b_ei).tocsr()
     rows_mu_int = sp.hstack([b_phi, l_il], format="csr")
     rows_mu_loop = sp.hstack([-nd_phi, d_psi], format="csr")
     schur = (
@@ -268,9 +240,7 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
         layout=layout,
         params=params,
         l_mu=l_mu,
-        l_ie=l_ie,
         l_loop=l_loop,
-        b_ei=b_ei,
         rows_mu_int=rows_mu_int,
         rows_mu_loop=rows_mu_loop,
     )
@@ -287,7 +257,6 @@ def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarra
         [
             k1 * phi + (params.beta1 / tau) * state.Phi,
             mdl.f_val(phi, params.eps) - params.s1 * phi,
-            np.zeros(4 * (grid.n - 1)),
             k2 * psi + (params.beta2 / tau) * state.Psi,
             mdl.g_val(psi, params.delta) - params.s2 * psi,
         ]

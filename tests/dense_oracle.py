@@ -1,7 +1,10 @@
 """Naive dense assembly of the coupled step system.
 
 Written node by node with explicit neighbor arithmetic, independent of
-the package's sparse assembly, to serve as an oracle for it.
+the package's sparse assembly, to serve as an oracle for it.  The oracle
+keeps mu unknowns at the non-corner edge nodes (mu_edge) with explicit
+mirror closure rows (b') mu_edge = mu_1; ``eliminate_mu_edge`` reduces it
+to the package's unknowns [phi | mu_int | psi | mu_loop].
 """
 
 import numpy as np
@@ -19,12 +22,19 @@ def offsets(grid):
     }
 
 
+def _edge_slot(grid, k):
+    """Index of loop node k among the non-corner loop nodes, None at corners."""
+    if k % grid.n == 0:
+        return None
+    return k - k // grid.n - 1
+
+
 def _mu_col(grid, off, i, j):
     if grid.is_interior(i, j):
         return off["mu_int"] + grid.interior_index(i, j)
-    k = grid.loop_index(i, j)
-    assert grid.edge_slot[k] >= 0, "mu has no corner unknowns"
-    return off["mu_edge"] + int(grid.edge_slot[k])
+    slot = _edge_slot(grid, grid.loop_index(i, j))
+    assert slot is not None, "mu has no corner unknowns"
+    return off["mu_edge"] + slot
 
 
 def _phi_col(grid, off, i, j):
@@ -83,9 +93,10 @@ def dense_matrix(grid, params):
 
     # (b') mirror Neumann closure rows mu_edge - mu_1 = 0 at edge nodes
     for k in range(nl):
-        if grid.edge_slot[k] < 0:
+        slot = _edge_slot(grid, k)
+        if slot is None:
             continue
-        r = 2 * ni + int(grid.edge_slot[k])
+        r = off["mu_edge"] + slot
         ((b, v1, _),) = _triples(grid, k)
         a[r, _mu_col(grid, off, *b)] += 1.0
         a[r, _mu_col(grid, off, *v1)] += -1.0
@@ -127,3 +138,20 @@ def dense_rhs(grid, params, phi, psi, Phi, Psi):
     b[off["psi"] : off["psi"] + grid.n_loop] = k2 * psi + (params.beta2 / tau) * Psi
     b[off["mu_loop"] :] = g - params.s2 * psi
     return b
+
+
+def eliminate_mu_edge(grid, a, b=None):
+    """Reduce the oracle system to the unknowns [phi | mu_int | psi | mu_loop].
+
+    The closure rows' diagonal block is the identity, so eliminating
+    mu_edge is exact: the reduced matrix is a_kk - a_ke a_ek and the
+    reduced right-hand side b_k - a_ke b_e (b defaults to zero).  Returns
+    (matrix, rhs).
+    """
+    off = offsets(grid)
+    edge = np.arange(off["mu_edge"], off["psi"])
+    keep = np.setdiff1d(np.arange(off["dim"]), edge)
+    assert np.array_equal(a[np.ix_(edge, edge)], np.eye(edge.size))
+    b = np.zeros(off["dim"]) if b is None else b
+    a_ke = a[np.ix_(keep, edge)]
+    return a[np.ix_(keep, keep)] - a_ke @ a[np.ix_(edge, keep)], b[keep] - a_ke @ b[edge]

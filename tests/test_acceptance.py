@@ -11,7 +11,7 @@ Schur-reduced direct solve must hold to 1e-10.
 import numpy as np
 import pytest
 
-from dense_oracle import dense_matrix, dense_rhs, offsets
+from dense_oracle import dense_matrix, dense_rhs, eliminate_mu_edge
 
 import hyperch as hc
 from hyperch.operators import loop_laplacian_matrix, neumann_laplacian_matrix
@@ -202,20 +202,16 @@ def test_criterion_7_oracle_equivalence(beta):
     x_sparse, _ = system.solve(hc.assemble_rhs(state, g, params))
     dense = dense_matrix(g, params)
     rhs = dense_rhs(g, params, state.phi, state.psi, state.Phi, state.Psi)
-    x_dense = np.linalg.solve(dense, rhs)
-    off = offsets(g)
+    x_dense = np.linalg.solve(*eliminate_mu_edge(g, dense, rhs))
+    lay = system.layout
     devs = {
-        "phi": np.abs(x_sparse[: g.n_int] - x_dense[: g.n_int]).max(),
-        "mu_int": np.abs(
-            x_sparse[g.n_int : 2 * g.n_int] - x_dense[g.n_int : 2 * g.n_int]
-        ).max(),
-        "mu_edge": np.abs(
-            x_sparse[off["mu_edge"] : off["psi"]] - x_dense[off["mu_edge"] : off["psi"]]
-        ).max(),
-        "psi": np.abs(
-            x_sparse[off["psi"] : off["mu_loop"]] - x_dense[off["psi"] : off["mu_loop"]]
-        ).max(),
-        "mu_loop": np.abs(x_sparse[off["mu_loop"] :] - x_dense[off["mu_loop"] :]).max(),
+        name: np.abs(block(x_sparse) - block(x_dense)).max()
+        for name, block in (
+            ("phi", lay.phi_of),
+            ("mu_int", lay.mu_int_of),
+            ("psi", lay.psi_of),
+            ("mu_loop", lay.mu_loop_of),
+        )
     }
     worst = max(devs.values())
     report(

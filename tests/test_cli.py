@@ -384,6 +384,15 @@ def test_main_cases(tmp_path):
         assert (out / f"case{case}" / "final.vtk").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "cases"])
+def test_main_negative_seed_fails_before_output(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    rc = main([command, "n=8", "case=2", "t_end=0.001", "seed=-1", f"output_dir={out}"])
+    assert rc == 1
+    assert "override 4: seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_convergence_smoke(capsys):
     rc = main(["convergence", "n=8", "t_end=0.004"])
     assert rc == 0

@@ -74,6 +74,8 @@ def test_case_spec_validation():
         CaseSpec(case=5)
     with pytest.raises(ValueError):
         CaseSpec(case=2)  # no seed
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        CaseSpec(case=2, seed=-1)
 
 
 # ---- slope fitting -----------------------------------------------------------
@@ -142,16 +144,24 @@ def test_beta_sweep_single_beta_matches_plain_run():
 
 
 def test_beta_sweep_computes_only_probe_rows(monkeypatch):
+    # rows only at the probes, and no step after the last probe
     steps = []
-    record = scheme.diag_record
+    solves = []
+    record, advance = scheme.diag_record, scheme.step
 
     def counted(state, *args, **kwargs):
         steps.append(state.step)
         return record(state, *args, **kwargs)
 
+    def counted_step(state, *args, **kwargs):
+        solves.append(state.step + 1)
+        return advance(state, *args, **kwargs)
+
     monkeypatch.setattr(scheme, "diag_record", counted)
-    res = beta_sweep(CaseSpec(case=1, n=8), [0.1], 10e-4, [5e-4, 10e-4])
+    monkeypatch.setattr(scheme, "step", counted_step)
+    res = beta_sweep(CaseSpec(case=1, n=8), [0.1], 20e-4, [5e-4, 10e-4])
     assert steps == [5, 10]
+    assert solves == list(range(1, 11))
     assert [r.time for r in res.probes] == [5e-4, 10e-4]
 
 

@@ -71,9 +71,7 @@ def test_corner_classification():
     g = build_grid(5)
     corners = {k for k in range(g.n_loop) if g.is_corner_k(k)}
     assert corners == {0, 5, 10, 15}
-    assert all(g.edge_slot[k] == -1 for k in corners)
-    slots = [g.edge_slot[k] for k in range(g.n_loop) if not g.is_corner_k(k)]
-    assert slots == list(range(4 * (5 - 1)))
+    assert {tuple(g.loop_ij[k]) for k in corners} == {(0, 0), (5, 0), (5, 5), (0, 5)}
 
 
 def test_edge_stencil_bottom():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dense_oracle import dense_matrix, dense_rhs, offsets
+from dense_oracle import dense_matrix, dense_rhs, eliminate_mu_edge, offsets
 
 from hyperch import (
     CaseSpec,
@@ -37,6 +37,15 @@ def params_for(grid, **kw):
     return ModelParams.with_defaults(grid.h, **kw)
 
 
+# (n, beta) of the dense-oracle comparisons; the n = 4 cases keep the
+# bare beta id
+ORACLE_CASES = [
+    pytest.param(n, beta, id=f"{beta}" if n == 4 else f"n{n}-{beta}")
+    for n in (4, 5, 7)
+    for beta in (0.0, 0.5)
+]
+
+
 # ---- state ---------------------------------------------------------------
 
 
@@ -67,11 +76,10 @@ def test_init_state_size_mismatch(g4):
 
 def test_layout_dimension(g4):
     lay = UnknownLayout.for_grid(g4)
-    assert lay.dim == 62  # 2*9 + 12 + 32
+    assert lay.dim == 50  # 2*9 + 2*16
     blocks = [
         (lay.off_phi, lay.n_int),
         (lay.off_mu_int, lay.n_int),
-        (lay.off_mu_edge, lay.n_edge),
         (lay.off_psi, lay.n_loop),
         (lay.off_mu_loop, lay.n_loop),
     ]
@@ -96,14 +104,14 @@ def test_constant_vector_row_sums(g4):
     # Laplacians and normal derivatives annihilate constants
     assert np.allclose(y[: lay.n_int], k1 * c, rtol=1e-12)
     assert np.allclose(y[lay.off_psi : lay.off_psi + lay.n_loop], k2 * c, rtol=1e-12)
-    assert np.allclose(y[lay.off_mu_edge : lay.off_mu_edge + lay.n_edge], 0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5])
-def test_matrix_matches_dense_oracle(g4, beta):
-    params = params_for(g4, beta1=beta, beta2=beta)
-    system = assemble_system(g4, params)
-    oracle = dense_matrix(g4, params)
+@pytest.mark.parametrize("n, beta", ORACLE_CASES)
+def test_matrix_matches_dense_oracle(n, beta):
+    g = build_grid(n)
+    params = params_for(g, beta1=beta, beta2=beta)
+    system = assemble_system(g, params)
+    oracle, _ = eliminate_mu_edge(g, dense_matrix(g, params))
     assert np.allclose(system.matrix.toarray(), oracle, rtol=1e-13, atol=1e-9)
 
 
@@ -122,7 +130,9 @@ def test_rhs_matches_dense_oracle(g4, beta):
         step=0,
     )
     got = assemble_rhs(st, g4, params)
-    want = dense_rhs(g4, params, st.phi, st.psi, st.Phi, st.Psi)
+    _, want = eliminate_mu_edge(
+        g4, dense_matrix(g4, params), dense_rhs(g4, params, st.phi, st.psi, st.Phi, st.Psi)
+    )
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -135,7 +145,6 @@ def test_rhs_well_roots_leave_stabilizer_only(g4):
     lay = UnknownLayout.for_grid(g4)
     assert np.allclose(b[lay.off_mu_int : lay.off_mu_int + lay.n_int], -params.s1)
     assert np.allclose(b[lay.off_mu_loop :], -params.s2)
-    assert np.array_equal(b[lay.off_mu_edge : lay.off_mu_edge + lay.n_edge], np.zeros(lay.n_edge))
 
 
 def test_rhs_no_rate_memory_without_relaxation(g4):
@@ -161,27 +170,31 @@ def test_step_matches_dense_direct_solve(g4, beta):
     st = init_state(phi0, psi0, g4)
     system = assemble_system(g4, params)
     b = assemble_rhs(st, g4, params)
-    x_dense = np.linalg.solve(dense_matrix(g4, params), dense_rhs(g4, params, st.phi, st.psi, st.Phi, st.Psi))
+    x_dense = np.linalg.solve(*eliminate_mu_edge(
+        g4, dense_matrix(g4, params), dense_rhs(g4, params, st.phi, st.psi, st.Phi, st.Psi)
+    ))
     x_sparse, _ = system.solve(b)
     assert np.abs(x_sparse - x_dense).max() < 1e-10
     new, _ = step(st, system, g4, params)
-    off = offsets(g4)
-    assert np.abs(new.phi - x_dense[: g4.n_int]).max() < 1e-10
-    assert np.abs(new.psi - x_dense[off["psi"] : off["psi"] + g4.n_loop]).max() < 1e-10
+    lay = system.layout
+    assert np.abs(new.phi - lay.phi_of(x_dense)).max() < 1e-10
+    assert np.abs(new.psi - lay.psi_of(x_dense)).max() < 1e-10
     assert np.allclose(new.Phi, (new.phi - st.phi) / params.tau)
     assert np.allclose(new.Psi, (new.psi - st.psi) / params.tau)
     assert new.step == 1 and new.t == pytest.approx(params.tau)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5])
-def test_schur_matches_dense_schur_complement(g4, beta):
-    # eliminating every mu block of the naive dense matrix must give the
-    # reduced [phi | psi] matrix the direct path factors
-    params = params_for(g4, beta1=beta, beta2=beta)
-    system = assemble_system(g4, params)
-    a = dense_matrix(g4, params)
-    off = offsets(g4)
-    keep = np.r_[off["phi"] : off["phi"] + g4.n_int, off["psi"] : off["psi"] + g4.n_loop]
+@pytest.mark.parametrize("n, beta", ORACLE_CASES)
+def test_schur_matches_dense_schur_complement(n, beta):
+    # eliminating every mu block of the naive dense matrix, mu_edge
+    # included, must give the reduced [phi | psi] matrix the direct path
+    # factors
+    g = build_grid(n)
+    params = params_for(g, beta1=beta, beta2=beta)
+    system = assemble_system(g, params)
+    a = dense_matrix(g, params)
+    off = offsets(g)
+    keep = np.r_[off["phi"] : off["phi"] + g.n_int, off["psi"] : off["psi"] + g.n_loop]
     mu = np.setdiff1d(np.arange(off["dim"]), keep)
     want = a[np.ix_(keep, keep)] - a[np.ix_(keep, mu)] @ np.linalg.solve(
         a[np.ix_(mu, mu)], a[np.ix_(mu, keep)]
@@ -314,20 +327,17 @@ def test_energy_monotone_default_params():
     assert all(b <= a + 1e-8 * (1 + abs(e[0])) for a, b in zip(e, e[1:]))
 
 
-def test_mu_closure_pairs_with_neumann_laplacian():
-    # eliminating mu_edge through the closure rows must leave exactly the
-    # symmetric mirror-ghost Neumann Laplacian that the modified energy's
-    # kinetic term inverts; otherwise the discrete energy law cannot close
-    g = build_grid(8)
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_mu_closure_pairs_with_neumann_laplacian(n):
+    # eliminating the oracle's mu_edge through its node-by-node closure
+    # rows must leave exactly the symmetric mirror-ghost Neumann Laplacian
+    # that row (a) applies and the modified energy's kinetic term
+    # inverts; otherwise the discrete energy law cannot close
+    g = build_grid(n)
     params = params_for(g)
-    system = assemble_system(g, params)
-    lay = system.layout
-    a = system.matrix.toarray()
-    rows_phi = slice(lay.off_phi, lay.off_phi + lay.n_int)
-    cols_mu = slice(lay.off_mu_int, lay.off_mu_int + lay.n_int)
-    edge = slice(lay.off_mu_edge, lay.off_mu_edge + lay.n_edge)
-    closure = np.linalg.solve(a[edge, edge], a[edge, cols_mu])
-    reduced = a[rows_phi, cols_mu] - a[rows_phi, edge] @ closure
+    lay = UnknownLayout.for_grid(g)
+    a, _ = eliminate_mu_edge(g, dense_matrix(g, params))
+    reduced = a[lay.off_phi : lay.off_phi + lay.n_int, lay.off_mu_int : lay.off_mu_int + lay.n_int]
     want = -params.M1 * neumann_laplacian_matrix(g.n).toarray()
     assert np.abs(reduced - want).max() <= 1e-12 * np.abs(want).max()
 
