@@ -9,7 +9,7 @@ response; the first-order linear scheme with explicit stabilized wells
 keeps the step matrix constant over a run.
 """
 
-from .grid import Grid, NormalStencil, build_grid, inward_normal_stencil
+from .grid import Grid, build_grid
 from .linalg import DirectFactorization, SolveError, SolveStats
 from .model import (
     F_val,
@@ -60,9 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid",
-    "NormalStencil",
     "build_grid",
-    "inward_normal_stencil",
     "DirectFactorization",
     "SolveError",
     "SolveStats",

@@ -103,11 +103,15 @@ def convergence_study(
 
     Runs the reference once and each tau once, measures the discrete
     L2(bulk) and L2(loop) errors at t_end, and fits log-log slopes.
+    t_end must be a step of every run (``scheme.lattice_step``), so that
+    all of them end at the same time.
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
     the grid of n) with its tau replaced by the run's step.
     """
     if tau_ref >= min(taus):
         raise ValueError("reference tau must be smaller than every tested tau")
+    for tau in (tau_ref, *taus):
+        scheme.lattice_step(t_end, tau, t_end, "t_end")
     grid = build_grid(n)
     phi0, psi0 = init_case(case, grid)
     if params is None:

@@ -5,6 +5,10 @@ side (mesh width h = 1/n).  Bulk fields live on the (n-1)^2 interior
 vertices; boundary fields live on the 4n perimeter vertices, ordered as a
 closed counterclockwise loop starting at the origin.  Corners are regular
 loop nodes: the loop is a uniform 1-D chain with arc-length spacing h.
+Both sets are subsets of the (n+1)^2 vertex grid: the interior in
+row-major (i, j) order, the loop through ``Grid.loop_ij``.  The grid
+holds no stencils; ``operators`` builds them on the vertex grid and
+restricts them with these maps.
 """
 
 from __future__ import annotations
@@ -12,25 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# A node reference is ("int", flat interior index) or ("loop", loop index).
-NodeRef = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class NormalStencil:
-    """One-sided stencil(s) along the inward normal at a loop node.
-
-    ``triples`` holds one (node, first inward, second inward) triple for an
-    edge node, and two triples (one per incident edge, to be averaged) for
-    a corner node.  ``normals`` holds the matching inward unit direction(s)
-    as (dx, dy) integer pairs.
-    """
-
-    k: int
-    is_corner: bool
-    triples: tuple[tuple[NodeRef, NodeRef, NodeRef], ...]
-    normals: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -79,13 +64,9 @@ class Grid:
     def is_interior(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n - 1 and 1 <= j <= self.n - 1
 
-    def is_corner_k(self, k: int) -> bool:
+    def is_corner_k(self, k):
+        """Whether loop index k (an int or an integer array) is a corner."""
         return k % self.n == 0
-
-    def node_ref(self, i: int, j: int) -> NodeRef:
-        if self.is_interior(i, j):
-            return ("int", self.interior_index(i, j))
-        return ("loop", self.loop_index(i, j))
 
     # ---- coordinates ------------------------------------------------
 
@@ -107,8 +88,9 @@ class Grid:
 def build_grid(n: int) -> Grid:
     """Build the grid for n subdivisions per side.
 
-    n >= 4 is required so that the one-sided normal stencils reach only
-    interior vertices from non-corner edge nodes.
+    n >= 4 is required so that the one-sided normal-derivative stencils
+    (``operators.normal_derivative_matrices``) reach only interior
+    vertices from non-corner edge nodes.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"n must be an integer, got {type(n).__name__}")
@@ -134,48 +116,3 @@ def build_grid(n: int) -> Grid:
     loop_ij.setflags(write=False)
     return g
 
-
-def _edge_triple(grid: Grid, i: int, j: int) -> tuple[tuple, tuple[int, int]]:
-    """Inward triple and inward direction for a non-corner edge vertex."""
-    n = grid.n
-    if j == 0:
-        nodes, d = ((i, 0), (i, 1), (i, 2)), (0, 1)
-    elif i == n:
-        nodes, d = ((n, j), (n - 1, j), (n - 2, j)), (-1, 0)
-    elif j == n:
-        nodes, d = ((i, n), (i, n - 1), (i, n - 2)), (0, -1)
-    else:
-        nodes, d = ((0, j), (1, j), (2, j)), (1, 0)
-    return tuple(grid.node_ref(a, b) for a, b in nodes), d
-
-
-_CORNER_DIRS = {
-    (0, 0): ((1, 0), (0, 1)),
-    (1, 0): ((-1, 0), (0, 1)),
-    (1, 1): ((-1, 0), (0, -1)),
-    (0, 1): ((1, 0), (0, -1)),
-}
-
-
-def inward_normal_stencil(grid: Grid, k: int) -> NormalStencil:
-    """One-sided second-order stencil(s) realizing the outward normal
-    derivative at loop node k.
-
-    Edge node: a single triple (node, first, second) along the inward
-    normal; the two inward vertices are interior.  Corner node: two
-    triples, one along each incident edge (their nodes lie on the loop),
-    flagged for averaging.
-    """
-    if not (0 <= k < grid.n_loop):
-        raise IndexError(f"loop index {k} out of range")
-    i, j = (int(v) for v in grid.loop_ij[k])
-    n = grid.n
-    if not grid.is_corner_k(k):
-        triple, d = _edge_triple(grid, i, j)
-        return NormalStencil(k=k, is_corner=False, triples=(triple,), normals=(d,))
-    dirs = _CORNER_DIRS[(i // n, j // n)]
-    triples = []
-    for dx, dy in dirs:
-        nodes = ((i, j), (i + dx, j + dy), (i + 2 * dx, j + 2 * dy))
-        triples.append(tuple(grid.node_ref(a, b) for a, b in nodes))
-    return NormalStencil(k=k, is_corner=True, triples=tuple(triples), normals=dirs)

@@ -51,6 +51,12 @@ class ModelParams:
         for name in ("M1", "M2", "eps", "delta", "tau"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("eps", "delta"):
+            if not _stabilizer(getattr(self, name)) < math.inf:
+                raise ValueError(
+                    f"{name} must be large enough that 2/{name}^2 is finite, "
+                    f"got {getattr(self, name)}"
+                )
         for name in ("beta1", "beta2", "s1", "s2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
@@ -61,9 +67,20 @@ class ModelParams:
         stabilizers 2/eps^2, 2/delta^2 unless overridden."""
         eps = overrides.pop("eps", 2.0 * h)
         delta = overrides.pop("delta", 2.0 * h)
-        s1 = overrides.pop("s1", 2.0 / eps**2)
-        s2 = overrides.pop("s2", 2.0 / delta**2)
+        s1 = overrides.pop("s1", _stabilizer(eps))
+        s2 = overrides.pop("s2", _stabilizer(delta))
         return cls(eps=eps, delta=delta, s1=s1, s2=s2, **overrides)
+
+
+def _stabilizer(width: float) -> float:
+    """Default stabilizer 2/width^2 of a well: inf where width^2 underflows
+    to zero, 0 where it overflows."""
+    try:
+        return 2.0 / width**2
+    except ZeroDivisionError:
+        return math.inf
+    except OverflowError:
+        return 0.0
 
 
 # ---- potentials --------------------------------------------------------

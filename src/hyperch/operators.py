@@ -6,7 +6,13 @@ normal derivative, the mirror-ghost Neumann Laplacian and the periodic
 loop Laplacian are built here as sparse matrices;
 ``scheme.assemble_system`` assembles the step system from them, and
 ``apply_bulk_laplacian``, ``normal_derivative`` and
-``apply_loop_laplacian`` are products with the same matrices.  The
+``apply_loop_laplacian`` are products with the same matrices, returning
+the vector at every node they cover.  The square-grid stencils are one
+construction: a 1-D operator a lifted to a square grid as
+kron(a, I) + kron(I, a).  The Neumann Laplacian lives on the interior
+grid; the bulk Laplacian and the normal derivative live on the
+(n+1)^2 vertex grid and are restricted to interior and loop vertices
+through ``Grid.loop_ij``, the map ``to_full_grid`` fills.  The
 Poisson solvers invert the Neumann Laplacian (bulk) and the loop
 Laplacian on mean-free right-hand sides, so they invert the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
@@ -22,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, inward_normal_stencil
+from .grid import Grid
 
 
 class PoissonSolveError(RuntimeError):
@@ -57,71 +63,66 @@ def to_full_grid(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     return full
 
 
+def _kron_sum(a: sp.spmatrix) -> sp.csr_matrix:
+    """The 1-D operator a applied along both axes of a square grid,
+    kron(a, I) + kron(I, a), with the x index i as the slow axis."""
+    eye = sp.identity(a.shape[0], format="csr")
+    return (sp.kron(a, eye) + sp.kron(eye, a)).tocsr()
+
+
+def _vertex_index(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (n+1)^2 vertex-grid indices, row-major in (i, j), of the
+    interior vertices in flat interior order and of the loop vertices in
+    loop order (``grid.loop_ij``, the map ``to_full_grid`` fills)."""
+    n1 = grid.n + 1
+    inner = np.arange(1, grid.n)
+    return (inner[:, None] * n1 + inner).ravel(), grid.loop_ij[:, 0] * n1 + grid.loop_ij[:, 1]
+
+
+def _split_columns(op: sp.csr_matrix, grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The interior and loop columns of an operator on the vertex grid,
+    each with sorted indices."""
+    interior, loop = _vertex_index(grid)
+    parts = op[:, interior], op[:, loop]
+    for part in parts:
+        part.sort_indices()
+    return parts
+
+
 def bulk_laplacian_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """5-point Laplacian split into interior-interior and interior-loop parts.
 
     Returns (l_ii, l_il): the Laplacian of the bulk field at every
     interior vertex is l_ii @ phi + l_il @ psi, the trace values read from
-    the loop field.  l_il never touches a corner loop node.
+    the loop field.  Built as the second difference along both axes of
+    the vertex grid, restricted to interior rows; l_il never touches a
+    corner loop node.
     """
-    n = grid.n
-    m = n - 1
-    h2 = grid.h * grid.h
-    ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    rows_r = (ii - 1) * m + (jj - 1)
-
-    rows_ii, cols_ii, vals_ii = [rows_r], [rows_r], [np.full(grid.n_int, -4.0 / h2)]
-    rows_il, cols_il = [], []
-    # neighbor offsets and the loop index each boundary side maps to
-    for di, dj, loop_col in (
-        (1, 0, lambda i, j: n + j),        # i+1 == n: right edge
-        (-1, 0, lambda i, j: 4 * n - j),   # i-1 == 0: left edge
-        (0, 1, lambda i, j: 3 * n - i),    # j+1 == n: top edge
-        (0, -1, lambda i, j: i),           # j-1 == 0: bottom edge
-    ):
-        a, b = ii + di, jj + dj
-        inside = (1 <= a) & (a <= m) & (1 <= b) & (b <= m)
-        rows_ii.append(rows_r[inside])
-        cols_ii.append((a[inside] - 1) * m + (b[inside] - 1))
-        vals_ii.append(np.full(inside.sum(), 1.0 / h2))
-        out = ~inside
-        rows_il.append(rows_r[out])
-        cols_il.append(loop_col(ii[out], jj[out]))
-    l_ii = sp.csr_matrix(
-        (np.concatenate(vals_ii), (np.concatenate(rows_ii), np.concatenate(cols_ii))),
-        shape=(grid.n_int, grid.n_int),
-    )
-    l_il = sp.csr_matrix(
-        (
-            np.full(sum(len(r) for r in rows_il), 1.0 / h2),
-            (np.concatenate(rows_il), np.concatenate(cols_il)),
-        ),
-        shape=(grid.n_int, grid.n_loop),
-    )
-    return l_ii, l_il
+    d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(grid.n + 1, grid.n + 1))
+    interior, _ = _vertex_index(grid)
+    return _split_columns(_kron_sum(d2)[interior] / (grid.h * grid.h), grid)
 
 
 def normal_derivative_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Outward normal derivative of the bulk field at every loop node.
 
     Returns (nd_phi, nd_psi): the derivative is nd_phi @ phi + nd_psi @ psi.
-    Edge node: one-sided second-order formula (3*psi_k - 4*v1 + v2)/(2h)
-    with v1, v2 the first and second vertices along the inward normal.
-    Corner node: average of the two one-sided edge-direction values.
+    The 1-D operator holds the one-sided second-order row
+    (3 v0 - 4 v1 + v2)/(2h) at both ends, counted from the end inwards,
+    and zero rows between; lifted to the vertex grid it gives an edge
+    node its one normal stencil and a corner the sum of its two edge
+    stencils, which the corner rows weight by 1/2 to average.
     """
-    nd_phi = sp.lil_matrix((grid.n_loop, grid.n_int))
-    nd_psi = sp.lil_matrix((grid.n_loop, grid.n_loop))
+    n = grid.n
     inv2h = 1.0 / (2.0 * grid.h)
-    for k in range(grid.n_loop):
-        st = inward_normal_stencil(grid, k)
-        w = 1.0 / len(st.triples)
-        for (b, v1, v2) in st.triples:
-            for ref, coef in ((b, 3.0), (v1, -4.0), (v2, 1.0)):
-                kind, idx = ref
-                target = nd_phi if kind == "int" else nd_psi
-                target[k, idx] += w * coef * inv2h
-    return nd_phi.tocsr(), nd_psi.tocsr()
+    coef = np.array([3.0, -4.0, 1.0]) * inv2h
+    a = sp.csr_matrix(
+        (np.tile(coef, 2), ([0, 0, 0, n, n, n], [0, 1, 2, n, n - 1, n - 2])),
+        shape=(n + 1, n + 1),
+    )
+    _, loop = _vertex_index(grid)
+    corner_w = np.where(grid.is_corner_k(np.arange(grid.n_loop)), 0.5, 1.0)
+    return _split_columns(sp.diags(corner_w) @ _kron_sum(a)[loop], grid)
 
 
 def apply_bulk_laplacian(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -135,15 +136,11 @@ def apply_loop_laplacian(psi: np.ndarray, grid: Grid) -> np.ndarray:
     return loop_laplacian_matrix(grid.n) @ _check_loop(psi, grid)
 
 
-def normal_derivative(phi: np.ndarray, psi: np.ndarray, grid: Grid, k: int) -> float:
-    """Outward normal derivative of the bulk field at loop node k
-    (``normal_derivative_matrices``)."""
-    phi = _check_bulk(phi, grid)
-    psi = _check_loop(psi, grid)
-    if not 0 <= k < grid.n_loop:
-        raise IndexError(f"loop index {k} out of range")
+def normal_derivative(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
+    """Outward normal derivative of the bulk field at every loop node, in
+    loop order (``normal_derivative_matrices``)."""
     nd_phi, nd_psi = normal_derivative_matrices(grid)
-    return float((nd_phi @ phi + nd_psi @ psi)[k])
+    return nd_phi @ _check_bulk(phi, grid) + nd_psi @ _check_loop(psi, grid)
 
 
 def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float:
@@ -186,9 +183,7 @@ def neumann_laplacian_matrix(n: int) -> sp.csr_matrix:
     e = np.ones(m)
     t = sp.diags([e[:-1], e[:-1]], offsets=[-1, 1], shape=(m, m), format="csr")
     deg1d = np.asarray(t.sum(axis=1)).ravel()
-    l1d = t - sp.diags(deg1d)
-    eye = sp.identity(m, format="csr")
-    return ((sp.kron(l1d, eye) + sp.kron(eye, l1d)) / h2).tocsr()
+    return _kron_sum(t - sp.diags(deg1d)) / h2
 
 
 @lru_cache(maxsize=8)

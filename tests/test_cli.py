@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_diag_csv_empty_series_rejected(tmp_path):
 
 
 def read_vtk_scalars(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     idx = lines.index("LOOKUP_TABLE default")
     return lines, np.array([float(v) for v in lines[idx + 1 :]])
 
@@ -177,7 +178,7 @@ def test_vtk_snapshot_case1(tmp_path):
     assert (vals == 0.0).sum() == 9
     assert (vals == 1.0).sum() == 16
     # trace CSV: one row per loop node, all ones
-    trace = open(trace_csv_path(path)).read().splitlines()
+    trace = Path(trace_csv_path(path)).read_text().splitlines()
     assert trace[0] == "arc_length,psi"
     assert len(trace) == 1 + 16
     for k, row in enumerate(trace[1:]):
@@ -327,6 +328,8 @@ def test_non_finite_value_rejected_with_key(key, raw):
     [
         ("run", "tau=nan"),
         ("run", "eps=nan"),
+        ("run", "eps=1e-200"),
+        ("run", "delta=1e-160"),
         ("run", "snapshot_times=nan"),
         ("run", "snapshot_times=inf"),
         ("beta-sweep", "probe_times=nan"),
@@ -398,6 +401,14 @@ def test_main_convergence_smoke(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "fitted slopes" in out
+
+
+def test_main_convergence_rejects_off_lattice_t_end(capsys):
+    # 0.0101 is no multiple of the tested steps: the runs would end at
+    # other times than the reference
+    assert main(["convergence", "n=8", "t_end=0.0101"]) == 1
+    captured = capsys.readouterr()
+    assert "t_end:" in captured.err and "fitted slopes" not in captured.out
 
 
 def convergence_slopes(out):

@@ -121,6 +121,17 @@ def test_convergence_rejects_coarse_reference():
         convergence_study(8, [1e-3], 1e-3, 0.01, CaseSpec(case=1, n=8))
 
 
+def test_convergence_rejects_off_lattice_t_end(monkeypatch):
+    # 0.0101 is a multiple of tau_ref = 2.5e-5 but of none of the tested
+    # steps; the study must fail before it takes a step
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before checking t_end")
+
+    monkeypatch.setattr(scheme, "step", no_step)
+    with pytest.raises(ValueError, match="t_end"):
+        convergence_study(8, [4e-3, 2e-3], 2.5e-5, 0.0101, CaseSpec(case=1, n=8))
+
+
 # ---- beta sweep ---------------------------------------------------------------
 
 

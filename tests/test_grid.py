@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hyperch import build_grid, inward_normal_stencil
+from hyperch import build_grid
+from hyperch.operators import bulk_laplacian_matrices, normal_derivative_matrices
 
 
 def test_counting_n4():
@@ -74,65 +75,55 @@ def test_corner_classification():
     assert {tuple(g.loop_ij[k]) for k in corners} == {(0, 0), (5, 0), (5, 5), (0, 5)}
 
 
+# ---- stencils restricted from the vertex grid through the index maps ----
+
+
+def _row(m, r):
+    """Row r of a sparse matrix as {column: value}."""
+    row = m.getrow(r)
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
 def test_edge_stencil_bottom():
     g = build_grid(10)
-    st = inward_normal_stencil(g, g.loop_index(3, 0))
-    assert not st.is_corner
-    assert st.normals == ((0, 1),)
-    (b, v1, v2), = st.triples
-    assert b == ("loop", g.loop_index(3, 0))
-    assert v1 == ("int", g.interior_index(3, 1))
-    assert v2 == ("int", g.interior_index(3, 2))
+    nd_phi, nd_psi = normal_derivative_matrices(g)
+    inv2h = 1.0 / (2.0 * g.h)
+    k = g.loop_index(3, 0)
+    assert _row(nd_psi, k) == {k: 3.0 * inv2h}
+    assert _row(nd_phi, k) == {g.interior_index(3, 1): -4.0 * inv2h,
+                               g.interior_index(3, 2): 1.0 * inv2h}
 
 
 def test_edge_stencil_right():
     g = build_grid(10)
-    st = inward_normal_stencil(g, g.loop_index(10, 5))
-    assert st.normals == ((-1, 0),)
-    (b, v1, v2), = st.triples
-    assert v1 == ("int", g.interior_index(9, 5))
-    assert v2 == ("int", g.interior_index(8, 5))
+    nd_phi, nd_psi = normal_derivative_matrices(g)
+    inv2h = 1.0 / (2.0 * g.h)
+    k = g.loop_index(10, 5)
+    assert _row(nd_psi, k) == {k: 3.0 * inv2h}
+    assert _row(nd_phi, k) == {g.interior_index(9, 5): -4.0 * inv2h,
+                               g.interior_index(8, 5): 1.0 * inv2h}
 
 
 def test_corner_stencil_origin():
+    # the average of the stencils along both incident edges, all on the loop
     g = build_grid(10)
-    st = inward_normal_stencil(g, 0)
-    assert st.is_corner
-    assert len(st.triples) == 2
-    along_x, along_y = st.triples
-    assert along_x == (("loop", 0), ("loop", g.loop_index(1, 0)), ("loop", g.loop_index(2, 0)))
-    assert along_y == (("loop", 0), ("loop", g.loop_index(0, 1)), ("loop", g.loop_index(0, 2)))
-
-
-@pytest.mark.parametrize("n", [4, 7, 10])
-def test_stencil_reach_inside_square(n):
-    g = build_grid(n)
-    for k in range(g.n_loop):
-        st = inward_normal_stencil(g, k)
-        for triple in st.triples:
-            for kind, idx in triple:
-                if kind == "int":
-                    i, j = g.interior_ij(idx)
-                else:
-                    i, j = g.loop_ij[idx]
-                assert 0 <= i * g.h <= 1 and 0 <= j * g.h <= 1
+    nd_phi, nd_psi = normal_derivative_matrices(g)
+    inv2h = 1.0 / (2.0 * g.h)
+    assert _row(nd_phi, 0) == {}
+    assert _row(nd_psi, 0) == {
+        0: 3.0 * inv2h,
+        g.loop_index(1, 0): -2.0 * inv2h,
+        g.loop_index(2, 0): 0.5 * inv2h,
+        g.loop_index(0, 1): -2.0 * inv2h,
+        g.loop_index(0, 2): 0.5 * inv2h,
+    }
 
 
 def test_interior_neighbors_interior_or_loop():
     g = build_grid(6)
-    for i in range(1, 6):
-        for j in range(1, 6):
-            for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                kind, idx = g.node_ref(a, b)
-                assert kind in ("int", "loop")
-                if kind == "loop":
-                    # interior stencils never touch corner loop nodes
-                    assert not g.is_corner_k(idx)
-
-
-def test_stencil_index_bounds():
-    g = build_grid(4)
-    with pytest.raises(IndexError):
-        inward_normal_stencil(g, 16)
-    with pytest.raises(IndexError):
-        inward_normal_stencil(g, -1)
+    l_ii, l_il = bulk_laplacian_matrices(g)
+    # every interior vertex sees itself and four neighbors, interior or loop
+    assert np.array_equal(np.diff(l_ii.indptr) + np.diff(l_il.indptr), np.full(g.n_int, 5))
+    # interior stencils never touch corner loop nodes
+    corners = [k for k in range(g.n_loop) if g.is_corner_k(k)]
+    assert l_il[:, corners].nnz == 0

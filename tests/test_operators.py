@@ -3,7 +3,6 @@ import pytest
 
 from hyperch import (
     apply_bulk_laplacian,
-    inward_normal_stencil,
     apply_loop_laplacian,
     build_grid,
     dirichlet_energy_bulk,
@@ -109,28 +108,27 @@ def test_loop_laplacian_conservative():
 
 def test_normal_derivative_linear_field(g10):
     phi, psi = fields(g10, lambda x, y: y)
-    k_bottom = g10.loop_index(3, 0)
-    k_top = g10.loop_index(3, 10)
-    assert normal_derivative(phi, psi, g10, k_bottom) == pytest.approx(-1.0, abs=1e-12)
-    assert normal_derivative(phi, psi, g10, k_top) == pytest.approx(1.0, abs=1e-12)
+    nd = normal_derivative(phi, psi, g10)
+    assert nd.shape == (g10.n_loop,)
+    assert nd[g10.loop_index(3, 0)] == pytest.approx(-1.0, abs=1e-12)
+    assert nd[g10.loop_index(3, 10)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normal_derivative_constant(g10):
     phi, psi = fields(g10, lambda x, y: np.full_like(x, 4.0))
-    for k in range(g10.n_loop):
-        assert normal_derivative(phi, psi, g10, k) == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(normal_derivative(phi, psi, g10)).max() <= 1e-12
 
 
 def test_normal_derivative_exact_on_affine(g10):
     phi, psi = fields(g10, lambda x, y: 2.0 + 3.0 * x - 5.0 * y)
-    # outward derivative of an affine field: -3 left, +3 right, +5 bottom, -5 top;
-    # corners average their two incident edges
-    expected_edge = {(0, 1): 5.0, (0, -1): -5.0, (1, 0): -3.0, (-1, 0): 3.0}
-    for k in range(g10.n_loop):
-        got = normal_derivative(phi, psi, g10, k)
-        st = inward_normal_stencil(g10, k)
-        want = np.mean([expected_edge[d] for d in st.normals])
-        assert got == pytest.approx(want, abs=1e-12)
+    nd = normal_derivative(phi, psi, g10)
+    n = g10.n
+    # outward derivative of an affine field on each side the node lies on:
+    # -3 left, +3 right, +5 bottom, -5 top; corners average their two sides
+    for k, (i, j) in enumerate(g10.loop_ij):
+        sides = [d for on_side, d in ((i == 0, -3.0), (i == n, 3.0),
+                                      (j == 0, 5.0), (j == n, -5.0)) if on_side]
+        assert nd[k] == pytest.approx(np.mean(sides), abs=1e-12)
 
 
 # ---- Dirichlet energies --------------------------------------------------

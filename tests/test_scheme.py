@@ -221,7 +221,7 @@ def test_operators_are_the_blocks_the_scheme_solves_with():
     x_q[lay.off_mu_loop :] = q
     y_q = system.matrix @ x_q
     lap_loop = operators.apply_loop_laplacian(psi, g)
-    nd = np.array([operators.normal_derivative(phi, psi, g, k) for k in range(g.n_loop)])
+    nd = operators.normal_derivative(phi, psi, g)
     scale = 1e-13 * (1.0 / g.h**2 + params.s1 + params.s2)
     # rows (b) on [phi | psi]: (l_ii - s1 I) phi + l_il psi
     assert np.abs(operators.apply_bulk_laplacian(phi, psi, g)
