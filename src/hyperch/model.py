@@ -60,6 +60,13 @@ class ModelParams:
         for name in ("beta1", "beta2", "s1", "s2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            # the diagonal (beta/tau + 1)/tau of the scheme's evolution rows
+            if not (getattr(self, name) / self.tau + 1.0) / self.tau < math.inf:
+                raise ValueError(
+                    f"tau must be large enough that ({name}/tau + 1)/tau is finite, "
+                    f"got tau={self.tau} with {name}={getattr(self, name)}"
+                )
 
     @classmethod
     def with_defaults(cls, h: float, **overrides) -> "ModelParams":
@@ -180,7 +187,7 @@ def total_energy(
     """
     full = ops.to_full_grid(phi, psi, grid)
     h = grid.h
-    e_bulk = h * h * float((_trapezoid_weights(grid.n) * F_val(full, params.eps)).sum())
+    e_bulk = h * h * float(np.vdot(_trapezoid_weights(grid.n), F_val(full, params.eps)))
     e_bulk += ops.dirichlet_energy_bulk(phi, psi, grid)
     e_surf = h * float(G_val(psi, params.delta).sum())
     e_surf += ops.dirichlet_energy_loop(psi, grid)

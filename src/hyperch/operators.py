@@ -151,13 +151,23 @@ def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float
     the quadrature exact on fields linear in x and y.
     """
     full = to_full_grid(phi, psi, grid)
-    dx = np.diff(full, axis=0)
-    dy = np.diff(full, axis=1)
-    wx = np.ones_like(dx)
+    dx = full[1:] - full[:-1]
+    dy = full[:, 1:] - full[:, :-1]
+    wx, wy = _edge_weights(grid.n)
+    return 0.5 * (float(np.vdot(wx, dx * dx)) + float(np.vdot(wy, dy * dy)))
+
+
+@lru_cache(maxsize=8)
+def _edge_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transverse trapezoid weights of the x-edges (n, n+1) and y-edges
+    (n+1, n) of the vertex grid: 1/2 on edges along the boundary, else 1.
+    Cached and shared, so read-only."""
+    wx = np.ones((n, n + 1))
     wx[:, 0] = wx[:, -1] = 0.5
-    wy = np.ones_like(dy)
-    wy[0, :] = wy[-1, :] = 0.5
-    return 0.5 * (float((wx * dx * dx).sum()) + float((wy * dy * dy).sum()))
+    wy = np.ascontiguousarray(wx.T)
+    for w in (wx, wy):
+        w.setflags(write=False)
+    return wx, wy
 
 
 def dirichlet_energy_loop(psi: np.ndarray, grid: Grid) -> float:
@@ -260,9 +270,9 @@ def grad_norm_sq_interior(p: np.ndarray, grid: Grid) -> float:
     p = _check_bulk(p, grid)
     m = grid.n - 1
     arr = p.reshape(m, m)
-    dx = np.diff(arr, axis=0)
-    dy = np.diff(arr, axis=1)
-    return float((dx * dx).sum()) + float((dy * dy).sum())
+    dx = arr[1:] - arr[:-1]
+    dy = arr[:, 1:] - arr[:, :-1]
+    return float(np.vdot(dx, dx)) + float(np.vdot(dy, dy))
 
 
 def grad_norm_sq_loop(q: np.ndarray, grid: Grid) -> float:
@@ -272,5 +282,6 @@ def grad_norm_sq_loop(q: np.ndarray, grid: Grid) -> float:
     the loop Poisson solve in a summation-by-parts identity.
     """
     q = _check_loop(q, grid)
-    d = np.roll(q, -1) - q
-    return float((d * d).sum()) / grid.h
+    d = q[1:] - q[:-1]
+    wrap = float(q[0] - q[-1])
+    return (float(d @ d) + wrap * wrap) / grid.h

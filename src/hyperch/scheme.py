@@ -277,9 +277,16 @@ def step(
         P_new = (M1 mu_int + r P) / (1 + r),   Q_new alike with M2, mu_loop,
 
     keep l_mu P = Phi and l_loop Q = Psi from the zero start onwards.
+    A solve that misses ``RESIDUAL_TOL`` raises a SolveError naming the
+    step, with the solution and its stats.
     """
     b = assemble_rhs(state, grid, params)
-    x, stats = system.solve(b)
+    try:
+        x, stats = system.solve(b)
+    except linalg.SolveError as exc:
+        raise linalg.SolveError(
+            f"{exc} at step {state.step + 1}", x=exc.x, stats=exc.stats
+        ) from exc
     if not np.all(np.isfinite(x)):
         raise NonFiniteStateError(f"non-finite solution at step {state.step + 1}")
     lay = system.layout

@@ -327,6 +327,8 @@ def test_non_finite_value_rejected_with_key(key, raw):
     "command, override",
     [
         ("run", "tau=nan"),
+        ("run", "tau=1e-200"),
+        ("run", "tau=1e-100"),
         ("run", "eps=nan"),
         ("run", "eps=1e-200"),
         ("run", "delta=1e-160"),

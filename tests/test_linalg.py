@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hyperch import ModelParams, assemble_system, build_grid
 from hyperch.linalg import DirectFactorization, check_csr
 
 
@@ -21,6 +22,35 @@ def test_solve_hand_system():
     a = csr([[2.0, 1.0], [1.0, 2.0]])
     x, _ = DirectFactorization(a).solve(np.array([3.0, 3.0]), tol=1e-12)
     assert np.allclose(x, [1.0, 1.0], rtol=1e-10)
+
+
+def test_solve_nonsymmetric_hand_system():
+    # a^T x = b has the solution (3/2, 1/2): a solve of the transpose fails
+    a = csr([[2.0, 1.0], [0.0, 3.0]])
+    x, _ = DirectFactorization(a).solve(np.array([3.0, 3.0]), tol=1e-12)
+    assert np.allclose(x, [1.0, 1.0], rtol=1e-14)
+
+
+def test_duplicate_entries_summed_without_touching_input():
+    # [[2, 1], [0, 3]] with its (0, 0) entry stored as 1.5 + 0.5: sorted
+    # column indices, so only the duplicate makes the input non-canonical
+    data, indices, indptr = np.array([1.5, 0.5, 1.0, 3.0]), np.array([0, 0, 1, 1]), np.array([0, 3, 4])
+    a = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+    kept = [arr.copy() for arr in (a.data, a.indices, a.indptr)]
+    x, stats = DirectFactorization(a).solve(np.array([3.0, 3.0]), tol=1e-12)
+    assert np.allclose(x, [1.0, 1.0], rtol=1e-14)
+    assert stats.rel_residual <= 1e-15
+    for arr, before in zip((a.data, a.indices, a.indptr), kept):
+        assert np.array_equal(arr, before)
+
+
+def test_schur_solve_matches_dense():
+    g = build_grid(8)
+    system = assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.3))
+    b = np.random.default_rng(8).standard_normal(system.schur.shape[0])
+    x, _ = DirectFactorization(system.schur).solve(b)
+    want = np.linalg.solve(system.schur.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_solve_zero_rhs():

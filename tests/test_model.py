@@ -62,6 +62,11 @@ def test_params_validation():
         ModelParams(beta1=-0.1)
     with pytest.raises(ValueError):
         ModelParams(tau=0.0)
+    # the evolution rows' diagonal (beta/tau + 1)/tau overflows
+    with pytest.raises(ValueError, match=r"tau must be .* \(beta2/tau \+ 1\)/tau is finite"):
+        ModelParams(tau=1e-160, beta2=0.1)
+    with pytest.raises(ValueError, match=r"\(beta1/tau \+ 1\)/tau"):
+        ModelParams(tau=5e-324)
     p = ModelParams.with_defaults(h=0.01)
     assert p.eps == 0.02 and p.delta == 0.02
     assert p.s1 == pytest.approx(5000.0) and p.s2 == pytest.approx(5000.0)

@@ -12,6 +12,7 @@ from hyperch import (
     solve_poisson_neumann_zeromean,
     to_full_grid,
 )
+from hyperch import model, operators
 from hyperch.operators import (
     grad_norm_sq_interior,
     grad_norm_sq_loop,
@@ -144,6 +145,30 @@ def test_dirichlet_energy_bulk_linear_exact(g10):
     assert dirichlet_energy_bulk(phi, psi, g10) == pytest.approx(0.5, abs=1e-14)
     phi, psi = fields(g10, lambda x, y: x + y)
     assert dirichlet_energy_bulk(phi, psi, g10) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_dirichlet_energy_bulk_matches_edge_loop(n):
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    phi, psi = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
+    full = to_full_grid(phi, psi, g)
+    want = 0.0
+    for i in range(n + 1):
+        for j in range(n + 1):
+            # the x-edge from (i, j) and the y-edge from (i, j), each at
+            # transverse weight 1/2 when it lies along the boundary
+            if i < n:
+                want += (0.5 if j in (0, n) else 1.0) * (full[i + 1, j] - full[i, j]) ** 2
+            if j < n:
+                want += (0.5 if i in (0, n) else 1.0) * (full[i, j + 1] - full[i, j]) ** 2
+    assert dirichlet_energy_bulk(phi, psi, g) == pytest.approx(0.5 * want, rel=1e-13)
+
+
+def test_cached_weights_are_read_only():
+    for w in (*operators._edge_weights(6), model._trapezoid_weights(6)):
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 2.0
 
 
 def test_dirichlet_energy_loop_values():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -262,12 +264,20 @@ def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
     system = assemble_system(g, params)
     b = _rough_rhs(g, params)
     x, _ = system.solve(b)
+    state = init_state(np.full(g.n_int, 0.3), np.full(g.n_loop, -0.2), g)
+    state = replace(state, step=6)
+    x_step, stats_step = system.solve(assemble_rhs(state, g, params))
     monkeypatch.setattr(scheme, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(SolveError) as err:
         system.solve(b)
     assert np.array_equal(err.value.x, x)
     assert err.value.stats.rel_residual > 1e-300
     assert err.value.stats.rel_residual <= 1e-10
+    # through step: the same solution and stats, and the step is named
+    with pytest.raises(SolveError, match=r"direct solve residual .* at step 7$") as err:
+        step(state, system, g, params)
+    assert np.array_equal(err.value.x, x_step)
+    assert err.value.stats == stats_step
 
 
 # ---- fixed points and invariants -------------------------------------------
