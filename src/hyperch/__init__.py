@@ -39,7 +39,6 @@ from .scheme import (
     NonFiniteStateError,
     SparseSystem,
     State,
-    UnknownLayout,
     assemble_rhs,
     assemble_system,
     init_state,
@@ -87,7 +86,6 @@ __all__ = [
     "NonFiniteStateError",
     "SparseSystem",
     "State",
-    "UnknownLayout",
     "assemble_rhs",
     "assemble_system",
     "init_state",

@@ -61,8 +61,8 @@ def fit_slope(points: list[tuple[float, float]]) -> float:
         raise ValueError("need at least two points to fit a slope")
     taus = np.array([p[0] for p in points], dtype=float)
     errs = np.array([p[1] for p in points], dtype=float)
-    if np.any(taus <= 0) or np.any(errs <= 0):
-        raise ValueError("slope fit requires positive tau and error values")
+    if not np.all(np.isfinite(taus) & np.isfinite(errs) & (taus > 0) & (errs > 0)):
+        raise ValueError("slope fit requires positive, finite tau and error values")
     return float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
 
 

@@ -89,7 +89,7 @@ def build_grid(n: int) -> Grid:
     """Build the grid for n subdivisions per side.
 
     n >= 4 is required so that the one-sided normal-derivative stencils
-    (``operators.normal_derivative_matrices``) reach only interior
+    (``operators.normal_derivative_matrix``) reach only interior
     vertices from non-corner edge nodes.
     """
     if not isinstance(n, (int, np.integer)):

@@ -66,13 +66,15 @@ def check_residual(
 ) -> tuple[np.ndarray, SolveStats]:
     """Stats of a direct solution x of a x = b.
 
-    Raises a SolveError carrying x and the stats when the relative
-    residual ||b - a x|| / ||b|| exceeds tol.
+    Raises a SolveError carrying x and the stats unless the relative
+    residual ||b - a x|| / ||b|| (the absolute one when b = 0) is at most
+    tol; a NaN residual or tol fails.
     """
     b_norm = float(np.linalg.norm(b))
-    rel = 0.0 if b_norm == 0.0 else float(np.linalg.norm(b - a @ x)) / b_norm
+    resid = float(np.linalg.norm(b - a @ x))
+    rel = resid / b_norm if b_norm else resid
     stats = SolveStats(rel)
-    if rel > tol:
+    if not rel <= tol:
         raise SolveError(
             f"direct solve residual {rel:.3e} > tol {tol:.3e}", x=x, stats=stats
         )

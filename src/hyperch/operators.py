@@ -1,18 +1,18 @@
 """Discrete differential operators and zero-mean Poisson solvers.
 
 This module owns the stencils of the discretization.  The bulk 5-point
-Laplacian, split into interior and trace columns, the one-sided outward
-normal derivative, the mirror-ghost Neumann Laplacian and the periodic
-loop Laplacian are built here as sparse matrices;
-``scheme.assemble_system`` assembles the step system from them, and
-``apply_bulk_laplacian``, ``normal_derivative`` and
+Laplacian, the one-sided outward normal derivative, the mirror-ghost
+Neumann Laplacian and the periodic loop Laplacian are built here as
+sparse matrices; ``scheme.assemble_system`` assembles the step system
+from them, and ``apply_bulk_laplacian``, ``normal_derivative`` and
 ``apply_loop_laplacian`` are products with the same matrices, returning
 the vector at every node they cover.  The square-grid stencils are one
 construction: a 1-D operator a lifted to a square grid as
 kron(a, I) + kron(I, a).  The Neumann Laplacian lives on the interior
-grid; the bulk Laplacian and the normal derivative live on the
-(n+1)^2 vertex grid and are restricted to interior and loop vertices
-through ``Grid.loop_ij``, the map ``to_full_grid`` fills.  The
+grid; the bulk Laplacian and the normal derivative live on the (n+1)^2
+vertex grid, keep its interior and loop rows respectively, and take
+their columns in the stacked field order [phi | psi] through
+``Grid.loop_ij``, the map ``to_full_grid`` fills.  The
 Poisson solvers invert the Neumann Laplacian (bulk) and the loop
 Laplacian on mean-free right-hand sides, so they invert the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
@@ -79,39 +79,34 @@ def _vertex_index(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return (inner[:, None] * n1 + inner).ravel(), grid.loop_ij[:, 0] * n1 + grid.loop_ij[:, 1]
 
 
-def _split_columns(op: sp.csr_matrix, grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The interior and loop columns of an operator on the vertex grid,
-    each with sorted indices."""
-    interior, loop = _vertex_index(grid)
-    parts = op[:, interior], op[:, loop]
-    for part in parts:
-        part.sort_indices()
-    return parts
+def _field_columns(op: sp.csr_matrix, grid: Grid) -> sp.csr_matrix:
+    """An operator on the vertex grid with its columns in [phi | psi]
+    order, interior vertices then loop vertices, indices sorted."""
+    op = op[:, np.concatenate(_vertex_index(grid))]
+    op.sort_indices()
+    return op
 
 
-def bulk_laplacian_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """5-point Laplacian split into interior-interior and interior-loop parts.
+def bulk_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
+    """5-point Laplacian of the bulk field at every interior vertex.
 
-    Returns (l_ii, l_il): the Laplacian of the bulk field at every
-    interior vertex is l_ii @ phi + l_il @ psi, the trace values read from
-    the loop field.  Built as the second difference along both axes of
-    the vertex grid, restricted to interior rows; l_il never touches a
-    corner loop node.
+    Acts on [phi | psi]: the trace values read from the loop field.
+    Built as the second difference along both axes of the vertex grid,
+    restricted to interior rows; no row touches a corner loop node.
     """
     d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(grid.n + 1, grid.n + 1))
     interior, _ = _vertex_index(grid)
-    return _split_columns(_kron_sum(d2)[interior] / (grid.h * grid.h), grid)
+    return _field_columns(_kron_sum(d2)[interior] / (grid.h * grid.h), grid)
 
 
-def normal_derivative_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def normal_derivative_matrix(grid: Grid) -> sp.csr_matrix:
     """Outward normal derivative of the bulk field at every loop node.
 
-    Returns (nd_phi, nd_psi): the derivative is nd_phi @ phi + nd_psi @ psi.
-    The 1-D operator holds the one-sided second-order row
-    (3 v0 - 4 v1 + v2)/(2h) at both ends, counted from the end inwards,
-    and zero rows between; lifted to the vertex grid it gives an edge
-    node its one normal stencil and a corner the sum of its two edge
-    stencils, which the corner rows weight by 1/2 to average.
+    Acts on [phi | psi].  The 1-D operator holds the one-sided
+    second-order row (3 v0 - 4 v1 + v2)/(2h) at both ends, counted from
+    the end inwards, and zero rows between; lifted to the vertex grid it
+    gives an edge node its one normal stencil and a corner the sum of its
+    two edge stencils, which the corner rows weight by 1/2 to average.
     """
     n = grid.n
     inv2h = 1.0 / (2.0 * grid.h)
@@ -122,13 +117,16 @@ def normal_derivative_matrices(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix
     )
     _, loop = _vertex_index(grid)
     corner_w = np.where(grid.is_corner_k(np.arange(grid.n_loop)), 0.5, 1.0)
-    return _split_columns(sp.diags(corner_w) @ _kron_sum(a)[loop], grid)
+    return _field_columns(sp.diags(corner_w) @ _kron_sum(a)[loop], grid)
+
+
+def _fields(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
+    return np.concatenate([_check_bulk(phi, grid), _check_loop(psi, grid)])
 
 
 def apply_bulk_laplacian(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     """5-point Laplacian of the bulk field at every interior vertex."""
-    l_ii, l_il = bulk_laplacian_matrices(grid)
-    return l_ii @ _check_bulk(phi, grid) + l_il @ _check_loop(psi, grid)
+    return bulk_laplacian_matrix(grid) @ _fields(phi, psi, grid)
 
 
 def apply_loop_laplacian(psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -138,9 +136,8 @@ def apply_loop_laplacian(psi: np.ndarray, grid: Grid) -> np.ndarray:
 
 def normal_derivative(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     """Outward normal derivative of the bulk field at every loop node, in
-    loop order (``normal_derivative_matrices``)."""
-    nd_phi, nd_psi = normal_derivative_matrices(grid)
-    return nd_phi @ _check_bulk(phi, grid) + nd_psi @ _check_loop(psi, grid)
+    loop order (``normal_derivative_matrix``)."""
+    return normal_derivative_matrix(grid) @ _fields(phi, psi, grid)
 
 
 def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float:
@@ -228,8 +225,8 @@ def _pinned_factor(n: int, which: str):
 
 def _solve_zeromean(w: np.ndarray, lap: sp.csr_matrix, factor, tol: float) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     w_free = w - w.mean()
     rhs = w_free.copy()
     rhs[0] = 0.0
@@ -237,7 +234,7 @@ def _solve_zeromean(w: np.ndarray, lap: sp.csr_matrix, factor, tol: float) -> np
     p -= p.mean()
     resid = float(np.abs(lap @ p - w_free).max())
     scale = max(1.0, float(np.abs(w_free).max()))
-    if resid > tol * scale:
+    if not resid <= tol * scale:
         raise PoissonSolveError(
             f"zero-mean Poisson solve residual {resid:.3e} exceeds tol {tol:.3e}"
         )

@@ -1,15 +1,17 @@
 """Coupled linear scheme: assembly, per-step right-hand side, stepping.
 
 One time step solves the coupled linear system for the stacked unknowns
-[phi | mu_int | psi | mu_loop].  The bulk chemical potential has unknowns
-at interior nodes only; its no-flux condition enters the bulk evolution
+x = [y | mu]: the fields y = [phi | psi] and their chemical potentials
+mu = [mu_int | mu_loop].  The bulk chemical potential has unknowns at
+interior nodes only; its no-flux condition enters the bulk evolution
 rows as the mirror-ghost Neumann Laplacian.  Every chemical potential is
-an explicit sparse function of (phi, psi), so the solve eliminates them
-exactly: it factors the Schur-reduced system on [phi | psi], half the
-unknowns, and rebuilds mu by matrix-vector products after each solve.
-The explicit treatment of the well derivatives plus the linear
+an explicit sparse function of the fields, so the coupled matrix is the
+2x2 block saddle-point form [[K, -L], [R, I]] and the solve eliminates
+mu exactly: it factors the Schur complement K + L R on the fields, half
+the unknowns, and rebuilds mu by one matrix-vector product after each
+solve.  The explicit treatment of the well derivatives plus the linear
 stabilizers keeps both matrices constant in time, so they are assembled
-once per run and the reduced one is factorized once.  The rate fields
+once per run and the Schur matrix is factorized once.  The rate fields
 are maintained as exact difference quotients of consecutive states and
 start at zero, which realizes the mass-conservation initialization.
 The step also carries the inverse-Laplacian potentials of the rate
@@ -76,74 +78,42 @@ def init_state(phi0: np.ndarray, psi0: np.ndarray, grid: Grid) -> State:
     )
 
 
-@dataclass(frozen=True)
-class UnknownLayout:
-    """Block offsets of the stacked unknown vector."""
+def split_unknowns(x: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
+    """(phi, psi, mu_int, mu_loop): views of the blocks of a stacked
+    vector x = [phi | psi | mu_int | mu_loop]."""
+    dim = 2 * (grid.n_int + grid.n_loop)
+    if x.shape != (dim,):
+        raise ValueError(f"stacked vector has shape {x.shape}, expected ({dim},)")
+    return tuple(np.split(x, np.cumsum([grid.n_int, grid.n_loop, grid.n_int])))
 
-    n_int: int
-    n_loop: int
 
-    @classmethod
-    def for_grid(cls, grid: Grid) -> "UnknownLayout":
-        return cls(n_int=grid.n_int, n_loop=grid.n_loop)
-
-    @property
-    def off_phi(self) -> int:
-        return 0
-
-    @property
-    def off_mu_int(self) -> int:
-        return self.n_int
-
-    @property
-    def off_psi(self) -> int:
-        return 2 * self.n_int
-
-    @property
-    def off_mu_loop(self) -> int:
-        return 2 * self.n_int + self.n_loop
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_int + 2 * self.n_loop
-
-    def phi_of(self, x: np.ndarray) -> np.ndarray:
-        return x[self.off_phi : self.off_phi + self.n_int]
-
-    def mu_int_of(self, x: np.ndarray) -> np.ndarray:
-        return x[self.off_mu_int : self.off_mu_int + self.n_int]
-
-    def psi_of(self, x: np.ndarray) -> np.ndarray:
-        return x[self.off_psi : self.off_psi + self.n_loop]
-
-    def mu_loop_of(self, x: np.ndarray) -> np.ndarray:
-        return x[self.off_mu_loop : self.off_mu_loop + self.n_loop]
+def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
+    """(r1, r2, k1, k2): r_i = beta_i/tau weighs the previous rate in the
+    evolution rows and k_i = (r_i + 1)/tau is their diagonal."""
+    tau = params.tau
+    r1, r2 = params.beta1 / tau, params.beta2 / tau
+    return r1, r2, (r1 + 1.0) / tau, (r2 + 1.0) / tau
 
 
 @dataclass
 class SparseSystem:
-    """Time-constant coupled matrix, its Schur-reduced (phi, psi) matrix
+    """Time-constant coupled matrix, its Schur complement on the fields
     and the reusable factor of the latter.
 
-    ``matrix`` is the coupled system of the stacked unknowns.  Its
-    chemical-potential rows (b) and (d) have identity diagonal blocks, so
-    every mu is an explicit sparse function of (phi, psi) and of the
-    right-hand side; ``schur`` is the Schur complement that eliminating
-    them leaves on [phi | psi].  Only ``schur`` is factored; ``matrix`` is
-    the system every solution's residual is checked against.
+    ``matrix`` = [[K, -L], [R, I]] acts on x = [y | mu].  The evolution
+    rows are K y - L mu, with K = blockdiag(k1 I, k2 I) and the mobility
+    Laplacians L = blockdiag(M1 l_mu, M2 l_loop) (``lap``); the potential
+    rows R y + mu (R is ``rows``) define mu as an explicit function of
+    the fields.
+    ``schur`` = K + L R is what eliminating mu leaves on y.  Only
+    ``schur`` is factored; ``matrix`` is the system every solution's
+    residual is checked against.
     """
 
     matrix: sp.csr_matrix
     schur: sp.csr_matrix
-    layout: UnknownLayout
-    params: mdl.ModelParams
-    # sub-operators of the elimination (see assemble_system): the
-    # Laplacians of the evolution rows (a) and (c), and rows (b) and (d)
-    # restricted to the [phi | psi] columns
-    l_mu: sp.csr_matrix = field(repr=False)
-    l_loop: sp.csr_matrix = field(repr=False)
-    rows_mu_int: sp.csr_matrix = field(repr=False)
-    rows_mu_loop: sp.csr_matrix = field(repr=False)
+    lap: sp.csr_matrix = field(repr=False)
+    rows: sp.csr_matrix = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
@@ -154,110 +124,64 @@ class SparseSystem:
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
         """Solve ``matrix @ x = b`` for the stacked unknowns.
 
-        Eliminates mu from b, solves with the factor of ``schur``, rebuilds
-        mu from rows (b) and (d), and returns x with
+        Solves schur y = b_y + L b_mu with the factor of ``schur``,
+        rebuilds mu = b_mu - R y, and returns x = [y | mu] with
         ||b - matrix x|| / ||b|| <= RESIDUAL_TOL or raises a SolveError
         carrying x and its stats.
         """
         b = np.asarray(b, dtype=float)
-        lay, p = self.layout, self.params
-        rhs = np.concatenate([
-            lay.phi_of(b) + p.M1 * (self.l_mu @ lay.mu_int_of(b)),
-            lay.psi_of(b) + p.M2 * (self.l_loop @ lay.mu_loop_of(b)),
-        ])
+        b_y, b_mu = np.split(b, [self.rows.shape[1]])
         # no check on the reduced residual: the full system's residual
         # below is what the solve is held to
-        y, _ = self.direct().solve(rhs, tol=math.inf)
-        x = np.concatenate([
-            y[: lay.n_int],
-            lay.mu_int_of(b) - self.rows_mu_int @ y,
-            y[lay.n_int :],
-            lay.mu_loop_of(b) - self.rows_mu_loop @ y,
-        ])
+        y, _ = self.direct().solve(b_y + self.lap @ b_mu, tol=math.inf)
+        x = np.concatenate([y, b_mu - self.rows @ y])
         return linalg.check_residual(self.matrix, b, x, RESIDUAL_TOL)
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     """Assemble the coupled matrix and its Schur complement for one
-    (grid, params) pair.
+    (grid, params) pair; entries depend only on grid and params.
 
-    Row blocks: (a) bulk evolution at interior nodes, (b) bulk chemical
-    potential, (c) loop evolution, (d) loop chemical potential with the
-    normal derivative coupling.  Entries depend only on grid and params.
-    The stencils are the operators module's: the Neumann Laplacian l_mu,
-    the bulk Laplacian (l_ii, l_il), the normal derivative
-    (nd_phi, nd_psi) and the loop Laplacian l_loop.
-
-    Row (a) applies to mu the mirror-ghost Neumann Laplacian l_mu: the
-    ghost value of mu outside each side is the first interior value,
-    which realizes the no-flux condition.  l_mu is symmetric with zero
-    column sums, so the uniform interior quadrature of phi is conserved,
-    and since l_mu is the operator the modified energy's kinetic term
-    inverts, the modified energy dissipates.  Eliminating mu_int through
-    (b) and mu_loop through (d) leaves, with k_i = (beta_i/tau + 1)/tau,
-
-        schur = [[k1 I, 0], [0, k2 I]]
-                + [[M1 l_mu, 0], [0, M2 l_loop]] @ [[rows (b)], [rows (d)]],
-
-    where rows (b) = [l_ii - s1 I | l_il] and rows (d) =
-    [-nd_phi | l_loop - s2 I - nd_psi] act on [phi | psi].  Both matrices
-    are built from the same blocks, so ``schur`` is the Schur complement
-    of ``matrix`` by construction.
+    The evolution rows apply to mu_int the mirror-ghost Neumann Laplacian
+    l_mu: the ghost value of mu outside each side is the first interior
+    value, which realizes the no-flux condition.  l_mu is symmetric with
+    zero column sums, so the uniform interior quadrature of phi is
+    conserved, and since l_mu is the operator the modified energy's
+    kinetic term inverts, the modified energy dissipates.  The potential
+    rows are R = [[lap], [-nd]] - blockdiag(s1 I, s2 I - l_loop), with
+    the bulk Laplacian lap and the outward normal derivative nd on
+    [phi | psi]: up to the explicit right-hand side,
+    mu_int = -lap y + s1 phi and mu_loop = -l_loop psi + nd y + s2 psi.
     """
-    layout = UnknownLayout.for_grid(grid)
-    l_ii, l_il = ops.bulk_laplacian_matrices(grid)
-    nd_phi, nd_psi = ops.normal_derivative_matrices(grid)
+    _, _, k1, k2 = _relaxation(params)
     l_loop = ops.loop_laplacian_matrix(grid.n)
-    tau = params.tau
-    k1 = (params.beta1 / tau + 1.0) / tau
-    k2 = (params.beta2 / tau + 1.0) / tau
-    eye_i = sp.identity(layout.n_int, format="csr")
-    eye_l = sp.identity(layout.n_loop, format="csr")
-    l_mu = ops.neumann_laplacian_matrix(grid.n)
-    b_phi = l_ii - params.s1 * eye_i
-    d_psi = l_loop - params.s2 * eye_l - nd_psi
-    matrix = sp.bmat(
-        [
-            [k1 * eye_i, -params.M1 * l_mu, None, None],
-            [b_phi, eye_i, l_il, None],
-            [None, None, k2 * eye_l, -params.M2 * l_loop],
-            [-nd_phi, None, d_psi, eye_l],
-        ],
-        format="csr",
+    eye_i = sp.identity(grid.n_int, format="csr")
+    eye_l = sp.identity(grid.n_loop, format="csr")
+    k = sp.block_diag([k1 * eye_i, k2 * eye_l], format="csr")
+    lap = sp.block_diag(
+        [params.M1 * ops.neumann_laplacian_matrix(grid.n), params.M2 * l_loop], format="csr"
     )
-    matrix.sort_indices()
-    rows_mu_int = sp.hstack([b_phi, l_il], format="csr")
-    rows_mu_loop = sp.hstack([-nd_phi, d_psi], format="csr")
-    schur = (
-        sp.block_diag([k1 * eye_i, k2 * eye_l])
-        + sp.block_diag([params.M1 * l_mu, params.M2 * l_loop])
-        @ sp.vstack([rows_mu_int, rows_mu_loop])
+    rows = (
+        sp.vstack([ops.bulk_laplacian_matrix(grid), -ops.normal_derivative_matrix(grid)])
+        - sp.block_diag([params.s1 * eye_i, params.s2 * eye_l - l_loop])
     ).tocsr()
+    matrix = sp.bmat([[k, -lap], [rows, sp.identity(k.shape[0])]], format="csr")
+    matrix.sort_indices()
+    schur = (k + lap @ rows).tocsr()
     schur.sort_indices()
-    return SparseSystem(
-        matrix=matrix,
-        schur=schur,
-        layout=layout,
-        params=params,
-        l_mu=l_mu,
-        l_loop=l_loop,
-        rows_mu_int=rows_mu_int,
-        rows_mu_loop=rows_mu_loop,
-    )
+    return SparseSystem(matrix=matrix, schur=schur, lap=lap, rows=rows)
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:
-    """Per-step right-hand side from the current state."""
+    """Per-step right-hand side [b_y | b_mu] from the current state."""
     phi = ops._check_bulk(state.phi, grid)
     psi = ops._check_loop(state.psi, grid)
-    tau = params.tau
-    k1 = (params.beta1 / tau + 1.0) / tau
-    k2 = (params.beta2 / tau + 1.0) / tau
+    r1, r2, k1, k2 = _relaxation(params)
     return np.concatenate(
         [
-            k1 * phi + (params.beta1 / tau) * state.Phi,
+            k1 * phi + r1 * state.Phi,
+            k2 * psi + r2 * state.Psi,
             mdl.f_val(phi, params.eps) - params.s1 * phi,
-            k2 * psi + (params.beta2 / tau) * state.Psi,
             mdl.g_val(psi, params.delta) - params.s2 * psi,
         ]
     )
@@ -277,30 +201,30 @@ def step(
         P_new = (M1 mu_int + r P) / (1 + r),   Q_new alike with M2, mu_loop,
 
     keep l_mu P = Phi and l_loop Q = Psi from the zero start onwards.
-    A solve that misses ``RESIDUAL_TOL`` raises a SolveError naming the
-    step, with the solution and its stats.
+    A non-finite right-hand side raises a NonFiniteStateError, and a
+    solve that misses ``RESIDUAL_TOL`` (a non-finite solution included) a
+    SolveError with the solution and its stats; both name the step.
     """
     b = assemble_rhs(state, grid, params)
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteStateError(f"non-finite right-hand side at step {state.step + 1}")
     try:
         x, stats = system.solve(b)
     except linalg.SolveError as exc:
         raise linalg.SolveError(
             f"{exc} at step {state.step + 1}", x=exc.x, stats=exc.stats
         ) from exc
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteStateError(f"non-finite solution at step {state.step + 1}")
-    lay = system.layout
-    phi_new = lay.phi_of(x).copy()
-    psi_new = lay.psi_of(x).copy()
+    phi, psi, mu_int, mu_loop = split_unknowns(x, grid)
+    phi_new, psi_new = phi.copy(), psi.copy()
+    r1, r2, _, _ = _relaxation(params)
     tau = params.tau
-    r1, r2 = params.beta1 / tau, params.beta2 / tau
     new = State(
         phi=phi_new,
         psi=psi_new,
         Phi=(phi_new - state.phi) / tau,
         Psi=(psi_new - state.psi) / tau,
-        P=(params.M1 / (1.0 + r1)) * lay.mu_int_of(x) + (r1 / (1.0 + r1)) * state.P,
-        Q=(params.M2 / (1.0 + r2)) * lay.mu_loop_of(x) + (r2 / (1.0 + r2)) * state.Q,
+        P=(params.M1 / (1.0 + r1)) * mu_int + (r1 / (1.0 + r1)) * state.P,
+        Q=(params.M2 / (1.0 + r2)) * mu_loop + (r2 / (1.0 + r2)) * state.Q,
         t=state.t + tau,
         step=state.step + 1,
     )

@@ -3,8 +3,10 @@
 Written node by node with explicit neighbor arithmetic, independent of
 the package's sparse assembly, to serve as an oracle for it.  The oracle
 keeps mu unknowns at the non-corner edge nodes (mu_edge) with explicit
-mirror closure rows (b') mu_edge = mu_1; ``eliminate_mu_edge`` reduces it
-to the package's unknowns [phi | mu_int | psi | mu_loop].
+mirror closure rows (b') mu_edge = mu_1.  Its unknowns are ordered
+[phi | mu_int | mu_edge | psi | mu_loop] (``offsets``);
+``eliminate_mu_edge`` reduces it to the package's stacked unknowns
+[phi | psi | mu_int | mu_loop], rows and columns alike.
 """
 
 import numpy as np
@@ -141,16 +143,21 @@ def dense_rhs(grid, params, phi, psi, Phi, Psi):
 
 
 def eliminate_mu_edge(grid, a, b=None):
-    """Reduce the oracle system to the unknowns [phi | mu_int | psi | mu_loop].
+    """Reduce the oracle system to the unknowns [phi | psi | mu_int | mu_loop].
 
     The closure rows' diagonal block is the identity, so eliminating
     mu_edge is exact: the reduced matrix is a_kk - a_ke a_ek and the
-    reduced right-hand side b_k - a_ke b_e (b defaults to zero).  Returns
-    (matrix, rhs).
+    reduced right-hand side b_k - a_ke b_e (b defaults to zero), with the
+    kept rows and columns k in the package's order.  Returns (matrix, rhs).
     """
     off = offsets(grid)
     edge = np.arange(off["mu_edge"], off["psi"])
-    keep = np.setdiff1d(np.arange(off["dim"]), edge)
+    keep = np.r_[
+        off["phi"] : off["mu_int"],
+        off["psi"] : off["mu_loop"],
+        off["mu_int"] : off["mu_edge"],
+        off["mu_loop"] : off["dim"],
+    ]
     assert np.array_equal(a[np.ix_(edge, edge)], np.eye(edge.size))
     b = np.zeros(off["dim"]) if b is None else b
     a_ke = a[np.ix_(keep, edge)]

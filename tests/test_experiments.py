@@ -102,6 +102,14 @@ def test_fit_slope_rejects_bad_input():
         fit_slope([(0.1, 0.0), (0.01, 0.01)])
 
 
+def test_fit_slope_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope([(0.1, bad), (0.01, 0.01)])
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope([(bad, 0.1), (0.01, 0.01)])
+
+
 # ---- convergence study (smoke scale) ----------------------------------------
 
 

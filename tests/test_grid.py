@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperch import build_grid
-from hyperch.operators import bulk_laplacian_matrices, normal_derivative_matrices
+from hyperch.operators import bulk_laplacian_matrix, normal_derivative_matrix
 
 
 def test_counting_n4():
@@ -86,44 +86,44 @@ def _row(m, r):
 
 def test_edge_stencil_bottom():
     g = build_grid(10)
-    nd_phi, nd_psi = normal_derivative_matrices(g)
+    nd = normal_derivative_matrix(g)
     inv2h = 1.0 / (2.0 * g.h)
     k = g.loop_index(3, 0)
-    assert _row(nd_psi, k) == {k: 3.0 * inv2h}
-    assert _row(nd_phi, k) == {g.interior_index(3, 1): -4.0 * inv2h,
-                               g.interior_index(3, 2): 1.0 * inv2h}
+    assert _row(nd, k) == {g.n_int + k: 3.0 * inv2h,
+                           g.interior_index(3, 1): -4.0 * inv2h,
+                           g.interior_index(3, 2): 1.0 * inv2h}
 
 
 def test_edge_stencil_right():
     g = build_grid(10)
-    nd_phi, nd_psi = normal_derivative_matrices(g)
+    nd = normal_derivative_matrix(g)
     inv2h = 1.0 / (2.0 * g.h)
     k = g.loop_index(10, 5)
-    assert _row(nd_psi, k) == {k: 3.0 * inv2h}
-    assert _row(nd_phi, k) == {g.interior_index(9, 5): -4.0 * inv2h,
-                               g.interior_index(8, 5): 1.0 * inv2h}
+    assert _row(nd, k) == {g.n_int + k: 3.0 * inv2h,
+                           g.interior_index(9, 5): -4.0 * inv2h,
+                           g.interior_index(8, 5): 1.0 * inv2h}
 
 
 def test_corner_stencil_origin():
     # the average of the stencils along both incident edges, all on the loop
     g = build_grid(10)
-    nd_phi, nd_psi = normal_derivative_matrices(g)
+    nd = normal_derivative_matrix(g)
     inv2h = 1.0 / (2.0 * g.h)
-    assert _row(nd_phi, 0) == {}
-    assert _row(nd_psi, 0) == {
-        0: 3.0 * inv2h,
-        g.loop_index(1, 0): -2.0 * inv2h,
-        g.loop_index(2, 0): 0.5 * inv2h,
-        g.loop_index(0, 1): -2.0 * inv2h,
-        g.loop_index(0, 2): 0.5 * inv2h,
+    psi_col = g.n_int  # column of loop node 0
+    assert _row(nd, 0) == {
+        psi_col: 3.0 * inv2h,
+        psi_col + g.loop_index(1, 0): -2.0 * inv2h,
+        psi_col + g.loop_index(2, 0): 0.5 * inv2h,
+        psi_col + g.loop_index(0, 1): -2.0 * inv2h,
+        psi_col + g.loop_index(0, 2): 0.5 * inv2h,
     }
 
 
 def test_interior_neighbors_interior_or_loop():
     g = build_grid(6)
-    l_ii, l_il = bulk_laplacian_matrices(g)
+    lap = bulk_laplacian_matrix(g)
     # every interior vertex sees itself and four neighbors, interior or loop
-    assert np.array_equal(np.diff(l_ii.indptr) + np.diff(l_il.indptr), np.full(g.n_int, 5))
+    assert np.array_equal(np.diff(lap.indptr), np.full(g.n_int, 5))
     # interior stencils never touch corner loop nodes
-    corners = [k for k in range(g.n_loop) if g.is_corner_k(k)]
-    assert l_il[:, corners].nnz == 0
+    corners = [g.n_int + k for k in range(g.n_loop) if g.is_corner_k(k)]
+    assert lap[:, corners].nnz == 0

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from hyperch import ModelParams, assemble_system, build_grid
-from hyperch.linalg import DirectFactorization, check_csr
+from hyperch.linalg import DirectFactorization, SolveError, check_csr, check_residual
 
 
 def csr(dense):
@@ -82,3 +82,21 @@ def test_direct_factorization_contract():
         x, stats = fac.solve(b, tol=1e-10)
         assert np.linalg.norm(b - dense @ x) / np.linalg.norm(b) <= 1e-10
         assert stats.rel_residual <= 1e-10
+
+
+def test_nan_fails_residual_check():
+    # NaN compares false with every tolerance, so a NaN residual must
+    # fail the contract instead of slipping through a `>` test
+    a = csr([[2.0, 1.0], [0.0, 3.0]])
+    with pytest.raises(SolveError) as err:
+        DirectFactorization(a).solve(np.array([np.nan, 1.0]))
+    assert np.isnan(err.value.stats.rel_residual)
+    # a zero right-hand side holds x to the absolute residual
+    with pytest.raises(SolveError):
+        check_residual(a, np.zeros(2), np.array([np.nan, 0.0]), 1e-10)
+
+
+def test_nan_tol_fails_residual_check():
+    a = csr([[2.0, 1.0], [0.0, 3.0]])
+    with pytest.raises(SolveError):
+        DirectFactorization(a).solve(np.array([3.0, 3.0]), tol=np.nan)

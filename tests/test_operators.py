@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperch import (
+    PoissonSolveError,
     apply_bulk_laplacian,
     apply_loop_laplacian,
     build_grid,
@@ -259,3 +260,17 @@ def test_to_full_grid_roundtrip(g10):
     for k in range(g10.n_loop):
         i, j = g10.loop_ij[k]
         assert full[i, j] == psi[k]
+
+
+def test_poisson_rejects_nan_data(g10):
+    w = np.zeros(g10.n_int)
+    w[3] = np.nan
+    with pytest.raises(PoissonSolveError):
+        solve_poisson_neumann_zeromean(w, g10)
+    with pytest.raises(PoissonSolveError):
+        solve_poisson_loop_zeromean(np.full(g10.n_loop, np.nan), g10)
+
+
+def test_poisson_rejects_nan_tol(g10):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_poisson_neumann_zeromean(np.zeros(g10.n_int), g10, tol=np.nan)

@@ -13,7 +13,6 @@ from hyperch import (
     NonFiniteStateError,
     SolveError,
     State,
-    UnknownLayout,
     assemble_rhs,
     assemble_system,
     beta_sweep,
@@ -27,7 +26,7 @@ from hyperch import (
 )
 from hyperch import operators, scheme
 from hyperch.operators import loop_laplacian_matrix, neumann_laplacian_matrix
-from hyperch.scheme import diag_record, num_steps
+from hyperch.scheme import diag_record, num_steps, split_unknowns
 
 
 @pytest.fixture
@@ -73,39 +72,36 @@ def test_init_state_size_mismatch(g4):
         init_state(np.zeros(g4.n_int), np.zeros(3), g4)
 
 
-# ---- layout and assembly ---------------------------------------------------
+# ---- stacked unknowns and assembly -------------------------------------------
 
 
 def test_layout_dimension(g4):
-    lay = UnknownLayout.for_grid(g4)
-    assert lay.dim == 50  # 2*9 + 2*16
-    blocks = [
-        (lay.off_phi, lay.n_int),
-        (lay.off_mu_int, lay.n_int),
-        (lay.off_psi, lay.n_loop),
-        (lay.off_mu_loop, lay.n_loop),
-    ]
-    covered = []
-    for off, size in blocks:
-        covered.extend(range(off, off + size))
-    assert sorted(covered) == list(range(lay.dim))
+    x = np.arange(50)  # 2*9 + 2*16
+    phi, psi, mu_int, mu_loop = split_unknowns(x, g4)
+    assert [p.size for p in (phi, psi, mu_int, mu_loop)] == [9, 16, 9, 16]
+    # the pieces tile [0, dim) in the order [phi | psi | mu_int | mu_loop]
+    assert np.array_equal(np.concatenate([phi, psi, mu_int, mu_loop]), x)
+    assert all(np.shares_memory(p, x) for p in (phi, psi, mu_int, mu_loop))
+    with pytest.raises(ValueError):
+        split_unknowns(np.zeros(49), g4)
 
 
 def test_constant_vector_row_sums(g4):
     params = params_for(g4, beta1=0.3, beta2=0.7)
     system = assemble_system(g4, params)
-    lay = system.layout
     c = 1.7
-    x = np.zeros(lay.dim)
-    x[: lay.n_int] = c
-    x[lay.off_psi : lay.off_psi + lay.n_loop] = c
+    x = np.zeros(system.matrix.shape[0])
+    phi, psi, _, _ = split_unknowns(x, g4)
+    phi[:] = c
+    psi[:] = c
     y = system.matrix @ x
     tau = params.tau
     k1 = (params.beta1 / tau + 1.0) / tau
     k2 = (params.beta2 / tau + 1.0) / tau
     # Laplacians and normal derivatives annihilate constants
-    assert np.allclose(y[: lay.n_int], k1 * c, rtol=1e-12)
-    assert np.allclose(y[lay.off_psi : lay.off_psi + lay.n_loop], k2 * c, rtol=1e-12)
+    y_phi, y_psi, _, _ = split_unknowns(y, g4)
+    assert np.allclose(y_phi, k1 * c, rtol=1e-12)
+    assert np.allclose(y_psi, k2 * c, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n, beta", ORACLE_CASES)
@@ -143,10 +139,9 @@ def test_rhs_well_roots_leave_stabilizer_only(g4):
     # carry just the -s terms
     params = params_for(g4)
     st = init_state(np.ones(g4.n_int), np.ones(g4.n_loop), g4)
-    b = assemble_rhs(st, g4, params)
-    lay = UnknownLayout.for_grid(g4)
-    assert np.allclose(b[lay.off_mu_int : lay.off_mu_int + lay.n_int], -params.s1)
-    assert np.allclose(b[lay.off_mu_loop :], -params.s2)
+    _, _, b_mu_int, b_mu_loop = split_unknowns(assemble_rhs(st, g4, params), g4)
+    assert np.allclose(b_mu_int, -params.s1)
+    assert np.allclose(b_mu_loop, -params.s2)
 
 
 def test_rhs_no_rate_memory_without_relaxation(g4):
@@ -178,9 +173,9 @@ def test_step_matches_dense_direct_solve(g4, beta):
     x_sparse, _ = system.solve(b)
     assert np.abs(x_sparse - x_dense).max() < 1e-10
     new, _ = step(st, system, g4, params)
-    lay = system.layout
-    assert np.abs(new.phi - lay.phi_of(x_dense)).max() < 1e-10
-    assert np.abs(new.psi - lay.psi_of(x_dense)).max() < 1e-10
+    phi_dense, psi_dense, _, _ = split_unknowns(x_dense, g4)
+    assert np.abs(new.phi - phi_dense).max() < 1e-10
+    assert np.abs(new.psi - psi_dense).max() < 1e-10
     assert np.allclose(new.Phi, (new.phi - st.phi) / params.tau)
     assert np.allclose(new.Psi, (new.psi - st.psi) / params.tau)
     assert new.step == 1 and new.t == pytest.approx(params.tau)
@@ -212,27 +207,23 @@ def test_operators_are_the_blocks_the_scheme_solves_with():
     g = build_grid(6)
     params = params_for(g, beta1=0.3, beta2=0.3)
     system = assemble_system(g, params)
-    lay = system.layout
     rng = np.random.default_rng(8)
     phi, psi, q = (rng.standard_normal(k) for k in (g.n_int, g.n_loop, g.n_loop))
-    x = np.zeros(lay.dim)
-    x[lay.off_phi : lay.off_phi + lay.n_int] = phi
-    x[lay.off_psi : lay.off_psi + lay.n_loop] = psi
-    y = system.matrix @ x
-    x_q = np.zeros(lay.dim)
-    x_q[lay.off_mu_loop :] = q
-    y_q = system.matrix @ x_q
+    x = np.concatenate([phi, psi, np.zeros(g.n_int + g.n_loop)])
+    _, _, y_mu_int, y_mu_loop = split_unknowns(system.matrix @ x, g)
+    x_q = np.concatenate([np.zeros(2 * g.n_int + g.n_loop), q])
+    _, y_q_psi, _, _ = split_unknowns(system.matrix @ x_q, g)
     lap_loop = operators.apply_loop_laplacian(psi, g)
     nd = operators.normal_derivative(phi, psi, g)
     scale = 1e-13 * (1.0 / g.h**2 + params.s1 + params.s2)
-    # rows (b) on [phi | psi]: (l_ii - s1 I) phi + l_il psi
+    # mu_int rows on [phi | psi]: lap y - s1 phi
     assert np.abs(operators.apply_bulk_laplacian(phi, psi, g)
-                  - (lay.mu_int_of(y) + params.s1 * phi)).max() <= scale * np.abs(x).max()
-    # rows (d): -nd_phi phi + (l_loop - s2 I - nd_psi) psi
-    assert np.abs(nd - (lap_loop - params.s2 * psi - lay.mu_loop_of(y))).max() <= (
+                  - (y_mu_int + params.s1 * phi)).max() <= scale * np.abs(x).max()
+    # mu_loop rows: -nd y + (l_loop - s2 I) psi
+    assert np.abs(nd - (lap_loop - params.s2 * psi - y_mu_loop)).max() <= (
         scale * np.abs(x).max())
-    # rows (c) on mu_loop: -M2 l_loop q
-    assert np.abs(operators.apply_loop_laplacian(q, g) + lay.psi_of(y_q) / params.M2).max() <= (
+    # psi rows on mu_loop: -M2 l_loop q
+    assert np.abs(operators.apply_loop_laplacian(q, g) + y_q_psi / params.M2).max() <= (
         scale * np.abs(q).max())
 
 
@@ -254,7 +245,7 @@ def test_direct_solve_reports_full_system_residual():
     b = _rough_rhs(g, params)
     x, stats = system.solve(b)
     want = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
-    assert x.shape == (system.layout.dim,)
+    assert x.shape == (2 * (g.n_int + g.n_loop),)
     assert stats.rel_residual == want
 
 
@@ -284,12 +275,16 @@ def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0])
-def test_constant_fixed_points(g4, value):
-    params = params_for(g4)
-    system = assemble_system(g4, params)
-    st = init_state(np.full(g4.n_int, value), np.full(g4.n_loop, value), g4)
+@settings(max_examples=20, deadline=None)
+@given(n=hst.integers(4, 12), beta=hst.floats(0.0, 1.0))
+@example(n=4, beta=0.0)
+def test_constant_fixed_points(value, n, beta):
+    g = build_grid(n)
+    params = params_for(g, beta1=beta, beta2=beta)
+    system = assemble_system(g, params)
+    st = init_state(np.full(g.n_int, value), np.full(g.n_loop, value), g)
     for _ in range(5):
-        st, _ = step(st, system, g4, params)
+        st, _ = step(st, system, g, params)
     assert np.abs(st.phi - value).max() < 1e-12
     assert np.abs(st.psi - value).max() < 1e-12
 
@@ -315,12 +310,20 @@ def test_rate_mean_recurrence():
         st = new
 
 
-def test_mass_invariants_over_run():
+@settings(max_examples=20, deadline=None)
+@given(
+    n=hst.integers(4, 12),
+    case=hst.integers(1, 4),
+    beta=hst.floats(0.0, 1.0),
+    seed=hst.integers(0, 2**16),
+)
+@example(n=16, case=1, beta=0.0, seed=0)
+def test_mass_invariants_over_run(n, case, beta, seed):
     from hyperch import bulk_mass, surface_mass
 
-    g = build_grid(16)
-    params = params_for(g)
-    phi0, psi0 = init_case(CaseSpec(case=1), g)
+    g = build_grid(n)
+    params = params_for(g, beta1=beta, beta2=beta)
+    phi0, psi0 = init_case(CaseSpec(case=case, seed=seed, n=n), g)
     st = init_state(phi0, psi0, g)
     mb0, ms0 = bulk_mass(st.phi, g), surface_mass(st.psi, g)
     final, _ = run(st, g, params, t_end=50 * params.tau, diag_cadence=50)
@@ -341,13 +344,13 @@ def test_energy_monotone_default_params():
 def test_mu_closure_pairs_with_neumann_laplacian(n):
     # eliminating the oracle's mu_edge through its node-by-node closure
     # rows must leave exactly the symmetric mirror-ghost Neumann Laplacian
-    # that row (a) applies and the modified energy's kinetic term
+    # that the bulk evolution rows apply and the modified energy's kinetic term
     # inverts; otherwise the discrete energy law cannot close
     g = build_grid(n)
     params = params_for(g)
-    lay = UnknownLayout.for_grid(g)
+    phi, _, mu_int, _ = split_unknowns(np.arange(2 * (g.n_int + g.n_loop)), g)
     a, _ = eliminate_mu_edge(g, dense_matrix(g, params))
-    reduced = a[lay.off_phi : lay.off_phi + lay.n_int, lay.off_mu_int : lay.off_mu_int + lay.n_int]
+    reduced = a[np.ix_(phi, mu_int)]
     want = -params.M1 * neumann_laplacian_matrix(g.n).toarray()
     assert np.abs(reduced - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -423,6 +426,22 @@ def test_run_with_relaxation_makes_no_poisson_solve(monkeypatch):
     assert all(r.e_modified > r.e_total for r in records[1:])
     res = beta_sweep(CaseSpec(case=1, n=8), [0.1], 10 * params.tau, [5 * params.tau])
     assert len(res.probes) == 1
+
+
+def test_nan_rhs_fails_solve_and_step_names_it(g4):
+    # NaN compares false with every tolerance: the solve must reject it
+    # rather than report a NaN residual as met
+    params = params_for(g4)
+    system = assemble_system(g4, params)
+    st = init_state(np.zeros(g4.n_int), np.zeros(g4.n_loop), g4)
+    b = assemble_rhs(st, g4, params)
+    b[-1] = np.nan
+    with pytest.raises(SolveError) as err:
+        system.solve(b)
+    assert np.isnan(err.value.stats.rel_residual)
+    bad = replace(st, Psi=np.full(g4.n_loop, np.nan), step=6)
+    with pytest.raises(NonFiniteStateError, match=r"right-hand side at step 7$"):
+        step(bad, system, g4, params)
 
 
 def test_non_finite_state_aborts(g4):
