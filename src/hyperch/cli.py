@@ -258,6 +258,10 @@ def _snapshot_steps(cfg: RunConfig) -> dict[int, float]:
 
 
 def _run_one(cfg: RunConfig, out_dir: str, label: str = "") -> list[scheme.DiagRecord]:
+    """Run one simulation, writing effective.cfg and its outputs to out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(config_text(cfg))
     grid = build_grid(cfg.n)
     phi0, psi0 = exps.init_case(cfg.case_spec(), grid)
     state = scheme.init_state(phi0, psi0, grid)
@@ -284,9 +288,6 @@ def _run_one(cfg: RunConfig, out_dir: str, label: str = "") -> list[scheme.DiagR
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg))
     _run_one(cfg, cfg.output_dir)
     return 0
 
@@ -350,11 +351,7 @@ def cmd_beta_sweep(cfg: RunConfig) -> int:
 def cmd_cases(cfg: RunConfig) -> int:
     for case in (1, 2, 3, 4):
         sub = replace(cfg, case=case)
-        out_dir = os.path.join(cfg.output_dir, f"case{case}")
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
-            fh.write(config_text(sub))
-        _run_one(sub, out_dir, label=f"case {case}")
+        _run_one(sub, os.path.join(cfg.output_dir, f"case{case}"), label=f"case {case}")
     return 0
 
 

@@ -108,6 +108,8 @@ def convergence_study(
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
     the grid of n) with its tau replaced by the run's step.
     """
+    if len(taus) < 2:
+        raise ValueError(f"taus: a slope needs at least two tested steps, got {list(taus)}")
     if tau_ref >= min(taus):
         raise ValueError("reference tau must be smaller than every tested tau")
     for tau in (tau_ref, *taus):

@@ -64,10 +64,6 @@ class Grid:
     def is_interior(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n - 1 and 1 <= j <= self.n - 1
 
-    def is_corner_k(self, k):
-        """Whether loop index k (an int or an integer array) is a corner."""
-        return k % self.n == 0
-
     # ---- coordinates ------------------------------------------------
 
     def interior_xy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -88,9 +84,11 @@ class Grid:
 def build_grid(n: int) -> Grid:
     """Build the grid for n subdivisions per side.
 
-    n >= 4 is required so that the one-sided normal-derivative stencils
-    (``operators.normal_derivative_matrix``) reach only interior
-    vertices from non-corner edge nodes.
+    n >= 4 is required so that every class of node the stencils tell
+    apart occurs: corners, edge nodes (at least three per side), interior
+    vertices next to the boundary and at least one interior vertex whose
+    5-point stencil reaches no loop node.  The operators themselves are
+    defined from n = 2 on.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"n must be an integer, got {type(n).__name__}")

@@ -168,11 +168,17 @@ def surface_mass(psi: np.ndarray, grid: Grid) -> float:
 @lru_cache(maxsize=8)
 def _trapezoid_weights(n: int) -> np.ndarray:
     """Full-grid trapezoid weights: 1 interior, 1/2 edges, 1/4 corners."""
-    w = np.ones((n + 1, n + 1))
-    w[0, :] *= 0.5
-    w[-1, :] *= 0.5
-    w[:, 0] *= 0.5
-    w[:, -1] *= 0.5
+    t = ops.trapezoid_weights(n)
+    w = np.outer(t, t)
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=8)
+def loop_well_weights(grid: Grid) -> np.ndarray:
+    """h w_k per loop node: the bulk well's weight h^2 w_k there in
+    ``total_energy`` over the loop weight h.  Read-only."""
+    w = grid.h * _trapezoid_weights(grid.n)[grid.loop_ij[:, 0], grid.loop_ij[:, 1]]
     w.setflags(write=False)
     return w
 

@@ -1,20 +1,16 @@
 """Discrete differential operators and zero-mean Poisson solvers.
 
-This module owns the stencils of the discretization.  The bulk 5-point
-Laplacian, the one-sided outward normal derivative, the mirror-ghost
-Neumann Laplacian and the periodic loop Laplacian are built here as
-sparse matrices; ``scheme.assemble_system`` assembles the step system
-from them, and ``apply_bulk_laplacian``, ``normal_derivative`` and
-``apply_loop_laplacian`` are products with the same matrices, returning
-the vector at every node they cover.  The square-grid stencils are one
-construction: a 1-D operator a lifted to a square grid as
-kron(a, I) + kron(I, a).  The Neumann Laplacian lives on the interior
-grid; the bulk Laplacian and the normal derivative live on the (n+1)^2
-vertex grid, keep its interior and loop rows respectively, and take
-their columns in the stacked field order [phi | psi] through
-``Grid.loop_ij``, the map ``to_full_grid`` fills.  The
-Poisson solvers invert the Neumann Laplacian (bulk) and the loop
-Laplacian on mean-free right-hand sides, so they invert the operators of
+This module owns the stencils of the discretization.  The scheme's
+potential rows are the gradient of the discrete energy, built from one
+matrix: ``dirichlet_hessian``, the Hessian of ``dirichlet_energy_bulk``
+on the stacked fields [phi | psi].  Its interior rows are the 5-point
+Laplacian (``apply_bulk_laplacian``) and its loop rows the variational
+outward normal derivative (``normal_derivative``).  Square-grid stencils
+lift one 1-D operator, the free-end second difference a, to both axes as
+a Kronecker sum: the Hessian on the (n+1)^2 vertex grid, weighted by the
+trapezoid weights, and the mirror-ghost Neumann Laplacian on the interior
+grid.  The Poisson solvers invert the Neumann Laplacian (bulk) and the
+periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
 reference the tests hold a run's kinetic terms to; runs read those terms
 from the potentials the step carries and never call the solvers.
@@ -63,61 +59,52 @@ def to_full_grid(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     return full
 
 
-def _kron_sum(a: sp.spmatrix) -> sp.csr_matrix:
-    """The 1-D operator a applied along both axes of a square grid,
-    kron(a, I) + kron(I, a), with the x index i as the slow axis."""
-    eye = sp.identity(a.shape[0], format="csr")
-    return (sp.kron(a, eye) + sp.kron(eye, a)).tocsr()
+@lru_cache(maxsize=8)
+def trapezoid_weights(n: int) -> np.ndarray:
+    """Trapezoid weights (1/2, 1, ..., 1, 1/2) of the n+1 vertices of a
+    side; every vertex-grid quadrature derives from them.  Read-only."""
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 0.5
+    w.setflags(write=False)
+    return w
 
 
-def _vertex_index(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (n+1)^2 vertex-grid indices, row-major in (i, j), of the
-    interior vertices in flat interior order and of the loop vertices in
-    loop order (``grid.loop_ij``, the map ``to_full_grid`` fills)."""
-    n1 = grid.n + 1
-    inner = np.arange(1, grid.n)
-    return (inner[:, None] * n1 + inner).ravel(), grid.loop_ij[:, 0] * n1 + grid.loop_ij[:, 1]
+def _free_end_second_difference(m: int) -> sp.csr_matrix:
+    """D^T D for the forward difference D along a chain of m nodes:
+    tridiag(-1, 2, -1) with 1 in both end entries."""
+    d = sp.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m))
+    return (d.T @ d).tocsr()
 
 
-def _field_columns(op: sp.csr_matrix, grid: Grid) -> sp.csr_matrix:
-    """An operator on the vertex grid with its columns in [phi | psi]
-    order, interior vertices then loop vertices, indices sorted."""
-    op = op[:, np.concatenate(_vertex_index(grid))]
-    op.sort_indices()
-    return op
+def _kron_sum(a: sp.spmatrix, t: sp.spmatrix) -> sp.csr_matrix:
+    """kron(a, t) + kron(t, a): the 1-D operator a along both axes of a
+    square grid, weighted by t along the other; x index i is slow."""
+    return (sp.kron(a, t) + sp.kron(t, a)).tocsr()
 
 
-def bulk_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """5-point Laplacian of the bulk field at every interior vertex.
+def _vertex_index(grid: Grid) -> np.ndarray:
+    """Flat (n+1)^2 vertex-grid indices, row-major in (i, j), in the order
+    of [phi | psi]: interior vertices, then the loop (``grid.loop_ij``)."""
+    n1, inner = grid.n + 1, np.arange(1, grid.n)
+    return np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
 
-    Acts on [phi | psi]: the trace values read from the loop field.
-    Built as the second difference along both axes of the vertex grid,
-    restricted to interior rows; no row touches a corner loop node.
+
+@lru_cache(maxsize=8)
+def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:
+    """Hessian H of ``dirichlet_energy_bulk`` on [phi | psi]: the energy
+    is y^T H y / 2.
+
+    kron(a, T) + kron(T, a) on the vertex grid, T = diag(trapezoid
+    weights), rows and columns in [phi | psi] order, indices sorted.
+    Symmetric, zero row sums.  Interior rows are the 5-point stencil; an
+    edge row is 2 at its node, -1/2 at its loop neighbors and -1 inside;
+    a corner row is 1 at the corner and -1/2 at its loop neighbors.
+    Cached and shared: callers must not modify it.
     """
-    d2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(grid.n + 1, grid.n + 1))
-    interior, _ = _vertex_index(grid)
-    return _field_columns(_kron_sum(d2)[interior] / (grid.h * grid.h), grid)
-
-
-def normal_derivative_matrix(grid: Grid) -> sp.csr_matrix:
-    """Outward normal derivative of the bulk field at every loop node.
-
-    Acts on [phi | psi].  The 1-D operator holds the one-sided
-    second-order row (3 v0 - 4 v1 + v2)/(2h) at both ends, counted from
-    the end inwards, and zero rows between; lifted to the vertex grid it
-    gives an edge node its one normal stencil and a corner the sum of its
-    two edge stencils, which the corner rows weight by 1/2 to average.
-    """
-    n = grid.n
-    inv2h = 1.0 / (2.0 * grid.h)
-    coef = np.array([3.0, -4.0, 1.0]) * inv2h
-    a = sp.csr_matrix(
-        (np.tile(coef, 2), ([0, 0, 0, n, n, n], [0, 1, 2, n, n - 1, n - 2])),
-        shape=(n + 1, n + 1),
-    )
-    _, loop = _vertex_index(grid)
-    corner_w = np.where(grid.is_corner_k(np.arange(grid.n_loop)), 0.5, 1.0)
-    return _field_columns(sp.diags(corner_w) @ _kron_sum(a)[loop], grid)
+    order, a = _vertex_index(grid), _free_end_second_difference(grid.n + 1)
+    hess = _kron_sum(a, sp.diags(trapezoid_weights(grid.n)))[order][:, order]
+    hess.sort_indices()
+    return hess
 
 
 def _fields(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -125,8 +112,10 @@ def _fields(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def apply_bulk_laplacian(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """5-point Laplacian of the bulk field at every interior vertex."""
-    return bulk_laplacian_matrix(grid) @ _fields(phi, psi, grid)
+    """5-point Laplacian of the bulk field at every interior vertex, trace
+    values from the loop field: -H y / h^2 on the interior rows."""
+    hess = dirichlet_hessian(grid)[: grid.n_int]
+    return -(hess / (grid.h * grid.h)) @ _fields(phi, psi, grid)
 
 
 def apply_loop_laplacian(psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -135,9 +124,12 @@ def apply_loop_laplacian(psi: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def normal_derivative(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Outward normal derivative of the bulk field at every loop node, in
-    loop order (``normal_derivative_matrix``)."""
-    return normal_derivative_matrix(grid) @ _fields(phi, psi, grid)
+    """Variational outward normal derivative at every loop node, H y / h
+    on the loop rows: (psi_k - phi_in)/h - h/2 times the tangential second
+    difference at an edge node, (2 psi_c - psi_a - psi_b)/(2h) at a corner
+    (the mean of its two sides).  Exact on affine fields."""
+    hess = dirichlet_hessian(grid)[grid.n_int :]
+    return (hess / grid.h) @ _fields(phi, psi, grid)
 
 
 def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float:
@@ -159,8 +151,7 @@ def _edge_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Transverse trapezoid weights of the x-edges (n, n+1) and y-edges
     (n+1, n) of the vertex grid: 1/2 on edges along the boundary, else 1.
     Cached and shared, so read-only."""
-    wx = np.ones((n, n + 1))
-    wx[:, 0] = wx[:, -1] = 0.5
+    wx = np.repeat(trapezoid_weights(n)[None, :], n, axis=0)
     wy = np.ascontiguousarray(wx.T)
     for w in (wx, wy):
         w.setflags(write=False)
@@ -185,12 +176,8 @@ def neumann_laplacian_matrix(n: int) -> sp.csr_matrix:
     the one the bulk Poisson solver inverts.  The matrix is cached and
     shared: callers must not modify it.
     """
-    m = n - 1
     h2 = (1.0 / n) ** 2
-    e = np.ones(m)
-    t = sp.diags([e[:-1], e[:-1]], offsets=[-1, 1], shape=(m, m), format="csr")
-    deg1d = np.asarray(t.sum(axis=1)).ravel()
-    return _kron_sum(t - sp.diags(deg1d)) / h2
+    return -_kron_sum(_free_end_second_difference(n - 1), sp.identity(n - 1)) / h2
 
 
 @lru_cache(maxsize=8)

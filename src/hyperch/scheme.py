@@ -148,22 +148,24 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     zero column sums, so the uniform interior quadrature of phi is
     conserved, and since l_mu is the operator the modified energy's
     kinetic term inverts, the modified energy dissipates.  The potential
-    rows are R = [[lap], [-nd]] - blockdiag(s1 I, s2 I - l_loop), with
-    the bulk Laplacian lap and the outward normal derivative nd on
-    [phi | psi]: up to the explicit right-hand side,
-    mu_int = -lap y + s1 phi and mu_loop = -l_loop psi + nd y + s2 psi.
+    rows are the gradient of the discrete energy in the field weights
+    W = blockdiag(h^2 I, h I), so W R is symmetric:
+    R = -W^-1 H - blockdiag(s1 I, diag(s2 + s1 h w_k) - l_loop), with H
+    ``operators.dirichlet_hessian`` and h w_k ``model.loop_well_weights``.
     """
     _, _, k1, k2 = _relaxation(params)
+    h = grid.h
     l_loop = ops.loop_laplacian_matrix(grid.n)
+    hess = ops.dirichlet_hessian(grid)
     eye_i = sp.identity(grid.n_int, format="csr")
-    eye_l = sp.identity(grid.n_loop, format="csr")
-    k = sp.block_diag([k1 * eye_i, k2 * eye_l], format="csr")
+    k = sp.block_diag([k1 * eye_i, k2 * sp.identity(grid.n_loop, format="csr")], format="csr")
     lap = sp.block_diag(
         [params.M1 * ops.neumann_laplacian_matrix(grid.n), params.M2 * l_loop], format="csr"
     )
+    loop_diag = sp.diags(params.s2 + params.s1 * mdl.loop_well_weights(grid))
     rows = (
-        sp.vstack([ops.bulk_laplacian_matrix(grid), -ops.normal_derivative_matrix(grid)])
-        - sp.block_diag([params.s1 * eye_i, params.s2 * eye_l - l_loop])
+        -sp.vstack([hess[: grid.n_int] / (h * h), hess[grid.n_int :] / h])
+        - sp.block_diag([params.s1 * eye_i, loop_diag - l_loop])
     ).tocsr()
     matrix = sp.bmat([[k, -lap], [rows, sp.identity(k.shape[0])]], format="csr")
     matrix.sort_indices()
@@ -173,16 +175,20 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:
-    """Per-step right-hand side [b_y | b_mu] from the current state."""
+    """Per-step right-hand side [b_y | b_mu] from the current state; the
+    loop rows carry the bulk well's f - s1 psi with weight h w_k."""
     phi = ops._check_bulk(state.phi, grid)
     psi = ops._check_loop(state.psi, grid)
     r1, r2, k1, k2 = _relaxation(params)
+    y = np.concatenate([phi, psi])
+    f_y = mdl.f_val(y, params.eps) - params.s1 * y
     return np.concatenate(
         [
             k1 * phi + r1 * state.Phi,
             k2 * psi + r2 * state.Psi,
-            mdl.f_val(phi, params.eps) - params.s1 * phi,
-            mdl.g_val(psi, params.delta) - params.s2 * psi,
+            f_y[: grid.n_int],
+            mdl.g_val(psi, params.delta) - params.s2 * psi
+            + mdl.loop_well_weights(grid) * f_y[grid.n_int :],
         ]
     )
 

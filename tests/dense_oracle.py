@@ -45,24 +45,32 @@ def _phi_col(grid, off, i, j):
     return off["psi"] + grid.loop_index(i, j)
 
 
-def _triples(grid, k):
+def _inward(grid, k):
+    """Vertex one step along the inward normal from edge node k."""
     n = grid.n
     i, j = (int(v) for v in grid.loop_ij[k])
-    if k % n != 0:
-        if j == 0:
-            return [((i, 0), (i, 1), (i, 2))]
-        if i == n:
-            return [((n, j), (n - 1, j), (n - 2, j))]
-        if j == n:
-            return [((i, n), (i, n - 1), (i, n - 2))]
-        return [((0, j), (1, j), (2, j))]
-    if (i, j) == (0, 0):
-        return [((0, 0), (1, 0), (2, 0)), ((0, 0), (0, 1), (0, 2))]
-    if (i, j) == (n, 0):
-        return [((n, 0), (n - 1, 0), (n - 2, 0)), ((n, 0), (n, 1), (n, 2))]
-    if (i, j) == (n, n):
-        return [((n, n), (n - 1, n), (n - 2, n)), ((n, n), (n, n - 1), (n, n - 2))]
-    return [((0, n), (1, n), (2, n)), ((0, n), (0, n - 1), (0, n - 2))]
+    if j == 0:
+        return i, 1
+    if i == n:
+        return n - 1, j
+    if j == n:
+        return i, n - 1
+    return 1, j
+
+
+def _neighbors(grid, i, j):
+    """Grid neighbors (p, q) of vertex (i, j) with the transverse
+    trapezoid weight of the edge to each: 1/2 along the boundary, else 1."""
+    n = grid.n
+    for p, q in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+        if 0 <= p <= n and 0 <= q <= n:
+            along = (p == i and i in (0, n)) or (q == j and j in (0, n))
+            yield p, q, 0.5 if along else 1.0
+
+
+def _well_weight(grid, k):
+    """Trapezoid weight of loop node k: 1/4 at a corner, 1/2 on an edge."""
+    return 0.25 if k % grid.n == 0 else 0.5
 
 
 def dense_matrix(grid, params):
@@ -73,7 +81,6 @@ def dense_matrix(grid, params):
     k1 = (params.beta1 / params.tau + 1.0) / params.tau
     k2 = (params.beta2 / params.tau + 1.0) / params.tau
     inv_h2 = 1.0 / (h * h)
-    inv_2h = 1.0 / (2.0 * h)
 
     # (a) interior bulk evolution rows
     for i in range(1, n):
@@ -99,9 +106,8 @@ def dense_matrix(grid, params):
         if slot is None:
             continue
         r = off["mu_edge"] + slot
-        ((b, v1, _),) = _triples(grid, k)
-        a[r, _mu_col(grid, off, *b)] += 1.0
-        a[r, _mu_col(grid, off, *v1)] += -1.0
+        a[r, _mu_col(grid, off, *grid.loop_ij[k])] += 1.0
+        a[r, _mu_col(grid, off, *_inward(grid, k))] += -1.0
 
     # (c) loop evolution rows
     for k in range(nl):
@@ -111,24 +117,25 @@ def dense_matrix(grid, params):
         a[r, off["mu_loop"] + (k + 1) % nl] -= params.M2 * inv_h2
         a[r, off["mu_loop"] + (k - 1) % nl] -= params.M2 * inv_h2
 
-    # (d) loop chemical potential rows
+    # (d) loop chemical potential rows: (1/h) d/d psi_k of the bulk
+    # Dirichlet energy, summed edge by edge over the node's grid edges,
+    # plus the loop Laplacian and the stabilizers of both wells
     for k in range(nl):
         r = off["mu_loop"] + k
+        i, j = (int(v) for v in grid.loop_ij[k])
         a[r, off["mu_loop"] + k] += 1.0
-        a[r, off["psi"] + k] += -2.0 * inv_h2 - params.s2
+        a[r, off["psi"] + k] += -2.0 * inv_h2 - params.s2 - params.s1 * h * _well_weight(grid, k)
         a[r, off["psi"] + (k + 1) % nl] += inv_h2
         a[r, off["psi"] + (k - 1) % nl] += inv_h2
-        trips = _triples(grid, k)
-        w = 1.0 / len(trips)
-        for (b, v1, v2) in trips:
-            a[r, _phi_col(grid, off, *b)] -= w * 3.0 * inv_2h
-            a[r, _phi_col(grid, off, *v1)] -= w * (-4.0) * inv_2h
-            a[r, _phi_col(grid, off, *v2)] -= w * 1.0 * inv_2h
+        for p, q, w in _neighbors(grid, i, j):
+            a[r, off["psi"] + k] -= w / h
+            a[r, _phi_col(grid, off, p, q)] += w / h
     return a
 
 
 def dense_rhs(grid, params, phi, psi, Phi, Psi):
     off = offsets(grid)
+    h = grid.h
     tau = params.tau
     k1 = (params.beta1 / tau + 1.0) / tau
     k2 = (params.beta2 / tau + 1.0) / tau
@@ -138,7 +145,9 @@ def dense_rhs(grid, params, phi, psi, Phi, Psi):
     b[: grid.n_int] = k1 * phi + (params.beta1 / tau) * Phi
     b[grid.n_int : 2 * grid.n_int] = f - params.s1 * phi
     b[off["psi"] : off["psi"] + grid.n_loop] = k2 * psi + (params.beta2 / tau) * Psi
-    b[off["mu_loop"] :] = g - params.s2 * psi
+    well = np.array([h * _well_weight(grid, k) for k in range(grid.n_loop)])
+    f_loop = (psi**3 - psi) / params.eps**2
+    b[off["mu_loop"] :] = g - params.s2 * psi + well * (f_loop - params.s1 * psi)
     return b
 
 

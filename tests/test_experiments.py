@@ -125,8 +125,25 @@ def test_convergence_smoke():
 
 
 def test_convergence_rejects_coarse_reference():
-    with pytest.raises(ValueError):
-        convergence_study(8, [1e-3], 1e-3, 0.01, CaseSpec(case=1, n=8))
+    with pytest.raises(ValueError, match="reference tau"):
+        convergence_study(8, [2e-3, 1e-3], 1e-3, 0.01, CaseSpec(case=1, n=8))
+
+
+@pytest.mark.parametrize("taus", [[], [2e-3]])
+def test_convergence_rejects_fewer_than_two_taus_before_stepping(monkeypatch, taus):
+    # one tested step cannot give a slope: the study must say so, naming
+    # taus, before it runs the reference
+    calls = []
+    real_step = scheme.step
+
+    def counted_step(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "step", counted_step)
+    with pytest.raises(ValueError, match="^taus: "):
+        convergence_study(16, taus, 1e-4, 0.01, CaseSpec(case=1, n=16))
+    assert len(calls) == 0
 
 
 def test_convergence_rejects_off_lattice_t_end(monkeypatch):

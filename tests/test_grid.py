@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperch import build_grid
-from hyperch.operators import bulk_laplacian_matrix, normal_derivative_matrix
+from hyperch.operators import dirichlet_hessian
 
 
 def test_counting_n4():
@@ -68,13 +68,6 @@ def test_loop_starts_at_origin_counterclockwise():
     assert tuple(g.loop_ij[15]) == (0, 1)
 
 
-def test_corner_classification():
-    g = build_grid(5)
-    corners = {k for k in range(g.n_loop) if g.is_corner_k(k)}
-    assert corners == {0, 5, 10, 15}
-    assert {tuple(g.loop_ij[k]) for k in corners} == {(0, 0), (5, 0), (5, 5), (0, 5)}
-
-
 # ---- stencils restricted from the vertex grid through the index maps ----
 
 
@@ -86,44 +79,42 @@ def _row(m, r):
 
 def test_edge_stencil_bottom():
     g = build_grid(10)
-    nd = normal_derivative_matrix(g)
-    inv2h = 1.0 / (2.0 * g.h)
+    hess = dirichlet_hessian(g)
     k = g.loop_index(3, 0)
-    assert _row(nd, k) == {g.n_int + k: 3.0 * inv2h,
-                           g.interior_index(3, 1): -4.0 * inv2h,
-                           g.interior_index(3, 2): 1.0 * inv2h}
+    assert _row(hess, g.n_int + k) == {g.n_int + k: 2.0,
+                                       g.n_int + g.loop_index(2, 0): -0.5,
+                                       g.n_int + g.loop_index(4, 0): -0.5,
+                                       g.interior_index(3, 1): -1.0}
 
 
 def test_edge_stencil_right():
     g = build_grid(10)
-    nd = normal_derivative_matrix(g)
-    inv2h = 1.0 / (2.0 * g.h)
+    hess = dirichlet_hessian(g)
     k = g.loop_index(10, 5)
-    assert _row(nd, k) == {g.n_int + k: 3.0 * inv2h,
-                           g.interior_index(9, 5): -4.0 * inv2h,
-                           g.interior_index(8, 5): 1.0 * inv2h}
+    assert _row(hess, g.n_int + k) == {g.n_int + k: 2.0,
+                                       g.n_int + g.loop_index(10, 4): -0.5,
+                                       g.n_int + g.loop_index(10, 6): -0.5,
+                                       g.interior_index(9, 5): -1.0}
 
 
 def test_corner_stencil_origin():
-    # the average of the stencils along both incident edges, all on the loop
+    # the two boundary edges at the corner, each at transverse weight 1/2,
+    # all on the loop
     g = build_grid(10)
-    nd = normal_derivative_matrix(g)
-    inv2h = 1.0 / (2.0 * g.h)
+    hess = dirichlet_hessian(g)
     psi_col = g.n_int  # column of loop node 0
-    assert _row(nd, 0) == {
-        psi_col: 3.0 * inv2h,
-        psi_col + g.loop_index(1, 0): -2.0 * inv2h,
-        psi_col + g.loop_index(2, 0): 0.5 * inv2h,
-        psi_col + g.loop_index(0, 1): -2.0 * inv2h,
-        psi_col + g.loop_index(0, 2): 0.5 * inv2h,
+    assert _row(hess, psi_col) == {
+        psi_col: 1.0,
+        psi_col + g.loop_index(1, 0): -0.5,
+        psi_col + g.loop_index(0, 1): -0.5,
     }
 
 
 def test_interior_neighbors_interior_or_loop():
     g = build_grid(6)
-    lap = bulk_laplacian_matrix(g)
+    lap = dirichlet_hessian(g)[: g.n_int]
     # every interior vertex sees itself and four neighbors, interior or loop
     assert np.array_equal(np.diff(lap.indptr), np.full(g.n_int, 5))
     # interior stencils never touch corner loop nodes
-    corners = [g.n_int + k for k in range(g.n_loop) if g.is_corner_k(k)]
+    corners = [g.n_int + g.loop_index(i, j) for i in (0, g.n) for j in (0, g.n)]
     assert lap[:, corners].nnz == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from hyperch import (
     PoissonSolveError,
@@ -15,6 +17,7 @@ from hyperch import (
 )
 from hyperch import model, operators
 from hyperch.operators import (
+    dirichlet_hessian,
     grad_norm_sq_interior,
     grad_norm_sq_loop,
     loop_laplacian_matrix,
@@ -170,6 +173,42 @@ def test_cached_weights_are_read_only():
     for w in (*operators._edge_weights(6), model._trapezoid_weights(6)):
         with pytest.raises(ValueError, match="read-only"):
             w[0, 0] = 2.0
+    for w in (operators.trapezoid_weights(6), model.loop_well_weights(build_grid(6))):
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 2.0
+
+
+def test_weights_share_one_trapezoid_vector():
+    # the edge weights, the full-grid well weights and the loop well
+    # weights are all read off (1/2, 1, ..., 1, 1/2)
+    n = 6
+    t = operators.trapezoid_weights(n)
+    assert np.array_equal(t, [0.5, 1, 1, 1, 1, 1, 0.5])
+    wx, wy = operators._edge_weights(n)
+    assert np.array_equal(wx, np.tile(t, (n, 1))) and np.array_equal(wy, wx.T)
+    assert np.array_equal(model._trapezoid_weights(n), np.outer(t, t))
+    g = build_grid(n)
+    corner = np.arange(g.n_loop) % n == 0
+    assert np.array_equal(model.loop_well_weights(g), g.h * np.where(corner, 0.25, 0.5))
+
+
+# ---- Dirichlet Hessian -----------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=hst.integers(4, 20), seed=hst.integers(0, 2**16))
+def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
+    # (1/2) y^T H y is the bulk Dirichlet energy, H annihilates constants
+    # and is symmetric
+    g = build_grid(n)
+    rng = np.random.default_rng(seed)
+    phi, psi = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
+    y = np.concatenate([phi, psi])
+    hess = dirichlet_hessian(g)
+    assert 0.5 * float(y @ (hess @ y)) == pytest.approx(
+        dirichlet_energy_bulk(phi, psi, g), rel=1e-13)
+    assert np.array_equal(np.asarray(hess.sum(axis=1)).ravel(), np.zeros(y.size))
+    assert (hess - hess.T).nnz == 0
 
 
 def test_dirichlet_energy_loop_values():

@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dense_oracle import dense_matrix, dense_rhs, eliminate_mu_edge, offsets
 
 from hyperch import (
+    F_val,
+    G_val,
     CaseSpec,
     ModelParams,
     NonFiniteStateError,
@@ -18,14 +21,23 @@ from hyperch import (
     beta_sweep,
     build_grid,
     bulk_quadrature_weights,
+    dirichlet_energy_bulk,
+    dirichlet_energy_loop,
+    f_val,
+    g_val,
     init_case,
     init_state,
     modified_energy,
     run,
     step,
 )
-from hyperch import operators, scheme
-from hyperch.operators import loop_laplacian_matrix, neumann_laplacian_matrix
+from hyperch import model, operators, scheme
+from hyperch.operators import (
+    grad_norm_sq_interior,
+    grad_norm_sq_loop,
+    loop_laplacian_matrix,
+    neumann_laplacian_matrix,
+)
 from hyperch.scheme import diag_record, num_steps, split_unknowns
 
 
@@ -136,12 +148,14 @@ def test_rhs_matches_dense_oracle(g4, beta):
 
 def test_rhs_well_roots_leave_stabilizer_only(g4):
     # at phi = psi = 1 the well derivatives vanish, so the potential rows
-    # carry just the -s terms
+    # carry just the -s terms, the loop rows both wells' with the bulk
+    # well's trapezoid weight h w_k (1/2 on edges, 1/4 at corners)
     params = params_for(g4)
     st = init_state(np.ones(g4.n_int), np.ones(g4.n_loop), g4)
     _, _, b_mu_int, b_mu_loop = split_unknowns(assemble_rhs(st, g4, params), g4)
-    assert np.allclose(b_mu_int, -params.s1)
-    assert np.allclose(b_mu_loop, -params.s2)
+    w = np.where(np.arange(g4.n_loop) % g4.n == 0, 0.25, 0.5)
+    assert np.array_equal(b_mu_int, np.full(g4.n_int, -params.s1))
+    assert np.array_equal(b_mu_loop, -params.s2 - params.s1 * (g4.h * w))
 
 
 def test_rhs_no_rate_memory_without_relaxation(g4):
@@ -200,6 +214,18 @@ def test_schur_matches_dense_schur_complement(n, beta):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=hst.integers(4, 16), beta=hst.floats(0.0, 1.0))
+def test_weighted_potential_rows_are_symmetric(n, beta):
+    # W R, with W = blockdiag(h^2 I, h I) the field quadrature weights, is
+    # the (negated, stabilized) energy Hessian, so it is symmetric
+    g = build_grid(n)
+    system = assemble_system(g, params_for(g, beta1=beta, beta2=beta))
+    w = np.concatenate([np.full(g.n_int, g.h * g.h), np.full(g.n_loop, g.h)])
+    wr = (sp.diags(w) @ system.rows).toarray()
+    assert np.abs(wr - wr.T).max() <= 1e-14 * np.abs(wr).max()
+
+
 def test_operators_are_the_blocks_the_scheme_solves_with():
     # apply_bulk_laplacian, normal_derivative and apply_loop_laplacian are
     # products with the matrices the step system is assembled from: rows
@@ -219,8 +245,9 @@ def test_operators_are_the_blocks_the_scheme_solves_with():
     # mu_int rows on [phi | psi]: lap y - s1 phi
     assert np.abs(operators.apply_bulk_laplacian(phi, psi, g)
                   - (y_mu_int + params.s1 * phi)).max() <= scale * np.abs(x).max()
-    # mu_loop rows: -nd y + (l_loop - s2 I) psi
-    assert np.abs(nd - (lap_loop - params.s2 * psi - y_mu_loop)).max() <= (
+    # mu_loop rows: -nd y + (l_loop - s2 I - s1 h w_k) psi
+    stab = params.s2 + params.s1 * model.loop_well_weights(g)
+    assert np.abs(nd - (lap_loop - stab * psi - y_mu_loop)).max() <= (
         scale * np.abs(x).max())
     # psi rows on mu_loop: -M2 l_loop q
     assert np.abs(operators.apply_loop_laplacian(q, g) + y_q_psi / params.M2).max() <= (
@@ -338,6 +365,62 @@ def test_energy_monotone_default_params():
     _, records = run(init_state(phi0, psi0, g), g, params, t_end=100 * params.tau)
     e = [r.e_modified for r in records]
     assert all(b <= a + 1e-8 * (1 + abs(e[0])) for a, b in zip(e, e[1:]))
+
+
+def _energy_law_defect(old, new, grid, params):
+    """E_mod(new) - E_mod(old) plus every dissipated and stabilizing term
+    of the scheme's energy identity, minus the wells' remainders; each
+    term is an existing energy kernel."""
+    h = grid.h
+    d_phi, d_psi = new.phi - old.phi, new.psi - old.psi
+    # the trapezoid weights total_energy gives the bulk well on the loop
+    w_loop = np.where(np.arange(grid.n_loop) % grid.n == 0, 0.25, 0.5)
+
+    def e_mod(st):
+        return diag_record(st, grid, params).e_modified
+
+    def remainder(val, der, width, a, b):
+        return val(b, width) - val(a, width) - der(a, width) * (b - a)
+
+    dissipated = (
+        params.tau / params.M1 * grad_norm_sq_interior(new.P, grid)
+        + params.tau / params.M2 * grad_norm_sq_loop(new.Q, grid)
+        + params.beta1 / (2 * params.M1) * grad_norm_sq_interior(new.P - old.P, grid)
+        + params.beta2 / (2 * params.M2) * grad_norm_sq_loop(new.Q - old.Q, grid)
+        + dirichlet_energy_bulk(d_phi, d_psi, grid) + dirichlet_energy_loop(d_psi, grid)
+        + params.s1 * h * h * float(d_phi @ d_phi) + params.s2 * h * float(d_psi @ d_psi)
+        + params.s1 * h * h * float(w_loop @ (d_psi * d_psi))
+    )
+    wells = (
+        h * h * remainder(F_val, f_val, params.eps, old.phi, new.phi).sum()
+        + h * h * float(w_loop @ remainder(F_val, f_val, params.eps, old.psi, new.psi))
+        + h * remainder(G_val, g_val, params.delta, old.psi, new.psi).sum()
+    )
+    return e_mod(new) - e_mod(old) + dissipated - wells, e_mod(new)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=hst.integers(4, 12),
+    case=hst.integers(1, 4),
+    beta=hst.floats(0.0, 1.0),
+    seed=hst.integers(0, 2**16),
+)
+def test_energy_law_is_an_identity(n, case, beta, seed):
+    # the potential rows are the gradient of the discrete energy, so the
+    # change of the modified energy over a step is exactly minus the
+    # dissipation and the stabilizers' terms, plus the wells' Taylor
+    # remainders: criterion 2's sign, closed to roundoff
+    g = build_grid(n)
+    params = params_for(g, beta1=beta, beta2=beta)
+    system = assemble_system(g, params)
+    phi0, psi0 = init_case(CaseSpec(case=case, seed=seed, n=n), g)
+    state = init_state(phi0, psi0, g)
+    for _ in range(20):
+        new, _ = step(state, system, g, params)
+        defect, e_mod = _energy_law_defect(state, new, g, params)
+        assert abs(defect) <= 1e-12 * (1.0 + abs(e_mod))
+        state = new
 
 
 @pytest.mark.parametrize("n", [4, 5, 7])
