@@ -72,7 +72,8 @@ _CONSTRAINTS = {
     "n": lambda v: v >= 4 or "n must be >= 4",
     "t_end": lambda v: 0 <= v < math.inf or "t_end must be nonnegative and finite",
     "diag_cadence": lambda v: v >= 1 or "diag_cadence must be >= 1",
-    "betas": lambda v: all(0 <= b < math.inf for b in v) or "betas must be nonnegative and finite",
+    "betas": lambda v: (bool(v) and all(0 <= b < math.inf for b in v))
+    or "betas must be a nonempty list of nonnegative finite values",
 }
 
 
@@ -258,14 +259,15 @@ def _snapshot_steps(cfg: RunConfig) -> dict[int, float]:
 
 
 def _run_one(cfg: RunConfig, out_dir: str, label: str = "") -> list[scheme.DiagRecord]:
-    """Run one simulation, writing effective.cfg and its outputs to out_dir."""
+    """Run one simulation, writing effective.cfg and its outputs to out_dir;
+    a bad snapshot time fails before anything is written."""
+    snap_steps = _snapshot_steps(cfg)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
         fh.write(config_text(cfg))
     grid = build_grid(cfg.n)
     phi0, psi0 = exps.init_case(cfg.case_spec(), grid)
     state = scheme.init_state(phi0, psi0, grid)
-    snap_steps = _snapshot_steps(cfg)
 
     def on_step(st: scheme.State):
         if st.step in snap_steps:
@@ -325,11 +327,12 @@ def cmd_convergence(cfg: RunConfig, full_scale: bool = False) -> int:
 
 
 def cmd_beta_sweep(cfg: RunConfig) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     probes = list(cfg.probe_times) if cfg.probe_times else [cfg.t_end]
     res = exps.beta_sweep(
         cfg.case_spec(), list(cfg.betas), cfg.t_end, probes, params=cfg.params,
     )
+    # made only now, so a probe time the sweep rejects leaves nothing behind
+    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "beta_sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("beta,time,E_modified,E_total,mass_bulk,mass_surf\n")

@@ -106,8 +106,11 @@ def convergence_study(
     t_end must be a step of every run (``scheme.lattice_step``), so that
     all of them end at the same time.
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
-    the grid of n) with its tau replaced by the run's step.
+    the grid of n) with its tau replaced by the run's step.  ``case.n``
+    must equal n.
     """
+    if case.n != n:
+        raise ValueError(f"n: the study's grid has n = {n} but the case has n = {case.n}")
     if len(taus) < 2:
         raise ValueError(f"taus: a slope needs at least two tested steps, got {list(taus)}")
     if tau_ref >= min(taus):
@@ -168,18 +171,19 @@ def beta_sweep(
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
     the case's grid) with beta1 = beta2 = beta and steps to its last
     probe.  Each probe time must be a step of a run to t_end
-    (``scheme.lattice_step``); a probe is that step's diagnostic row
-    (``scheme.diag_record``), and no other row is computed.
+    (``scheme.lattice_step``), checked before any run; a probe is that
+    step's diagnostic row (``scheme.diag_record``), and no other row is
+    computed.
     """
     grid = build_grid(case.n)
     phi0, psi0 = init_case(case, grid)
     base = mdl.ModelParams.with_defaults(grid.h) if params is None else params
+    probe_steps = {
+        scheme.lattice_step(t, base.tau, t_end, "probe_times"): t for t in probe_times
+    }
     probes: list[ProbeRecord] = []
     for beta in betas:
         params = replace(base, beta1=beta, beta2=beta)
-        probe_steps = {
-            scheme.lattice_step(t, params.tau, t_end, "probe_times"): t for t in probe_times
-        }
         system = scheme.assemble_system(grid, params)
         state = scheme.init_state(phi0, psi0, grid)
         for k in range(max(probe_steps, default=0) + 1):

@@ -8,7 +8,8 @@ loop nodes: the loop is a uniform 1-D chain with arc-length spacing h.
 Both sets are subsets of the (n+1)^2 vertex grid: the interior in
 row-major (i, j) order, the loop through ``Grid.loop_ij``.  The grid
 holds no stencils; ``operators`` builds them on the vertex grid and
-restricts them with these maps.
+restricts them with these maps.  Grids compare by identity: the module
+caches (read-only per-n weight arrays and the Poisson factors) key on n.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Geometry and index bookkeeping for the unit-square vertex grid."""
 
@@ -28,12 +29,6 @@ class Grid:
     n_loop: int
     # loop_ij[k] = (i, j) vertex coordinates of loop node k
     loop_ij: np.ndarray = field(repr=False)
-
-    def __hash__(self):
-        return hash(self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, Grid) and other.n == self.n
 
     # ---- index maps -------------------------------------------------
 

@@ -7,7 +7,8 @@ by kinetic-like terms built from inverse Laplacians of the rate fields;
 it is the quantity the hyperbolic relaxation dissipates.  Runs read those
 inverses from the potentials the step carries (``scheme.diag_record``);
 ``modified_energy`` here computes them by Poisson solves and is the
-reference the run's rows are tested against.
+reference the run's rows are tested against.  A module cache holds only
+a read-only per-n array that the step or the diagnostic row reads.
 """
 
 from __future__ import annotations
@@ -175,10 +176,12 @@ def _trapezoid_weights(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def loop_well_weights(grid: Grid) -> np.ndarray:
+def loop_well_weights(n: int) -> np.ndarray:
     """h w_k per loop node: the bulk well's weight h^2 w_k there in
-    ``total_energy`` over the loop weight h.  Read-only."""
-    w = grid.h * _trapezoid_weights(grid.n)[grid.loop_ij[:, 0], grid.loop_ij[:, 1]]
+    ``total_energy`` over the loop weight h.  Each loop side runs from a
+    corner along a boundary edge, where w_k is half the side's trapezoid
+    weight.  Read-only."""
+    w = (1.0 / n) * (0.5 * np.tile(ops.trapezoid_weights(n)[:-1], 4))
     w.setflags(write=False)
     return w
 

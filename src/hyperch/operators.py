@@ -14,6 +14,9 @@ periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
 reference the tests hold a run's kinetic terms to; runs read those terms
 from the potentials the step carries and never call the solvers.
+Every matrix is built afresh per call and belongs to its caller; a module
+cache holds only a read-only per-n array that the step or the diagnostic
+row reads, plus the Poisson solvers' pinned factors.
 """
 
 from __future__ import annotations
@@ -59,13 +62,11 @@ def to_full_grid(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     return full
 
 
-@lru_cache(maxsize=8)
 def trapezoid_weights(n: int) -> np.ndarray:
     """Trapezoid weights (1/2, 1, ..., 1, 1/2) of the n+1 vertices of a
-    side; every vertex-grid quadrature derives from them.  Read-only."""
+    side; every vertex-grid quadrature derives from them."""
     w = np.ones(n + 1)
     w[0] = w[-1] = 0.5
-    w.setflags(write=False)
     return w
 
 
@@ -89,7 +90,6 @@ def _vertex_index(grid: Grid) -> np.ndarray:
     return np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
 
 
-@lru_cache(maxsize=8)
 def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:
     """Hessian H of ``dirichlet_energy_bulk`` on [phi | psi]: the energy
     is y^T H y / 2.
@@ -99,7 +99,6 @@ def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:
     Symmetric, zero row sums.  Interior rows are the 5-point stencil; an
     edge row is 2 at its node, -1/2 at its loop neighbors and -1 inside;
     a corner row is 1 at the corner and -1/2 at its loop neighbors.
-    Cached and shared: callers must not modify it.
     """
     order, a = _vertex_index(grid), _free_end_second_difference(grid.n + 1)
     hess = _kron_sum(a, sp.diags(trapezoid_weights(grid.n)))[order][:, order]
@@ -150,7 +149,7 @@ def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float
 def _edge_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Transverse trapezoid weights of the x-edges (n, n+1) and y-edges
     (n+1, n) of the vertex grid: 1/2 on edges along the boundary, else 1.
-    Cached and shared, so read-only."""
+    Cached, so read-only."""
     wx = np.repeat(trapezoid_weights(n)[None, :], n, axis=0)
     wy = np.ascontiguousarray(wx.T)
     for w in (wx, wy):
@@ -166,36 +165,30 @@ def dirichlet_energy_loop(psi: np.ndarray, grid: Grid) -> float:
 # ---- Laplacian matrices and cached Poisson factorizations -------------
 
 
-@lru_cache(maxsize=8)
 def neumann_laplacian_matrix(n: int) -> sp.csr_matrix:
     """Mirror-ghost Neumann 5-point Laplacian on the (n-1)^2 interior grid.
 
     Symmetric with zero row sums; the ghost value outside each side equals
     the first inside value, which realizes a homogeneous Neumann closure.
     It is the operator the scheme's bulk evolution rows apply to mu, and
-    the one the bulk Poisson solver inverts.  The matrix is cached and
-    shared: callers must not modify it.
+    the one the bulk Poisson solver inverts.
     """
     h2 = (1.0 / n) ** 2
     return -_kron_sum(_free_end_second_difference(n - 1), sp.identity(n - 1)) / h2
 
 
-@lru_cache(maxsize=8)
 def loop_laplacian_matrix(n: int) -> sp.csr_matrix:
-    """Periodic second-difference matrix on the 4n-node perimeter loop."""
+    """Periodic second-difference matrix on the 4n-node perimeter loop;
+    the offsets +-(4n - 1) close the chain."""
     nl = 4 * n
-    h2 = (1.0 / n) ** 2
-    main = -2.0 * np.ones(nl)
-    off = np.ones(nl - 1)
-    lap = sp.diags([off, main, off], offsets=[-1, 0, 1], format="lil")
-    lap[0, nl - 1] = 1.0
-    lap[nl - 1, 0] = 1.0
-    return (lap / h2).tocsr()
+    lap = sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - nl, -1, 0, 1, nl - 1], shape=(nl, nl))
+    return (lap / (1.0 / n) ** 2).tocsr()
 
 
 @lru_cache(maxsize=8)
-def _pinned_factor(n: int, which: str):
-    """LU factorization of the singular Laplacian with row 0 pinned.
+def _pinned_factor(n: int, which: str) -> tuple[sp.csr_matrix, spla.SuperLU]:
+    """The ``which`` ("bulk" or "loop") Laplacian and the LU
+    factorization of it with row 0 pinned.
 
     For a symmetric operator with constants in the kernel and a mean-free
     right-hand side (with rhs[0] set to 0), the pinned solve is exact: the
@@ -207,11 +200,12 @@ def _pinned_factor(n: int, which: str):
     pinned = lap.tolil()
     pinned[0, :] = 0.0
     pinned[0, 0] = 1.0
-    return spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return lap, spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _solve_zeromean(w: np.ndarray, lap: sp.csr_matrix, factor, tol: float) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
+def _solve_zeromean(w: np.ndarray, n: int, which: str, tol: float) -> np.ndarray:
+    """Pinned solve, its residual checked against the factored Laplacian."""
+    lap, factor = _pinned_factor(n, which)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     w_free = w - w.mean()
@@ -234,14 +228,12 @@ def solve_poisson_neumann_zeromean(w: np.ndarray, grid: Grid, tol: float = 1e-10
     The right-hand side is projected to zero mean (the operator's range)
     and the solution is returned with zero mean.
     """
-    w = _check_bulk(w, grid)
-    return _solve_zeromean(w, neumann_laplacian_matrix(grid.n), _pinned_factor(grid.n, "bulk"), tol)
+    return _solve_zeromean(_check_bulk(w, grid), grid.n, "bulk", tol)
 
 
 def solve_poisson_loop_zeromean(w: np.ndarray, grid: Grid, tol: float = 1e-10) -> np.ndarray:
     """Solve the periodic loop Poisson problem on mean-free data."""
-    w = _check_loop(w, grid)
-    return _solve_zeromean(w, loop_laplacian_matrix(grid.n), _pinned_factor(grid.n, "loop"), tol)
+    return _solve_zeromean(_check_loop(w, grid), grid.n, "loop", tol)
 
 
 def grad_norm_sq_interior(p: np.ndarray, grid: Grid) -> float:

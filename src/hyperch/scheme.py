@@ -162,7 +162,7 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     lap = sp.block_diag(
         [params.M1 * ops.neumann_laplacian_matrix(grid.n), params.M2 * l_loop], format="csr"
     )
-    loop_diag = sp.diags(params.s2 + params.s1 * mdl.loop_well_weights(grid))
+    loop_diag = sp.diags(params.s2 + params.s1 * mdl.loop_well_weights(grid.n))
     rows = (
         -sp.vstack([hess[: grid.n_int] / (h * h), hess[grid.n_int :] / h])
         - sp.block_diag([params.s1 * eye_i, loop_diag - l_loop])
@@ -188,7 +188,7 @@ def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarra
             k2 * psi + r2 * state.Psi,
             f_y[: grid.n_int],
             mdl.g_val(psi, params.delta) - params.s2 * psi
-            + mdl.loop_well_weights(grid) * f_y[grid.n_int :],
+            + mdl.loop_well_weights(grid.n) * f_y[grid.n_int :],
         ]
     )
 
@@ -207,6 +207,7 @@ def step(
         P_new = (M1 mu_int + r P) / (1 + r),   Q_new alike with M2, mu_loop,
 
     keep l_mu P = Phi and l_loop Q = Psi from the zero start onwards.
+    The clock reads k * tau after step k, as ``lattice_step`` assumes.
     A non-finite right-hand side raises a NonFiniteStateError, and a
     solve that misses ``RESIDUAL_TOL`` (a non-finite solution included) a
     SolveError with the solution and its stats; both name the step.
@@ -231,7 +232,7 @@ def step(
         Psi=(psi_new - state.psi) / tau,
         P=(params.M1 / (1.0 + r1)) * mu_int + (r1 / (1.0 + r1)) * state.P,
         Q=(params.M2 / (1.0 + r2)) * mu_loop + (r2 / (1.0 + r2)) * state.Q,
-        t=state.t + tau,
+        t=(state.step + 1) * tau,
         step=state.step + 1,
     )
     return new, stats

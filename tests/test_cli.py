@@ -248,7 +248,15 @@ def test_main_run_rejects_snapshot_beyond_end(tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert "snapshot_times" in err and "beyond t_end" in err
-    assert not (out / "diag.csv").exists()
+    assert not out.exists()
+
+
+def test_main_cases_rejects_snapshot_beyond_end(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["cases", "n=8", "t_end=0.0003", "snapshot_times=0.0005", f"output_dir={out}"])
+    assert rc == 1
+    assert "snapshot_times" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_run_rejects_snapshot_off_lattice(tmp_path, capsys):
@@ -257,7 +265,7 @@ def test_main_run_rejects_snapshot_off_lattice(tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert "snapshot_times" in err and "multiple of tau" in err
-    assert not (out / "diag.csv").exists()
+    assert not out.exists()
 
 
 def test_main_beta_sweep_rejects_probe_off_lattice(tmp_path, capsys):
@@ -267,7 +275,15 @@ def test_main_beta_sweep_rejects_probe_off_lattice(tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert "probe_times" in err and "multiple of tau" in err
-    assert not (out / "beta_sweep.csv").exists()
+    assert not out.exists()
+
+
+def test_main_beta_sweep_rejects_empty_betas(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["beta-sweep", "n=8", "t_end=0.0002", "betas=", f"output_dir={out}"])
+    assert rc == 1
+    assert "override 3: betas: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_beta_sweep_honours_tau(tmp_path, capsys):

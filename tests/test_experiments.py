@@ -157,6 +157,17 @@ def test_convergence_rejects_off_lattice_t_end(monkeypatch):
         convergence_study(8, [4e-3, 2e-3], 2.5e-5, 0.0101, CaseSpec(case=1, n=8))
 
 
+def test_convergence_rejects_case_on_another_grid(monkeypatch):
+    # the study's grid is built from n: a case of another n must fail,
+    # naming n, before the study takes a step
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before checking n")
+
+    monkeypatch.setattr(scheme, "step", no_step)
+    with pytest.raises(ValueError, match="^n: "):
+        convergence_study(8, [4e-3, 2e-3], 2.5e-5, 0.004, CaseSpec(case=1, n=16))
+
+
 # ---- beta sweep ---------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from hyperch import (
     PoissonSolveError,
     apply_bulk_laplacian,
     apply_loop_laplacian,
+    assemble_system,
     build_grid,
     dirichlet_energy_bulk,
     dirichlet_energy_loop,
@@ -170,12 +171,34 @@ def test_dirichlet_energy_bulk_matches_edge_loop(n):
 
 
 def test_cached_weights_are_read_only():
-    for w in (*operators._edge_weights(6), model._trapezoid_weights(6)):
-        with pytest.raises(ValueError, match="read-only"):
-            w[0, 0] = 2.0
-    for w in (operators.trapezoid_weights(6), model.loop_well_weights(build_grid(6))):
-        with pytest.raises(ValueError, match="read-only"):
-            w[0] = 2.0
+    # a module cache holds only read-only per-n arrays, or tuples of
+    # them; the Poisson solvers' pinned factor is the one exception
+    cached = {
+        f"{mod.__name__}.{name}": f
+        for mod in (operators, model)
+        for name, f in vars(mod).items()
+        if hasattr(f, "cache_info")
+    }
+    del cached["hyperch.operators._pinned_factor"]
+    assert len(cached) == 4, sorted(cached)
+    for name, f in cached.items():
+        out = f(6)
+        for w in out if isinstance(out, tuple) else (out,):
+            assert isinstance(w, np.ndarray), name
+            with pytest.raises(ValueError, match="read-only"):
+                w[(0,) * w.ndim] = 2.0
+
+
+def test_matrices_belong_to_their_caller():
+    # scaling a returned matrix in place reaches no later assembly
+    g = build_grid(8)
+    params = model.ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.1)
+    want = assemble_system(g, params).schur
+    for mat in (neumann_laplacian_matrix(8), loop_laplacian_matrix(8), dirichlet_hessian(g)):
+        mat.data *= 3.0
+    got = assemble_system(g, params).schur
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_weights_share_one_trapezoid_vector():
@@ -189,7 +212,7 @@ def test_weights_share_one_trapezoid_vector():
     assert np.array_equal(model._trapezoid_weights(n), np.outer(t, t))
     g = build_grid(n)
     corner = np.arange(g.n_loop) % n == 0
-    assert np.array_equal(model.loop_well_weights(g), g.h * np.where(corner, 0.25, 0.5))
+    assert np.array_equal(model.loop_well_weights(g.n), g.h * np.where(corner, 0.25, 0.5))
 
 
 # ---- Dirichlet Hessian -----------------------------------------------------

@@ -195,6 +195,15 @@ def test_step_matches_dense_direct_solve(g4, beta):
     assert new.step == 1 and new.t == pytest.approx(params.tau)
 
 
+def test_clock_stays_on_the_step_lattice(g4):
+    # summing tau 2000 times lands off 2000 * tau in the last bits
+    params = params_for(g4, beta1=0.1, beta2=0.1)
+    phi0, psi0 = init_case(CaseSpec(case=1, n=4), g4)
+    final, records = run(init_state(phi0, psi0, g4), g4, params, 0.2, diag_cadence=2000)
+    assert records[-1].step == 2000
+    assert records[-1].time == final.t == 2000 * params.tau
+
+
 @pytest.mark.parametrize("n, beta", ORACLE_CASES)
 def test_schur_matches_dense_schur_complement(n, beta):
     # eliminating every mu block of the naive dense matrix, mu_edge
@@ -246,7 +255,7 @@ def test_operators_are_the_blocks_the_scheme_solves_with():
     assert np.abs(operators.apply_bulk_laplacian(phi, psi, g)
                   - (y_mu_int + params.s1 * phi)).max() <= scale * np.abs(x).max()
     # mu_loop rows: -nd y + (l_loop - s2 I - s1 h w_k) psi
-    stab = params.s2 + params.s1 * model.loop_well_weights(g)
+    stab = params.s2 + params.s1 * model.loop_well_weights(g.n)
     assert np.abs(nd - (lap_loop - stab * psi - y_mu_loop)).max() <= (
         scale * np.abs(x).max())
     # psi rows on mu_loop: -M2 l_loop q
