@@ -74,6 +74,7 @@ _CONSTRAINTS = {
     "diag_cadence": lambda v: v >= 1 or "diag_cadence must be >= 1",
     "betas": lambda v: (bool(v) and all(0 <= b < math.inf for b in v))
     or "betas must be a nonempty list of nonnegative finite values",
+    "output_dir": lambda v: bool(v) or "output_dir must be a nonempty path",
 }
 
 
@@ -251,17 +252,12 @@ def write_vtk_snapshot(state: scheme.State, grid: Grid, path: str) -> None:
 # ---- commands ----------------------------------------------------------
 
 
-def _snapshot_steps(cfg: RunConfig) -> dict[int, float]:
-    return {
-        scheme.lattice_step(t, cfg.params.tau, cfg.t_end, "snapshot_times"): t
-        for t in cfg.snapshot_times
-    }
-
-
 def _run_one(cfg: RunConfig, out_dir: str, label: str = "") -> list[scheme.DiagRecord]:
     """Run one simulation, writing effective.cfg and its outputs to out_dir;
     a bad snapshot time fails before anything is written."""
-    snap_steps = _snapshot_steps(cfg)
+    snap_steps = scheme.lattice_steps(
+        cfg.snapshot_times, cfg.params.tau, cfg.t_end, "snapshot_times"
+    )
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective.cfg"), "w", encoding="utf-8") as fh:
         fh.write(config_text(cfg))

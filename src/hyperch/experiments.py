@@ -103,7 +103,7 @@ def convergence_study(
 
     Runs the reference once and each tau once, measures the discrete
     L2(bulk) and L2(loop) errors at t_end, and fits log-log slopes.
-    t_end must be a step of every run (``scheme.lattice_step``), so that
+    t_end must be a step of every run (``scheme.lattice_steps``), so that
     all of them end at the same time.
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
     the grid of n) with its tau replaced by the run's step.  ``case.n``
@@ -116,7 +116,7 @@ def convergence_study(
     if tau_ref >= min(taus):
         raise ValueError("reference tau must be smaller than every tested tau")
     for tau in (tau_ref, *taus):
-        scheme.lattice_step(t_end, tau, t_end, "t_end")
+        scheme.lattice_steps([t_end], tau, t_end, "t_end")
     grid = build_grid(n)
     phi0, psi0 = init_case(case, grid)
     if params is None:
@@ -170,17 +170,15 @@ def beta_sweep(
 
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
     the case's grid) with beta1 = beta2 = beta and steps to its last
-    probe.  Each probe time must be a step of a run to t_end
-    (``scheme.lattice_step``), checked before any run; a probe is that
+    probe.  Each probe time must be its own step of a run to t_end
+    (``scheme.lattice_steps``), checked before any run; a probe is that
     step's diagnostic row (``scheme.diag_record``), and no other row is
     computed.
     """
     grid = build_grid(case.n)
     phi0, psi0 = init_case(case, grid)
     base = mdl.ModelParams.with_defaults(grid.h) if params is None else params
-    probe_steps = {
-        scheme.lattice_step(t, base.tau, t_end, "probe_times"): t for t in probe_times
-    }
+    probe_steps = scheme.lattice_steps(probe_times, base.tau, t_end, "probe_times")
     probes: list[ProbeRecord] = []
     for beta in betas:
         params = replace(base, beta1=beta, beta2=beta)

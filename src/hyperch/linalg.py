@@ -62,16 +62,16 @@ def check_csr(a: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def check_residual(
-    a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, tol: float
+    r: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float
 ) -> tuple[np.ndarray, SolveStats]:
-    """Stats of a direct solution x of a x = b.
+    """Stats of a direct solution x of A x = b, given its residual r = b - A x.
 
     Raises a SolveError carrying x and the stats unless the relative
-    residual ||b - a x|| / ||b|| (the absolute one when b = 0) is at most
-    tol; a NaN residual or tol fails.
+    residual ||r|| / ||b|| (the absolute one when b = 0) is at most tol;
+    a NaN residual or tol fails.
     """
     b_norm = float(np.linalg.norm(b))
-    resid = float(np.linalg.norm(b - a @ x))
+    resid = float(np.linalg.norm(r))
     rel = resid / b_norm if b_norm else resid
     stats = SolveStats(rel)
     if not rel <= tol:
@@ -100,4 +100,5 @@ class DirectFactorization:
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
         b = np.asarray(b, dtype=float)
-        return check_residual(self.a, b, self._lu.solve(b, trans="T"), tol)
+        x = self._lu.solve(b, trans="T")
+        return check_residual(b - self.a @ x, b, x, tol)

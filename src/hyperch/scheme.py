@@ -5,19 +5,21 @@ x = [y | mu]: the fields y = [phi | psi] and their chemical potentials
 mu = [mu_int | mu_loop].  The bulk chemical potential has unknowns at
 interior nodes only; its no-flux condition enters the bulk evolution
 rows as the mirror-ghost Neumann Laplacian.  Every chemical potential is
-an explicit sparse function of the fields, so the coupled matrix is the
+an explicit sparse function of the fields, so the coupled system is the
 2x2 block saddle-point form [[K, -L], [R, I]] and the solve eliminates
 mu exactly: it factors the Schur complement K + L R on the fields, half
 the unknowns, and rebuilds mu by one matrix-vector product after each
-solve.  The explicit treatment of the well derivatives plus the linear
-stabilizers keeps both matrices constant in time, so they are assembled
-once per run and the Schur matrix is factorized once.  The rate fields
-are maintained as exact difference quotients of consecutive states and
-start at zero, which realizes the mass-conservation initialization.
-The step also carries the inverse-Laplacian potentials of the rate
-fields, read off the solved mu, so a diagnostic row prices the modified
-energy's kinetic terms without a Poisson solve.  The stencils are the
-``operators`` module's matrices; this module only places them in blocks.
+solve; the full residual is taken on the block rows, never on an
+assembled coupled matrix.  The explicit treatment of the well
+derivatives plus the linear stabilizers keeps every block constant in
+time, so the blocks are assembled once per run and the Schur matrix is
+factorized once.  The rate fields are exact difference quotients of
+consecutive states and start at zero, which realizes the mass-conservation
+initialization.  The step also carries the inverse-Laplacian potentials
+of the rate fields, read off the solved mu, so a diagnostic row prices
+the modified energy's kinetic terms without a Poisson solve.  The
+stencils are the ``operators`` module's matrices; this module only
+places them in blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import model as mdl
 from . import operators as ops
 from .grid import Grid
 
-# relative residual ||b - matrix x|| / ||b|| every solve is held to
+# relative residual ||b - [[K, -L], [R, I]] x|| / ||b|| every solve is held to
 RESIDUAL_TOL = 1e-10
 
 
@@ -97,20 +99,19 @@ def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
 
 @dataclass
 class SparseSystem:
-    """Time-constant coupled matrix, its Schur complement on the fields
-    and the reusable factor of the latter.
+    """Time-constant blocks of the coupled system, its Schur complement on
+    the fields and the reusable factor of the latter.
 
-    ``matrix`` = [[K, -L], [R, I]] acts on x = [y | mu].  The evolution
-    rows are K y - L mu, with K = blockdiag(k1 I, k2 I) and the mobility
-    Laplacians L = blockdiag(M1 l_mu, M2 l_loop) (``lap``); the potential
-    rows R y + mu (R is ``rows``) define mu as an explicit function of
-    the fields.
-    ``schur`` = K + L R is what eliminating mu leaves on y.  Only
-    ``schur`` is factored; ``matrix`` is the system every solution's
-    residual is checked against.
+    The coupled system [[K, -L], [R, I]] acts on x = [y | mu].  The
+    evolution rows are K y - L mu, with K = diag(``k``) = blockdiag(k1 I,
+    k2 I) and the mobility Laplacians L = blockdiag(M1 l_mu, M2 l_loop)
+    (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
+    explicit function of the fields.  ``schur`` = K + L R is what
+    eliminating mu leaves on y; only ``schur`` is factored, and every
+    solution's residual is formed on the coupled rows from the blocks.
     """
 
-    matrix: sp.csr_matrix
+    k: np.ndarray
     schur: sp.csr_matrix
     lap: sp.csr_matrix = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
@@ -122,25 +123,25 @@ class SparseSystem:
         return self._direct
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
-        """Solve ``matrix @ x = b`` for the stacked unknowns.
-
-        Solves schur y = b_y + L b_mu with the factor of ``schur``,
-        rebuilds mu = b_mu - R y, and returns x = [y | mu] with
-        ||b - matrix x|| / ||b|| <= RESIDUAL_TOL or raises a SolveError
-        carrying x and its stats.
+        """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y from the
+        factor of ``schur`` on b_y + L b_mu, then mu = b_mu - R y.  The
+        residual [b_y - (K y - L mu) | b_mu - (R y + mu)] reuses R y and
+        never reads ``schur``; x is returned with ||residual|| / ||b|| <=
+        RESIDUAL_TOL, or a SolveError carries x and its stats.
         """
         b = np.asarray(b, dtype=float)
-        b_y, b_mu = np.split(b, [self.rows.shape[1]])
-        # no check on the reduced residual: the full system's residual
-        # below is what the solve is held to
+        b_y, b_mu = np.split(b, [self.k.size])
+        # the coupled rows' residual below, not the reduced one, is checked
         y, _ = self.direct().solve(b_y + self.lap @ b_mu, tol=math.inf)
-        x = np.concatenate([y, b_mu - self.rows @ y])
-        return linalg.check_residual(self.matrix, b, x, RESIDUAL_TOL)
+        ry = self.rows @ y
+        mu = b_mu - ry
+        r = np.concatenate([b_y - (self.k * y - self.lap @ mu), b_mu - (ry + mu)])
+        return linalg.check_residual(r, b, np.concatenate([y, mu]), RESIDUAL_TOL)
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
-    """Assemble the coupled matrix and its Schur complement for one
-    (grid, params) pair; entries depend only on grid and params.
+    """Assemble the blocks of the coupled system and its Schur complement
+    for one (grid, params) pair; entries depend only on grid and params.
 
     The evolution rows apply to mu_int the mirror-ghost Neumann Laplacian
     l_mu: the ghost value of mu outside each side is the first interior
@@ -158,7 +159,7 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     l_loop = ops.loop_laplacian_matrix(grid.n)
     hess = ops.dirichlet_hessian(grid)
     eye_i = sp.identity(grid.n_int, format="csr")
-    k = sp.block_diag([k1 * eye_i, k2 * sp.identity(grid.n_loop, format="csr")], format="csr")
+    k = np.concatenate([np.full(grid.n_int, k1), np.full(grid.n_loop, k2)])
     lap = sp.block_diag(
         [params.M1 * ops.neumann_laplacian_matrix(grid.n), params.M2 * l_loop], format="csr"
     )
@@ -167,11 +168,9 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
         -sp.vstack([hess[: grid.n_int] / (h * h), hess[grid.n_int :] / h])
         - sp.block_diag([params.s1 * eye_i, loop_diag - l_loop])
     ).tocsr()
-    matrix = sp.bmat([[k, -lap], [rows, sp.identity(k.shape[0])]], format="csr")
-    matrix.sort_indices()
-    schur = (k + lap @ rows).tocsr()
+    schur = (sp.diags(k) + lap @ rows).tocsr()
     schur.sort_indices()
-    return SparseSystem(matrix=matrix, schur=schur, lap=lap, rows=rows)
+    return SparseSystem(k=k, schur=schur, lap=lap, rows=rows)
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:
@@ -207,7 +206,7 @@ def step(
         P_new = (M1 mu_int + r P) / (1 + r),   Q_new alike with M2, mu_loop,
 
     keep l_mu P = Phi and l_loop Q = Psi from the zero start onwards.
-    The clock reads k * tau after step k, as ``lattice_step`` assumes.
+    The clock reads k * tau after step k, as ``lattice_steps`` assumes.
     A non-finite right-hand side raises a NonFiniteStateError, and a
     solve that misses ``RESIDUAL_TOL`` (a non-finite solution included) a
     SolveError with the solution and its stats; both name the step.
@@ -294,23 +293,28 @@ def num_steps(t_end: float, tau: float) -> int:
     return max(0, math.ceil(t_end / tau - 1e-9))
 
 
-def lattice_step(t: float, tau: float, t_end: float, key: str) -> int:
-    """Step index k of an output time t = k * tau in a run to t_end.
+def lattice_steps(times, tau: float, t_end: float, key: str) -> dict[int, float]:
+    """Map each output time t = k * tau of a run to t_end to its step k.
 
-    Raises a ValueError naming the config ``key`` when t is not finite,
-    lies more than 1e-9 * tau off the step lattice, or falls before
-    step 0 or after the run's last step.
+    Raises a ValueError naming the config ``key`` when a time is not
+    finite, lies more than 1e-9 * tau off the step lattice, falls before
+    step 0 or after the run's last step, or shares its step with another.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"{key}: time {t!r} is not finite")
-    k = round(t / tau)
-    if k < 0:
-        raise ValueError(f"{key}: time {t!r} is before the run starts at 0")
-    if abs(t - k * tau) > 1e-9 * tau:
-        raise ValueError(f"{key}: time {t!r} is not a multiple of tau = {tau!r}")
-    if k > num_steps(t_end, tau):
-        raise ValueError(f"{key}: time {t!r} is beyond t_end = {t_end!r}")
-    return k
+    steps: dict[int, float] = {}
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"{key}: time {t!r} is not finite")
+        k = round(t / tau)
+        if k < 0:
+            raise ValueError(f"{key}: time {t!r} is before the run starts at 0")
+        if abs(t - k * tau) > 1e-9 * tau:
+            raise ValueError(f"{key}: time {t!r} is not a multiple of tau = {tau!r}")
+        if k > num_steps(t_end, tau):
+            raise ValueError(f"{key}: time {t!r} is beyond t_end = {t_end!r}")
+        if k in steps:
+            raise ValueError(f"{key}: times {steps[k]!r} and {t!r} both fall on step {k}")
+        steps[k] = t
+    return steps
 
 
 def run(

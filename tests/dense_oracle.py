@@ -6,10 +6,13 @@ keeps mu unknowns at the non-corner edge nodes (mu_edge) with explicit
 mirror closure rows (b') mu_edge = mu_1.  Its unknowns are ordered
 [phi | mu_int | mu_edge | psi | mu_loop] (``offsets``);
 ``eliminate_mu_edge`` reduces it to the package's stacked unknowns
-[phi | psi | mu_int | mu_loop], rows and columns alike.
+[phi | psi | mu_int | mu_loop], rows and columns alike.  ``coupled_matrix``
+places the package's blocks in that coupled form, which the package never
+assembles itself.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def offsets(grid):
@@ -171,3 +174,10 @@ def eliminate_mu_edge(grid, a, b=None):
     b = np.zeros(off["dim"]) if b is None else b
     a_ke = a[np.ix_(keep, edge)]
     return a[np.ix_(keep, keep)] - a_ke @ a[np.ix_(edge, keep)], b[keep] - a_ke @ b[edge]
+
+
+def coupled_matrix(system):
+    """The coupled operator [[diag(k), -lap], [rows, I]] on [y | mu],
+    assembled from the blocks a ``SparseSystem`` holds."""
+    eye = sp.identity(system.k.size)
+    return sp.bmat([[sp.diags(system.k), -system.lap], [system.rows, eye]], format="csr")

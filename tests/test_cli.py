@@ -405,6 +405,29 @@ def test_main_cases(tmp_path):
         assert (out / f"case{case}" / "final.vtk").exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("run", "snapshot_times"), ("cases", "snapshot_times"), ("beta-sweep", "probe_times"),
+])
+def test_main_repeated_output_time_fails_before_output(tmp_path, capsys, command, key):
+    # two requested times on one step would merge into one output
+    out = tmp_path / "o"
+    rc = main([command, "n=8", "t_end=0.001", "betas=0", f"{key}=0.0005,0.0005,0.001",
+               f"output_dir={out}"])
+    assert rc == 1
+    assert f"{key}: times 0.0005 and 0.0005 both fall on step 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "cases", "beta-sweep"])
+def test_main_empty_output_dir_fails_with_key(tmp_path, monkeypatch, capsys, command):
+    # an empty output_dir would write into the working directory
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "n=4", "t_end=0.0002", "betas=0", "output_dir="])
+    assert rc == 1
+    assert "override 4: output_dir: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["run", "cases"])
 def test_main_negative_seed_fails_before_output(tmp_path, capsys, command):
     out = tmp_path / "o"

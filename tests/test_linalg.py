@@ -92,8 +92,9 @@ def test_nan_fails_residual_check():
         DirectFactorization(a).solve(np.array([np.nan, 1.0]))
     assert np.isnan(err.value.stats.rel_residual)
     # a zero right-hand side holds x to the absolute residual
+    x = np.array([np.nan, 0.0])
     with pytest.raises(SolveError):
-        check_residual(a, np.zeros(2), np.array([np.nan, 0.0]), 1e-10)
+        check_residual(-(a @ x), np.zeros(2), x, 1e-10)
 
 
 def test_nan_tol_fails_residual_check():

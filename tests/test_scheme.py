@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dense_oracle import dense_matrix, dense_rhs, eliminate_mu_edge, offsets
+from dense_oracle import coupled_matrix, dense_matrix, dense_rhs, eliminate_mu_edge, offsets
 
 from hyperch import (
     F_val,
@@ -102,11 +102,12 @@ def test_constant_vector_row_sums(g4):
     params = params_for(g4, beta1=0.3, beta2=0.7)
     system = assemble_system(g4, params)
     c = 1.7
-    x = np.zeros(system.matrix.shape[0])
+    matrix = coupled_matrix(system)
+    x = np.zeros(matrix.shape[0])
     phi, psi, _, _ = split_unknowns(x, g4)
     phi[:] = c
     psi[:] = c
-    y = system.matrix @ x
+    y = matrix @ x
     tau = params.tau
     k1 = (params.beta1 / tau + 1.0) / tau
     k2 = (params.beta2 / tau + 1.0) / tau
@@ -122,7 +123,7 @@ def test_matrix_matches_dense_oracle(n, beta):
     params = params_for(g, beta1=beta, beta2=beta)
     system = assemble_system(g, params)
     oracle, _ = eliminate_mu_edge(g, dense_matrix(g, params))
-    assert np.allclose(system.matrix.toarray(), oracle, rtol=1e-13, atol=1e-9)
+    assert np.allclose(coupled_matrix(system).toarray(), oracle, rtol=1e-13, atol=1e-9)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -238,16 +239,16 @@ def test_weighted_potential_rows_are_symmetric(n, beta):
 def test_operators_are_the_blocks_the_scheme_solves_with():
     # apply_bulk_laplacian, normal_derivative and apply_loop_laplacian are
     # products with the matrices the step system is assembled from: rows
-    # (b), (d) and (c) of system.matrix, up to roundoff
+    # (b), (d) and (c) of the coupled matrix, up to roundoff
     g = build_grid(6)
     params = params_for(g, beta1=0.3, beta2=0.3)
-    system = assemble_system(g, params)
+    matrix = coupled_matrix(assemble_system(g, params))
     rng = np.random.default_rng(8)
     phi, psi, q = (rng.standard_normal(k) for k in (g.n_int, g.n_loop, g.n_loop))
     x = np.concatenate([phi, psi, np.zeros(g.n_int + g.n_loop)])
-    _, _, y_mu_int, y_mu_loop = split_unknowns(system.matrix @ x, g)
+    _, _, y_mu_int, y_mu_loop = split_unknowns(matrix @ x, g)
     x_q = np.concatenate([np.zeros(2 * g.n_int + g.n_loop), q])
-    _, y_q_psi, _, _ = split_unknowns(system.matrix @ x_q, g)
+    _, y_q_psi, _, _ = split_unknowns(matrix @ x_q, g)
     lap_loop = operators.apply_loop_laplacian(psi, g)
     nd = operators.normal_derivative(phi, psi, g)
     scale = 1e-13 * (1.0 / g.h**2 + params.s1 + params.s2)
@@ -274,15 +275,53 @@ def _rough_rhs(grid, params):
     return assemble_rhs(st, grid, params)
 
 
-def test_direct_solve_reports_full_system_residual():
+def test_direct_solve_reports_full_system_residual(monkeypatch):
+    # a factor whose y is off by a known delta puts the coupled residual
+    # near 1e-4, far above roundoff: the reported residual must be that of
+    # the dense oracle's coupled matrix on the returned x, within 1e-12.
+    # The two summation orders differ by about 2e-17 ||b||, which is up to
+    # 1.1e-11 of a residual near 1e-6, hence the larger delta
     g = build_grid(8)
     params = params_for(g, beta1=0.5, beta2=0.5)
     system = assemble_system(g, params)
     b = _rough_rhs(g, params)
-    x, stats = system.solve(b)
-    want = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
+    fac = system.direct()
+    exact = fac.solve
+    x_exact, _ = system.solve(b)
+    delta = 1e-4 * np.abs(x_exact[: g.n_int + g.n_loop]).max()
+    delta *= np.random.default_rng(9).standard_normal(g.n_int + g.n_loop)
+    monkeypatch.setattr(fac, "solve", lambda rhs, tol: (exact(rhs, tol)[0] + delta, None))
+    with pytest.raises(SolveError) as err:
+        system.solve(b)
+    x = err.value.x
     assert x.shape == (2 * (g.n_int + g.n_loop),)
-    assert stats.rel_residual == want
+    oracle, _ = eliminate_mu_edge(g, dense_matrix(g, params))
+    want = np.linalg.norm(b - oracle @ x) / np.linalg.norm(b)
+    assert 1e-5 < want < 1e-3
+    assert err.value.stats.rel_residual == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_full_residual_check_does_not_trust_schur():
+    # a Schur matrix off by a relative 1e-6 is solved to roundoff by its
+    # own factor; the coupled rows, formed from k, lap and rows, see it
+    g = build_grid(8)
+    params = params_for(g, beta1=0.5, beta2=0.5)
+    system = assemble_system(g, params)
+    system.schur.data *= 1.0 + 1e-6
+    with pytest.raises(SolveError) as err:
+        system.solve(_rough_rhs(g, params))
+    assert err.value.stats.rel_residual > 1e-8
+
+
+def test_system_holds_only_field_sized_matrices():
+    # the coupled matrix on [y | mu] is never assembled: every sparse
+    # matrix the system and its factor keep acts on the fields
+    g = build_grid(5)
+    system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
+    dim = g.n_int + g.n_loop
+    held = [v for obj in (system, system.direct()) for v in vars(obj).values() if sp.issparse(v)]
+    assert held and all(m.shape == (dim, dim) for m in held)
+    assert system.k.shape == (dim,)
 
 
 def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
