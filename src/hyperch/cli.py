@@ -74,7 +74,8 @@ _CONSTRAINTS = {
     "diag_cadence": lambda v: v >= 1 or "diag_cadence must be >= 1",
     "betas": lambda v: (bool(v) and all(0 <= b < math.inf for b in v))
     or "betas must be a nonempty list of nonnegative finite values",
-    "output_dir": lambda v: bool(v) or "output_dir must be a nonempty path",
+    "output_dir": lambda v: ("#" not in v and v.splitlines() == [v])  # as effective.cfg echoes it
+    or "output_dir must be a nonempty path on one line, without '#'",
 }
 
 

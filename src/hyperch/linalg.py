@@ -8,9 +8,9 @@ relative-residual contract.
 SuperLU factors compressed-sparse-column input.  The CSR arrays of a are
 the CSC arrays of a^T, so the LU is taken of a^T, without a format copy,
 and each solve runs it transposed to solve a x = b.  On the scheme's
-Schur-reduced matrix that factor also solves faster than the LU of a
-itself, with the same ordering: 0.31 against 0.40 ms at n = 50 and 1.6
-against 1.9 ms at n = 100 (one BLAS thread).
+Schur matrix in its mirror-sector basis that factor also solves faster
+than the LU of a itself, with the same ordering: 0.24 against 0.35 ms at
+n = 50 and 11.9 against 14.8 ms at n = 200 (one BLAS thread).
 """
 
 from __future__ import annotations
@@ -90,13 +90,16 @@ class DirectFactorization:
     entries of its input in place, so ``a`` is canonicalized first
     (``check_csr``): the view must not rewrite the caller's arrays.
     SuperLU orders the columns by minimum degree on the pattern of
-    A^T + A; on the scheme's Schur-reduced matrix at n = 50 that leaves
-    30% less fill than the default COLAMD ordering.
+    A^T + A; on the scheme's sector matrix that leaves 12% (n = 50) and
+    35% (n = 200) less fill than the default COLAMD ordering.
+    ``relax=1`` and ``panel_size=1`` keep SuperLU from padding small
+    supernodes, which made the sector matrix's n = 50 solve 0.38 ms
+    against 0.24.
     """
 
     def __init__(self, a: sp.csr_matrix):
         self.a = check_csr(a)
-        self._lu = spla.splu(self.a.T, permc_spec="MMD_AT_PLUS_A")
+        self._lu = spla.splu(self.a.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
         b = np.asarray(b, dtype=float)

@@ -9,7 +9,8 @@ outward normal derivative (``normal_derivative``).  Square-grid stencils
 lift one 1-D operator, the free-end second difference a, to both axes as
 a Kronecker sum: the Hessian on the (n+1)^2 vertex grid, weighted by the
 trapezoid weights, and the mirror-ghost Neumann Laplacian on the interior
-grid.  The Poisson solvers invert the Neumann Laplacian (bulk) and the
+grid.  They commute with the mirror maps of the square (``mirror_basis``).
+The Poisson solvers invert the Neumann Laplacian (bulk) and the
 periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
 reference the tests hold a run's kinetic terms to; runs read those terms
@@ -88,6 +89,25 @@ def _vertex_index(grid: Grid) -> np.ndarray:
     of [phi | psi]: interior vertices, then the loop (``grid.loop_ij``)."""
     n1, inner = grid.n + 1, np.arange(1, grid.n)
     return np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
+
+
+def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(Q, offsets): the orthonormal basis of [phi | psi] adapted to the
+    mirror maps x -> 1-x and y -> 1-y.  Sector s = ++, +-, -+, -- (x, y
+    parity) holds columns offsets[s] to offsets[s+1]: the sign patterns of
+    its parity on the orbits of the vertices (i, j), 2i <= n and 2j <= n
+    (< n for an odd parity), each divided by the root of the orbit size."""
+    n = grid.n
+    i, j = np.divmod(_vertex_index(grid), n + 1)
+    ri, rj = np.minimum(i, n - i)[:, None], np.minimum(j, n - j)[:, None]
+    px, py = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # parities of ++, +-, -+, --
+    wx, wy = (n // 2 + 1 - p * (1 - n % 2) for p in (px, py))  # representatives per axis
+    offsets = np.concatenate([[0], np.cumsum(wx * wy)])
+    ox, oy = 2 * ri < n, 2 * rj < n  # off the mirror line: the orbit doubles along it
+    valid, size = (ox >= px) & (oy >= py), (1 + ox) * (1 + oy)  # size: also sectors reached
+    val = (1 - 2 * (px * (2 * i > n)[:, None] ^ py * (2 * j > n)[:, None])) / np.sqrt(size)
+    col = offsets[:-1] + ri * wy + rj
+    return sp.csr_matrix((val[valid], col[valid], np.r_[0, size.cumsum()]), (i.size,) * 2), offsets
 
 
 def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:

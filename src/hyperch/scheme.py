@@ -10,16 +10,17 @@ an explicit sparse function of the fields, so the coupled system is the
 mu exactly: it factors the Schur complement K + L R on the fields, half
 the unknowns, and rebuilds mu by one matrix-vector product after each
 solve; the full residual is taken on the block rows, never on an
-assembled coupled matrix.  The explicit treatment of the well
-derivatives plus the linear stabilizers keeps every block constant in
-time, so the blocks are assembled once per run and the Schur matrix is
-factorized once.  The rate fields are exact difference quotients of
-consecutive states and start at zero, which realizes the mass-conservation
-initialization.  The step also carries the inverse-Laplacian potentials
-of the rate fields, read off the solved mu, so a diagnostic row prices
-the modified energy's kinetic terms without a Poisson solve.  The
-stencils are the ``operators`` module's matrices; this module only
-places them in blocks.
+assembled coupled matrix.  K + L R commutes with the mirror maps of the
+square, so it is factored in their even/odd basis: four decoupled
+quarter-grid blocks.  The explicit wells plus the linear stabilizers
+keep every block constant in time, so the blocks are assembled and
+factorized once per run.  The rate fields are exact difference
+quotients of consecutive states and start at zero, which realizes the
+mass-conservation initialization.  The step also carries the
+inverse-Laplacian potentials of the rate fields, read off the solved mu,
+so a diagnostic row prices the modified energy's kinetic terms without a
+Poisson solve.  The stencils are the ``operators`` module's matrices;
+this module only places them in blocks.
 """
 
 from __future__ import annotations
@@ -107,32 +108,51 @@ class SparseSystem:
     k2 I) and the mobility Laplacians L = blockdiag(M1 l_mu, M2 l_loop)
     (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
     explicit function of the fields.  ``schur`` = K + L R is what
-    eliminating mu leaves on y; only ``schur`` is factored, and every
-    solution's residual is formed on the coupled rows from the blocks.
+    eliminating mu leaves on y; only its sector blocks in the mirror basis
+    Q (``basis``, ``offsets``) are factored, and every solution's residual
+    is formed on the coupled rows from the blocks.
     """
 
     k: np.ndarray
     schur: sp.csr_matrix
     lap: sp.csr_matrix = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
+    basis: sp.csr_matrix = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
+        """Factor of blockdiag(Q_s^T schur Q_s), built on first use by a gather:
+        row k of block s is schur[o] Q_s / Q[o, k] for a row o of column k, and
+        Q_s has one entry per row or none.  Off-block entries are never formed."""
         if self._direct is None:
-            self._direct = linalg.DirectFactorization(self.schur)
+            q, dim = self.basis, self.k.size
+            p = np.repeat(np.arange(dim), np.diff(q.indptr))  # row of every entry of Q
+            slot = (np.searchsorted(self.offsets, q.indices, side="right") - 1) * dim + p
+            col, val = np.zeros(4 * dim, dtype=q.indices.dtype), np.zeros(4 * dim)
+            col[slot], val[slot] = q.indices, q.data  # Q_s[p] at s * dim + p, or a zero
+            e = np.empty(dim, dtype=np.int64)
+            e[q.indices] = np.arange(q.nnz)  # one entry of every column
+            picked = self.schur[p[e]]
+            ek = np.repeat(e, np.diff(picked.indptr))
+            at = slot[ek] - p[ek] + picked.indices
+            a = sp.csr_matrix((picked.data * val[at] / q.data[ek], col[at], picked.indptr), q.shape)
+            a.sum_duplicates()
+            a.eliminate_zeros()  # the p that have no entry in sector s
+            self._direct = linalg.DirectFactorization(a)
         return self._direct
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
-        """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y from the
-        factor of ``schur`` on b_y + L b_mu, then mu = b_mu - R y.  The
-        residual [b_y - (K y - L mu) | b_mu - (R y + mu)] reuses R y and
-        never reads ``schur``; x is returned with ||residual|| / ||b|| <=
-        RESIDUAL_TOL, or a SolveError carries x and its stats.
-        """
+        """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y = Q z with z
+        from the sector factor on Q^T (b_y + L b_mu), then mu = b_mu - R y.
+        The residual [b_y - (K y - L mu) | b_mu - (R y + mu)] reuses R y
+        and never reads ``schur``; x is returned with ||residual|| / ||b||
+        <= RESIDUAL_TOL, or a SolveError carries x and its stats."""
         b = np.asarray(b, dtype=float)
         b_y, b_mu = np.split(b, [self.k.size])
         # the coupled rows' residual below, not the reduced one, is checked
-        y, _ = self.direct().solve(b_y + self.lap @ b_mu, tol=math.inf)
+        z, _ = self.direct().solve(self.basis.T @ (b_y + self.lap @ b_mu), tol=math.inf)
+        y = self.basis @ z
         ry = self.rows @ y
         mu = b_mu - ry
         r = np.concatenate([b_y - (self.k * y - self.lap @ mu), b_mu - (ry + mu)])
@@ -170,7 +190,8 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     ).tocsr()
     schur = (sp.diags(k) + lap @ rows).tocsr()
     schur.sort_indices()
-    return SparseSystem(k=k, schur=schur, lap=lap, rows=rows)
+    basis, offsets = ops.mirror_basis(grid)
+    return SparseSystem(k=k, schur=schur, lap=lap, rows=rows, basis=basis, offsets=offsets)
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:

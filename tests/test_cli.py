@@ -94,6 +94,39 @@ def test_effective_config_key_order():
     ]
 
 
+def finite(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# every value a parsed config can hold: range-valid, and output_dir as the
+# parser leaves it, stripped and free of comments and line breaks
+run_configs = st.builds(
+    RunConfig,
+    n=st.integers(4, 10**6),
+    t_end=finite(0.0, 1e3),
+    case=st.integers(1, 4),
+    seed=st.integers(0, 2**63),
+    params=st.builds(
+        ModelParams, M1=finite(1e-6, 1e6), M2=finite(1e-6, 1e6), beta1=finite(0.0, 1e6),
+        beta2=finite(0.0, 1e6), eps=finite(1e-6, 1e6), delta=finite(1e-6, 1e6),
+        s1=finite(0.0, 1e9), s2=finite(0.0, 1e9), tau=finite(1e-8, 1.0),
+    ),
+    diag_cadence=st.integers(1, 10**6),
+    snapshot_times=st.lists(finite(-1e3, 1e3), max_size=4).map(tuple),
+    betas=st.lists(finite(0.0, 1e6), min_size=1, max_size=4).map(tuple),
+    probe_times=st.lists(finite(-1e3, 1e3), max_size=4).map(tuple),
+    output_dir=st.text(st.characters(exclude_characters="#").filter(str.isprintable), min_size=1)
+    .map(str.strip).filter(bool),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs)
+def test_effective_config_parses_back_to_the_run(cfg):
+    # config_text promises that its output parses to reproduce the run
+    assert parse_config(config_text(cfg)) == cfg
+
+
 MODEL_KEYS = [f.name for f in fields(ModelParams)]
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -425,6 +458,16 @@ def test_main_empty_output_dir_fails_with_key(tmp_path, monkeypatch, capsys, com
     rc = main([command, "n=4", "t_end=0.0002", "betas=0", "output_dir="])
     assert rc == 1
     assert "override 4: output_dir: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("raw", ["out#1", "a\nn = 4", "a\rn = 4"])
+def test_main_unechoable_output_dir_fails_with_key(tmp_path, monkeypatch, capsys, raw):
+    # effective.cfg would read '#' as a comment and a line break as a new
+    # key: the echoed config would name another directory, or change n
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "n=8", "t_end=0.0002", f"output_dir={raw}"]) == 1
+    assert "override 3: output_dir: " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

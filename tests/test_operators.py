@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -232,6 +233,39 @@ def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
         dirichlet_energy_bulk(phi, psi, g), rel=1e-13)
     assert np.array_equal(np.asarray(hess.sum(axis=1)).ravel(), np.zeros(y.size))
     assert (hess - hess.T).nnz == 0
+
+
+# ---- mirror basis ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
+def test_mirror_basis_is_orthonormal(n):
+    q, _ = operators.mirror_basis(build_grid(n))
+    assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (4, [9, 6, 6, 4]), (5, [9] * 4), (50, [676, 650, 650, 625]), (51, [676] * 4),
+])
+def test_mirror_basis_sector_sizes(n, sizes):
+    # (n/2 + 1) representatives per axis, one fewer for an odd parity at even n
+    q, offsets = operators.mirror_basis(build_grid(n))
+    assert offsets.tolist() == np.cumsum([0, *sizes]).tolist() and offsets[-1] == q.shape[0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9])
+def test_mirror_basis_columns_have_their_sector_parities(n):
+    # on the vertex grid, every column of sector (sx, sy) is a pattern on
+    # one mirror orbit that x -> 1-x multiplies by sx and y -> 1-y by sy
+    g = build_grid(n)
+    q, offsets = operators.mirror_basis(g)
+    dense = q.toarray()
+    for s, (sx, sy) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+        for k in range(offsets[s], offsets[s + 1]):
+            full = to_full_grid(dense[: g.n_int, k], dense[g.n_int :, k], g)
+            assert np.array_equal(full[::-1], sx * full) and np.array_equal(full[:, ::-1], sy * full)
+            i, j = np.nonzero(full)
+            assert len(set(zip(np.minimum(i, n - i), np.minimum(j, n - j)))) == 1
 
 
 def test_dirichlet_energy_loop_values():

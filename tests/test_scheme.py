@@ -32,6 +32,7 @@ from hyperch import (
     step,
 )
 from hyperch import model, operators, scheme
+from hyperch.linalg import DirectFactorization
 from hyperch.operators import (
     grad_norm_sq_interior,
     grad_norm_sq_loop,
@@ -344,6 +345,48 @@ def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
         step(state, system, g, params)
     assert np.array_equal(err.value.x, x_step)
     assert err.value.stats == stats_step
+
+
+# ---- mirror basis ----------------------------------------------------------
+
+
+def check_sector_solve(n, beta1, beta2, seed):
+    # schur commutes with the mirror maps, so Q^T schur Q is block diagonal
+    # up to roundoff; the factored matrix stores only its sector blocks and
+    # the solve agrees with one through a nodal factor of schur
+    g = build_grid(n)
+    system = assemble_system(g, params_for(g, beta1=beta1, beta2=beta2))
+    q, scale = system.basis, np.abs(system.schur.data).max()
+    sector = np.searchsorted(system.offsets, np.arange(q.shape[0]), side="right")
+    full = (q.T @ system.schur @ q).tocoo()
+    inside = sector[full.row] == sector[full.col]
+    assert np.abs(full.data[~inside]).max(initial=0.0) <= 1e-14 * scale
+    a = system.direct().a.tocoo()
+    assert np.array_equal(sector[a.row], sector[a.col])
+    in_blocks = sp.coo_matrix((full.data[inside], (full.row[inside], full.col[inside])), a.shape)
+    assert abs(a - in_blocks).max() <= 1e-14 * scale
+    b = np.random.default_rng(seed).standard_normal(2 * q.shape[0])
+    b_y, b_mu = np.split(b, 2)
+    y, _ = DirectFactorization(system.schur).solve(b_y + system.lap @ b_mu)
+    want = np.concatenate([y, b_mu - system.rows @ y])
+    got, _ = system.solve(b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
+def test_sector_solve_matches_nodal_factor(n):
+    check_sector_solve(n, 0.1, 0.1, seed=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=hst.integers(4, 24),
+    beta1=hst.sampled_from([0.0, 0.1, 1.0]),
+    beta2=hst.sampled_from([0.0, 0.1, 1.0]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_sector_solve_matches_nodal_factor_property(n, beta1, beta2, seed):
+    check_sector_solve(n, beta1, beta2, seed)
 
 
 # ---- fixed points and invariants -------------------------------------------
