@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from . import experiments as exps
 from . import model as mdl
 from . import scheme
@@ -240,14 +242,12 @@ def write_vtk_snapshot(state: scheme.State, grid: Grid, path: str) -> None:
         fh.write(f"POINT_DATA {(n + 1) * (n + 1)}\n")
         fh.write("SCALARS phi double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for j in range(n + 1):  # x varies fastest in structured points
-            for i in range(n + 1):
-                fh.write(f"{full[i, j]:.17e}\n")
-    s = grid.loop_arc_length()
+        values = full.T.ravel()  # x varies fastest in structured points
+        fh.write(("%.17e\n" * values.size) % tuple(values))
+    trace = np.column_stack([grid.loop_arc_length(), state.psi]).ravel()
     with open(trace_csv_path(path), "w", encoding="utf-8") as fh:
         fh.write("arc_length,psi\n")
-        for k in range(grid.n_loop):
-            fh.write(f"{s[k]:.17e},{state.psi[k]:.17e}\n")
+        fh.write(("%.17e,%.17e\n" * grid.n_loop) % tuple(trace))
 
 
 # ---- commands ----------------------------------------------------------

@@ -9,8 +9,8 @@ SuperLU factors compressed-sparse-column input.  The CSR arrays of a are
 the CSC arrays of a^T, so the LU is taken of a^T, without a format copy,
 and each solve runs it transposed to solve a x = b.  On the scheme's
 Schur matrix in its mirror-sector basis that factor also solves faster
-than the LU of a itself, with the same ordering: 0.24 against 0.35 ms at
-n = 50 and 11.9 against 14.8 ms at n = 200 (one BLAS thread).
+than the LU of a itself, with the same ordering: 0.19 against 0.22 ms at
+n = 50 and 10.6 against 14.0 ms at n = 200 (medians, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ class DirectFactorization:
     entries of its input in place, so ``a`` is canonicalized first
     (``check_csr``): the view must not rewrite the caller's arrays.
     SuperLU orders the columns by minimum degree on the pattern of
-    A^T + A; on the scheme's sector matrix that leaves 12% (n = 50) and
-    35% (n = 200) less fill than the default COLAMD ordering.
+    A^T + A; on the scheme's sector matrix that leaves 14% (n = 50) and
+    36% (n = 200) less fill than the default COLAMD ordering.
     ``relax=1`` and ``panel_size=1`` keep SuperLU from padding small
-    supernodes, which made the sector matrix's n = 50 solve 0.38 ms
-    against 0.24.
+    supernodes, which made the sector matrix's n = 50 solve 0.29 ms
+    against 0.19.
     """
 
     def __init__(self, a: sp.csr_matrix):

@@ -9,7 +9,8 @@ outward normal derivative (``normal_derivative``).  Square-grid stencils
 lift one 1-D operator, the free-end second difference a, to both axes as
 a Kronecker sum: the Hessian on the (n+1)^2 vertex grid, weighted by the
 trapezoid weights, and the mirror-ghost Neumann Laplacian on the interior
-grid.  They commute with the mirror maps of the square (``mirror_basis``).
+grid.  They commute with the mirror maps of the square, so the symmetric
+involution ``mirror_basis`` splits them into one block per quadrant.
 The Poisson solvers invert the Neumann Laplacian (bulk) and the
 periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
@@ -92,22 +93,27 @@ def _vertex_index(grid: Grid) -> np.ndarray:
 
 
 def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(Q, offsets): the orthonormal basis of [phi | psi] adapted to the
-    mirror maps x -> 1-x and y -> 1-y.  Sector s = ++, +-, -+, -- (x, y
-    parity) holds columns offsets[s] to offsets[s+1]: the sign patterns of
-    its parity on the orbits of the vertices (i, j), 2i <= n and 2j <= n
-    (< n for an odd parity), each divided by the root of the orbit size."""
+    """(Q, quadrant): the orthonormal basis of [phi | psi] adapted to the
+    mirror maps x -> 1-x and y -> 1-y, an involution: Q = Q^T = Q^-1.
+    quadrant[m] = 2 [2i > n] + [2j > n] for vertex m = (i, j); mirror lines
+    belong to the low halves.  Column m is the sign pattern of sector
+    quadrant[m] (++, +-, -+, -- in x, y parity) on the orbit of vertex m,
+    divided by the root of the orbit size, so sector s lives on the
+    vertices of quadrant s."""
     n = grid.n
-    i, j = np.divmod(_vertex_index(grid), n + 1)
+    order = _vertex_index(grid)
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)  # [phi | psi] index of every vertex
+    i, j = np.divmod(order, n + 1)
+    hx, hy = (2 * i > n)[:, None], (2 * j > n)[:, None]  # in the high half of x, of y
     ri, rj = np.minimum(i, n - i)[:, None], np.minimum(j, n - j)[:, None]
     px, py = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # parities of ++, +-, -+, --
-    wx, wy = (n // 2 + 1 - p * (1 - n % 2) for p in (px, py))  # representatives per axis
-    offsets = np.concatenate([[0], np.cumsum(wx * wy)])
     ox, oy = 2 * ri < n, 2 * rj < n  # off the mirror line: the orbit doubles along it
     valid, size = (ox >= px) & (oy >= py), (1 + ox) * (1 + oy)  # size: also sectors reached
-    val = (1 - 2 * (px * (2 * i > n)[:, None] ^ py * (2 * j > n)[:, None])) / np.sqrt(size)
-    col = offsets[:-1] + ri * wy + rj
-    return sp.csr_matrix((val[valid], col[valid], np.r_[0, size.cumsum()]), (i.size,) * 2), offsets
+    val = (1 - 2 * (px * hx ^ py * hy)) / np.sqrt(size)
+    col = at[np.where(px, n - ri, ri) * (n + 1) + np.where(py, n - rj, rj)]
+    q = sp.csr_matrix((val[valid], col[valid], np.r_[0, size.cumsum()]), (i.size,) * 2)
+    return q, (2 * hx + hy).ravel()
 
 
 def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:

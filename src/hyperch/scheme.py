@@ -11,9 +11,10 @@ mu exactly: it factors the Schur complement K + L R on the fields, half
 the unknowns, and rebuilds mu by one matrix-vector product after each
 solve; the full residual is taken on the block rows, never on an
 assembled coupled matrix.  K + L R commutes with the mirror maps of the
-square, so it is factored in their even/odd basis: four decoupled
-quarter-grid blocks.  The explicit wells plus the linear stabilizers
-keep every block constant in time, so the blocks are assembled and
+square, so it is factored in their even/odd basis Q, an involution
+(Q = Q^T = Q^-1): four decoupled blocks, sector s on the vertices of
+quadrant s.  The explicit wells plus the linear stabilizers keep
+every block constant in time, so the blocks are assembled and
 factorized once per run.  The rate fields are exact difference
 quotients of consecutive states and start at zero, which realizes the
 mass-conservation initialization.  The step also carries the
@@ -109,8 +110,9 @@ class SparseSystem:
     (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
     explicit function of the fields.  ``schur`` = K + L R is what
     eliminating mu leaves on y; only its sector blocks in the mirror basis
-    Q (``basis``, ``offsets``) are factored, and every solution's residual
-    is formed on the coupled rows from the blocks.
+    Q (``basis``, sector s on the ``quadrant`` s vertices) are factored,
+    and every solution's residual is formed on the coupled rows from the
+    blocks.
     """
 
     k: np.ndarray
@@ -118,40 +120,41 @@ class SparseSystem:
     lap: sp.csr_matrix = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
     basis: sp.csr_matrix = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
+    quadrant: np.ndarray = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
-        """Factor of blockdiag(Q_s^T schur Q_s), built on first use by a gather:
-        row k of block s is schur[o] Q_s / Q[o, k] for a row o of column k, and
-        Q_s has one entry per row or none.  Off-block entries are never formed."""
+        """Factor of Q schur Q on its quadrant blocks, built on first use by
+        a gather: Q[:, k] . v = v[k] / Q[k, k] for every v of column k's
+        sector, so row k is (schur Q)[k, quadrant-k columns] / Q[k, k],
+        from schur's own row k.  Q_s, the columns of quadrant s, has one
+        entry per row or none.  Off-block entries are never formed."""
         if self._direct is None:
-            q, dim = self.basis, self.k.size
+            q, s, dim = self.basis, self.schur, self.k.size
             p = np.repeat(np.arange(dim), np.diff(q.indptr))  # row of every entry of Q
-            slot = (np.searchsorted(self.offsets, q.indices, side="right") - 1) * dim + p
+            slot = self.quadrant[q.indices] * dim + p
             col, val = np.zeros(4 * dim, dtype=q.indices.dtype), np.zeros(4 * dim)
             col[slot], val[slot] = q.indices, q.data  # Q_s[p] at s * dim + p, or a zero
-            e = np.empty(dim, dtype=np.int64)
-            e[q.indices] = np.arange(q.nnz)  # one entry of every column
-            picked = self.schur[p[e]]
-            ek = np.repeat(e, np.diff(picked.indptr))
-            at = slot[ek] - p[ek] + picked.indices
-            a = sp.csr_matrix((picked.data * val[at] / q.data[ek], col[at], picked.indptr), q.shape)
+            k = np.repeat(np.arange(dim), np.diff(s.indptr))  # row of every entry of schur
+            at = self.quadrant[k] * dim + s.indices
+            data = s.data * val[at] / q.diagonal()[k]
+            # sum_duplicates rewrites the row offsets in place: not schur's own
+            a = sp.csr_matrix((data, col[at], s.indptr.copy()), q.shape)
             a.sum_duplicates()
-            a.eliminate_zeros()  # the p that have no entry in sector s
+            a.eliminate_zeros()  # schur columns p that have no entry in sector s
             self._direct = linalg.DirectFactorization(a)
         return self._direct
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
         """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y = Q z with z
-        from the sector factor on Q^T (b_y + L b_mu), then mu = b_mu - R y.
+        from the sector factor on Q (b_y + L b_mu), then mu = b_mu - R y.
         The residual [b_y - (K y - L mu) | b_mu - (R y + mu)] reuses R y
         and never reads ``schur``; x is returned with ||residual|| / ||b||
         <= RESIDUAL_TOL, or a SolveError carries x and its stats."""
         b = np.asarray(b, dtype=float)
         b_y, b_mu = np.split(b, [self.k.size])
         # the coupled rows' residual below, not the reduced one, is checked
-        z, _ = self.direct().solve(self.basis.T @ (b_y + self.lap @ b_mu), tol=math.inf)
+        z, _ = self.direct().solve(self.basis @ (b_y + self.lap @ b_mu), tol=math.inf)
         y = self.basis @ z
         ry = self.rows @ y
         mu = b_mu - ry
@@ -190,8 +193,8 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     ).tocsr()
     schur = (sp.diags(k) + lap @ rows).tocsr()
     schur.sort_indices()
-    basis, offsets = ops.mirror_basis(grid)
-    return SparseSystem(k=k, schur=schur, lap=lap, rows=rows, basis=basis, offsets=offsets)
+    basis, quadrant = ops.mirror_basis(grid)
+    return SparseSystem(k=k, schur=schur, lap=lap, rows=rows, basis=basis, quadrant=quadrant)
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:

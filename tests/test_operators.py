@@ -240,7 +240,9 @@ def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
 def test_mirror_basis_is_orthonormal(n):
+    # and symmetric, so an involution: Q^T Q = Q Q = I
     q, _ = operators.mirror_basis(build_grid(n))
+    assert abs(q - q.T).max() == 0.0
     assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
 
 
@@ -248,24 +250,29 @@ def test_mirror_basis_is_orthonormal(n):
     (4, [9, 6, 6, 4]), (5, [9] * 4), (50, [676, 650, 650, 625]), (51, [676] * 4),
 ])
 def test_mirror_basis_sector_sizes(n, sizes):
-    # (n/2 + 1) representatives per axis, one fewer for an odd parity at even n
-    q, offsets = operators.mirror_basis(build_grid(n))
-    assert offsets.tolist() == np.cumsum([0, *sizes]).tolist() and offsets[-1] == q.shape[0]
+    # (n/2 + 1) vertices per axis in a low half, n/2 in a high one at even n
+    q, quadrant = operators.mirror_basis(build_grid(n))
+    assert quadrant.shape == (q.shape[0],)
+    assert np.bincount(quadrant, minlength=4).tolist() == sizes
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9])
 def test_mirror_basis_columns_have_their_sector_parities(n):
-    # on the vertex grid, every column of sector (sx, sy) is a pattern on
-    # one mirror orbit that x -> 1-x multiplies by sx and y -> 1-y by sy
+    # on the vertex grid, column m of sector (sx, sy) = quadrant[m] is a
+    # pattern on the mirror orbit of vertex m that x -> 1-x multiplies by
+    # sx and y -> 1-y by sy, and vertex m lies in quadrant[m]
     g = build_grid(n)
-    q, offsets = operators.mirror_basis(g)
-    dense = q.toarray()
-    for s, (sx, sy) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
-        for k in range(offsets[s], offsets[s + 1]):
-            full = to_full_grid(dense[: g.n_int, k], dense[g.n_int :, k], g)
-            assert np.array_equal(full[::-1], sx * full) and np.array_equal(full[:, ::-1], sy * full)
-            i, j = np.nonzero(full)
-            assert len(set(zip(np.minimum(i, n - i), np.minimum(j, n - j)))) == 1
+    q, quadrant = operators.mirror_basis(g)
+    dense, eye = q.toarray(), np.eye(q.shape[0])
+    parities = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    for m, s in enumerate(quadrant):
+        sx, sy = parities[s]
+        full = to_full_grid(dense[: g.n_int, m], dense[g.n_int :, m], g)
+        assert np.array_equal(full[::-1], sx * full) and np.array_equal(full[:, ::-1], sy * full)
+        i, j = np.nonzero(full)
+        assert len(set(zip(np.minimum(i, n - i), np.minimum(j, n - j)))) == 1
+        (vi, vj), = np.argwhere(to_full_grid(eye[m, : g.n_int], eye[m, g.n_int :], g))
+        assert full[vi, vj] != 0.0 and s == 2 * (2 * vi > n) + (2 * vj > n)
 
 
 def test_dirichlet_energy_loop_values():

@@ -325,6 +325,18 @@ def test_system_holds_only_field_sized_matrices():
     assert system.k.shape == (dim,)
 
 
+def test_factoring_leaves_the_blocks_untouched():
+    # the sector matrix is gathered from schur's own rows; its canonical
+    # form must not rewrite the arrays it was built from
+    g = build_grid(8)
+    system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
+    held = [m.copy() for m in (system.schur, system.lap, system.rows, system.basis)]
+    system.direct()
+    for before, after in zip(held, (system.schur, system.lap, system.rows, system.basis)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(before, part), getattr(after, part))
+
+
 def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
     g = build_grid(8)
     params = params_for(g)
@@ -352,12 +364,15 @@ def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
 
 def check_sector_solve(n, beta1, beta2, seed):
     # schur commutes with the mirror maps, so Q^T schur Q is block diagonal
-    # up to roundoff; the factored matrix stores only its sector blocks and
-    # the solve agrees with one through a nodal factor of schur
+    # up to roundoff, one block per quadrant 2 [2i > n] + [2j > n] of the
+    # vertices (i, j); the factored matrix stores only those blocks and the
+    # solve agrees with one through a nodal factor of schur
     g = build_grid(n)
     system = assemble_system(g, params_for(g, beta1=beta1, beta2=beta2))
     q, scale = system.basis, np.abs(system.schur.data).max()
-    sector = np.searchsorted(system.offsets, np.arange(q.shape[0]), side="right")
+    i, j = np.concatenate([np.argwhere(np.ones((n - 1, n - 1))) + 1, g.loop_ij]).T
+    sector = 2 * (2 * i > n) + (2 * j > n)
+    assert np.array_equal(system.quadrant, sector)
     full = (q.T @ system.schur @ q).tocoo()
     inside = sector[full.row] == sector[full.col]
     assert np.abs(full.data[~inside]).max(initial=0.0) <= 1e-14 * scale
