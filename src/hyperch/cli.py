@@ -320,6 +320,8 @@ def cmd_convergence(cfg: RunConfig, full_scale: bool = False) -> int:
     for tau, ep, es in zip(res.taus, res.err_phi, res.err_psi):
         print(f"{tau:>12g} {ep:>14.6e} {es:>14.6e}")
     print(f"fitted slopes: phi {res.slope_phi:.4f}, psi {res.slope_psi:.4f}")
+    for name, orders in (("phi", res.orders_phi), ("psi", res.orders_psi)):
+        print(f"pairwise orders {name}: " + ", ".join(f"{p:.4f}" for p in orders))
     return 0
 
 

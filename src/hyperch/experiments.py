@@ -66,6 +66,16 @@ def fit_slope(points: list[tuple[float, float]]) -> float:
     return float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
 
 
+def pairwise_orders(taus: list[float], errs: list[float]) -> tuple[float, ...]:
+    """Observed order log(e_i / e_i+1) / log(tau_i / tau_i+1) between
+    consecutive steps: a trend in them shows a pre-asymptotic regime that
+    one fitted slope averages over."""
+    return tuple(
+        float(np.log(e0 / e1) / np.log(t0 / t1))
+        for t0, t1, e0, e1 in zip(taus, taus[1:], errs, errs[1:])
+    )
+
+
 @dataclass(frozen=True)
 class ConvergenceResult:
     taus: tuple[float, ...]
@@ -73,6 +83,8 @@ class ConvergenceResult:
     err_psi: tuple[float, ...]
     slope_phi: float
     slope_psi: float
+    orders_phi: tuple[float, ...]
+    orders_psi: tuple[float, ...]
 
 
 def _final_fields(
@@ -102,7 +114,8 @@ def convergence_study(
     """Cauchy temporal-convergence study against a fine reference.
 
     Runs the reference once and each tau once, measures the discrete
-    L2(bulk) and L2(loop) errors at t_end, and fits log-log slopes.
+    L2(bulk) and L2(loop) errors at t_end, fits log-log slopes and takes
+    the pairwise orders of consecutive steps.
     t_end must be a step of every run (``scheme.lattice_steps``), so that
     all of them end at the same time.
     Every run uses ``params`` (default: ``ModelParams.with_defaults`` on
@@ -134,6 +147,8 @@ def convergence_study(
         err_psi=tuple(err_psi),
         slope_phi=fit_slope(list(zip(taus, err_phi))),
         slope_psi=fit_slope(list(zip(taus, err_psi))),
+        orders_phi=pairwise_orders(taus, err_phi),
+        orders_psi=pairwise_orders(taus, err_psi),
     )
 
 

@@ -7,8 +7,8 @@ by kinetic-like terms built from inverse Laplacians of the rate fields;
 it is the quantity the hyperbolic relaxation dissipates.  Runs read those
 inverses from the potentials the step carries (``scheme.diag_record``);
 ``modified_energy`` here computes them by Poisson solves and is the
-reference the run's rows are tested against.  A module cache holds only
-a read-only per-n array that the step or the diagnostic row reads.
+reference the run's rows are tested against.  Module caches hold only
+read-only per-n arrays that the step or the diagnostic row reads.
 """
 
 from __future__ import annotations
@@ -125,26 +125,18 @@ def g_val(psi, delta: float):
 # ---- quadratures and masses -------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _bulk_weights(n: int) -> np.ndarray:
-    """Conservation-compatible quadrature weights on the interior grid.
+def bulk_quadrature_weights(grid: Grid) -> np.ndarray:
+    """Per-node weights of the conserved bulk-mass quadrature.
 
     Uniform weight 1/(n-1)^2 per interior node, so the total weight is
     exactly 1 and a constant field's mass is exact.  The mirror closure
     of the chemical potential makes the bulk update's mu-Laplacian the
     mirror-ghost Neumann Laplacian, whose columns sum to zero; so the
     plain interior sum, and with it this quadrature, is an exact
-    invariant of the discretization (up to solver tolerance).
+    invariant of the discretization, kept to roundoff by the step's
+    increment form.
     """
-    m = n - 1
-    w = np.full(m * m, 1.0 / (m * m))
-    w.setflags(write=False)
-    return w
-
-
-def bulk_quadrature_weights(grid: Grid) -> np.ndarray:
-    """Per-node weights of the conserved bulk-mass quadrature."""
-    return _bulk_weights(grid.n)
+    return np.full(grid.n_int, 1.0 / grid.n_int)
 
 
 def bulk_mass(phi: np.ndarray, grid: Grid) -> float:
@@ -157,7 +149,7 @@ def bulk_mass(phi: np.ndarray, grid: Grid) -> float:
     bulk_quadrature_weights.
     """
     phi = ops._check_bulk(phi, grid)
-    return float(_bulk_weights(grid.n) @ phi)
+    return float(bulk_quadrature_weights(grid) @ phi)
 
 
 def surface_mass(psi: np.ndarray, grid: Grid) -> float:

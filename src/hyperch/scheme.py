@@ -1,23 +1,25 @@
 """Coupled linear scheme: assembly, per-step right-hand side, stepping.
 
 One time step solves the coupled linear system for the stacked unknowns
-x = [y | mu]: the fields y = [phi | psi] and their chemical potentials
-mu = [mu_int | mu_loop].  The bulk chemical potential has unknowns at
-interior nodes only; its no-flux condition enters the bulk evolution
-rows as the mirror-ghost Neumann Laplacian.  Every chemical potential is
-an explicit sparse function of the fields, so the coupled system is the
-2x2 block saddle-point form [[K, -L], [R, I]] and the solve eliminates
-mu exactly: it factors the Schur complement K + L R on the fields, half
-the unknowns, and rebuilds mu by one matrix-vector product after each
-solve; the full residual is taken on the block rows, never on an
-assembled coupled matrix.  K + L R commutes with the mirror maps of the
-square, so it is factored in their even/odd basis Q, an involution
-(Q = Q^T = Q^-1): four decoupled blocks, sector s on the vertices of
-quadrant s.  The explicit wells plus the linear stabilizers keep
-every block constant in time, so the blocks are assembled and
-factorized once per run.  The rate fields are exact difference
-quotients of consecutive states and start at zero, which realizes the
-mass-conservation initialization.  The step also carries the
+x = [d | mu]: the increment d = y_new - y of the fields y = [phi | psi]
+and their chemical potentials mu = [mu_int | mu_loop].  The bulk
+chemical potential has unknowns at interior nodes only; its no-flux
+condition enters the bulk evolution rows as the mirror-ghost Neumann
+Laplacian.  Every chemical potential is an explicit sparse function of
+the fields, so the coupled system is the 2x2 block saddle-point form
+[[K, -L], [R, I]] and the solve eliminates mu exactly: it factors the
+Schur complement K + L R on the fields, half the unknowns, and rebuilds
+mu by one matrix-vector product after each solve; the full residual is
+taken on the block rows, never on an assembled coupled matrix.  K + L R
+commutes with the mirror maps of the square, so it is factored in their
+even/odd basis Q, an involution (Q = Q^T = Q^-1): four decoupled blocks,
+sector s on the vertices of quadrant s.  The explicit wells plus the
+linear stabilizers keep every block constant in time, so the blocks are
+assembled and factorized once per run.  The increment form keeps K y
+out of floating point, so the masses are conserved to roundoff and a
+constant state at a well root does not move.  The rate fields are the
+increments over tau, exact difference quotients, and start at zero,
+which realizes the mass-conservation initialization.  The step also carries the
 inverse-Laplacian potentials of the rate fields, read off the solved mu,
 so a diagnostic row prices the modified energy's kinetic terms without a
 Poisson solve.  The stencils are the ``operators`` module's matrices;
@@ -51,11 +53,12 @@ class State:
     """Simulation state: fields, rates, potentials, and the clock.
 
     Phi and Psi are the backward difference quotients of phi and psi over
-    the last step (identically zero in a fresh state).  P and Q are their
-    inverse-Laplacian potentials, l_mu P = Phi and l_loop Q = Psi up to
-    the solve residual, which ``step`` updates from the solved chemical
-    potentials (zero in a fresh state); the diagnostic rows read the
-    modified energy's kinetic terms from them.
+    the last step, the solved increments over tau (identically zero in a
+    fresh state).  P and Q are their inverse-Laplacian potentials,
+    l_mu P = Phi and l_loop Q = Psi up to the solve residual, which
+    ``step`` updates from the solved chemical potentials (zero in a fresh
+    state); the diagnostic rows read the modified energy's kinetic terms
+    from them.
     """
 
     phi: np.ndarray
@@ -198,17 +201,18 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:
-    """Per-step right-hand side [b_y | b_mu] from the current state; the
-    loop rows carry the bulk well's f - s1 psi with weight h w_k."""
+    """Per-step right-hand side [r Phi | c(y)]: the last rates times
+    r = beta/tau, and the wells minus the stabilizers, the loop rows with
+    the bulk well's f - s1 psi at weight h w_k.  ``step`` subtracts R y."""
     phi = ops._check_bulk(state.phi, grid)
     psi = ops._check_loop(state.psi, grid)
-    r1, r2, k1, k2 = _relaxation(params)
+    r1, r2, _, _ = _relaxation(params)
     y = np.concatenate([phi, psi])
     f_y = mdl.f_val(y, params.eps) - params.s1 * y
     return np.concatenate(
         [
-            k1 * phi + r1 * state.Phi,
-            k2 * psi + r2 * state.Psi,
+            r1 * state.Phi,
+            r2 * state.Psi,
             f_y[: grid.n_int],
             mdl.g_val(psi, params.delta) - params.s2 * psi
             + mdl.loop_well_weights(grid.n) * f_y[grid.n_int :],
@@ -222,10 +226,13 @@ def step(
     grid: Grid,
     params: mdl.ModelParams,
 ) -> tuple[State, linalg.SolveStats]:
-    """Advance one time step; rates become exact difference quotients.
+    """Advance one time step by its increment d = y_new - y.
 
-    The evolution rows read (r + 1) Phi_new - r Phi = M1 l_mu mu_int with
-    r = beta1/tau, and likewise on the loop, so the potentials
+    The rows K d - L mu = r Phi and R d + mu = c(y) - R y, the state's
+    explicit chemical potential, keep K y out of floating point; the rates
+    are d / tau.  The evolution rows read (r + 1) Phi_new - r Phi =
+    M1 l_mu mu_int with r = beta1/tau, and likewise on the loop, so the
+    potentials
 
         P_new = (M1 mu_int + r P) / (1 + r),   Q_new alike with M2, mu_loop,
 
@@ -236,6 +243,7 @@ def step(
     SolveError with the solution and its stats; both name the step.
     """
     b = assemble_rhs(state, grid, params)
+    b[system.k.size :] -= system.rows @ np.concatenate([state.phi, state.psi])
     if not np.all(np.isfinite(b)):
         raise NonFiniteStateError(f"non-finite right-hand side at step {state.step + 1}")
     try:
@@ -244,15 +252,14 @@ def step(
         raise linalg.SolveError(
             f"{exc} at step {state.step + 1}", x=exc.x, stats=exc.stats
         ) from exc
-    phi, psi, mu_int, mu_loop = split_unknowns(x, grid)
-    phi_new, psi_new = phi.copy(), psi.copy()
+    d_phi, d_psi, mu_int, mu_loop = split_unknowns(x, grid)
     r1, r2, _, _ = _relaxation(params)
     tau = params.tau
     new = State(
-        phi=phi_new,
-        psi=psi_new,
-        Phi=(phi_new - state.phi) / tau,
-        Psi=(psi_new - state.psi) / tau,
+        phi=state.phi + d_phi,
+        psi=state.psi + d_psi,
+        Phi=d_phi / tau,
+        Psi=d_psi / tau,
         P=(params.M1 / (1.0 + r1)) * mu_int + (r1 / (1.0 + r1)) * state.P,
         Q=(params.M2 / (1.0 + r2)) * mu_loop + (r2 / (1.0 + r2)) * state.Q,
         t=(state.step + 1) * tau,

@@ -73,7 +73,9 @@ def test_criterion_1_temporal_convergence():
         "criterion 1 (first-order temporal convergence)",
         ok,
         f"slope_phi={res.slope_phi:.4f}, slope_psi={res.slope_psi:.4f} "
-        f"(window [0.85, 1.15]), errors monotone: phi={monotone_phi}, psi={monotone_psi}",
+        f"(window [0.85, 1.15]), errors monotone: phi={monotone_phi}, psi={monotone_psi}; "
+        f"pairwise orders phi {', '.join(f'{p:.3f}' for p in res.orders_phi)}, "
+        f"psi {', '.join(f'{p:.3f}' for p in res.orders_psi)}",
     )
 
 
@@ -201,7 +203,12 @@ def test_criterion_7_oracle_equivalence(beta):
     phi0, psi0 = hc.init_case(hc.CaseSpec(case=3, n=4), g)
     state = hc.init_state(phi0, psi0, g)
     system = hc.assemble_system(g, params)
-    x_sparse, _ = system.solve(hc.assemble_rhs(state, g, params))
+    # step solves for the increment: [y_new - y | mu], moved back to [y_new | mu]
+    y = np.concatenate([state.phi, state.psi])
+    b = hc.assemble_rhs(state, g, params)
+    b[y.size :] -= system.rows @ y
+    x_sparse, _ = system.solve(b)
+    x_sparse[: y.size] += y
     dense = dense_matrix(g, params)
     rhs = dense_rhs(g, params, state.phi, state.psi, state.Phi, state.Psi)
     x_dense = np.linalg.solve(*eliminate_mu_edge(g, dense, rhs))

@@ -487,6 +487,18 @@ def test_main_convergence_smoke(capsys):
     assert "fitted slopes" in out
 
 
+def test_main_convergence_prints_pairwise_orders(capsys):
+    assert main(["convergence", "n=8", "t_end=0.004"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    res = convergence_study(
+        8, [4e-3, 2e-3, 1e-3, 5e-4], 2.5e-5, 0.004, CaseSpec(case=1, n=8),
+        params=ModelParams.with_defaults(1 / 8),
+    )
+    for name, orders in (("phi", res.orders_phi), ("psi", res.orders_psi)):
+        assert len(orders) == 3
+        assert f"pairwise orders {name}: " + ", ".join(f"{p:.4f}" for p in orders) in lines
+
+
 def test_main_convergence_rejects_off_lattice_t_end(capsys):
     # 0.0101 is no multiple of the tested steps: the runs would end at
     # other times than the reference

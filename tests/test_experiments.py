@@ -124,6 +124,19 @@ def test_convergence_smoke():
     assert 0.6 < res.slope_psi < 1.6
 
 
+def test_convergence_pairwise_orders_are_two_point_slopes():
+    # each pairwise order is the slope fitted through two consecutive points
+    res = convergence_study(
+        n=8, taus=[4e-3, 2e-3, 1e-3], tau_ref=2.5e-4, t_end=0.02,
+        case=CaseSpec(case=2, seed=1, n=8),
+    )
+    for errs, orders in ((res.err_phi, res.orders_phi), (res.err_psi, res.orders_psi)):
+        assert len(orders) == len(res.taus) - 1
+        for i, p in enumerate(orders):
+            pair = [(res.taus[i], errs[i]), (res.taus[i + 1], errs[i + 1])]
+            assert p == pytest.approx(fit_slope(pair), rel=1e-12)
+
+
 def test_convergence_rejects_coarse_reference():
     with pytest.raises(ValueError, match="reference tau"):
         convergence_study(8, [2e-3, 1e-3], 1e-3, 0.01, CaseSpec(case=1, n=8))

@@ -181,7 +181,7 @@ def test_cached_weights_are_read_only():
         if hasattr(f, "cache_info")
     }
     del cached["hyperch.operators._pinned_factor"]
-    assert len(cached) == 4, sorted(cached)
+    assert len(cached) == 3, sorted(cached)
     for name, f in cached.items():
         out = f(6)
         for w in out if isinstance(out, tuple) else (out,):

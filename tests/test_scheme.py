@@ -51,6 +51,15 @@ def params_for(grid, **kw):
     return ModelParams.with_defaults(grid.h, **kw)
 
 
+def increment_rhs(state, system, grid, params):
+    """The right-hand side ``step`` solves for [y_new - y | mu]: R y
+    subtracted from the potential rows of ``assemble_rhs``."""
+    y = np.concatenate([state.phi, state.psi])
+    b = assemble_rhs(state, grid, params)
+    b[y.size :] -= system.rows @ y
+    return b
+
+
 # (n, beta) of the dense-oracle comparisons; the n = 4 cases keep the
 # bare beta id
 ORACLE_CASES = [
@@ -141,7 +150,9 @@ def test_rhs_matches_dense_oracle(g4, beta):
         t=0.0,
         step=0,
     )
+    # the oracle writes the full-form rows, K y_new - L mu = k y + r Phi
     got = assemble_rhs(st, g4, params)
+    got[: g4.n_int + g4.n_loop] += assemble_system(g4, params).k * np.concatenate([st.phi, st.psi])
     _, want = eliminate_mu_edge(
         g4, dense_matrix(g4, params), dense_rhs(g4, params, st.phi, st.psi, st.Phi, st.Psi)
     )
@@ -161,18 +172,18 @@ def test_rhs_well_roots_leave_stabilizer_only(g4):
 
 
 def test_rhs_no_rate_memory_without_relaxation(g4):
-    # with beta1 = 0 the bulk evolution row reads phi/tau regardless of Phi
+    # with beta = 0 the evolution rows of the increment form are exactly 0,
+    # whatever the fields and the last rates
     params = params_for(g4)
     rng = np.random.default_rng(3)
-    phi = rng.standard_normal(g4.n_int)
     st = State(
-        phi=phi, psi=np.zeros(g4.n_loop),
-        Phi=rng.standard_normal(g4.n_int), Psi=np.zeros(g4.n_loop),
+        phi=rng.standard_normal(g4.n_int), psi=rng.standard_normal(g4.n_loop),
+        Phi=rng.standard_normal(g4.n_int), Psi=rng.standard_normal(g4.n_loop),
         P=np.zeros(g4.n_int), Q=np.zeros(g4.n_loop),
         t=0.0, step=0,
     )
     b = assemble_rhs(st, g4, params)
-    assert np.allclose(b[: g4.n_int], phi / params.tau)
+    assert np.array_equal(b[: g4.n_int + g4.n_loop], np.zeros(g4.n_int + g4.n_loop))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -182,11 +193,12 @@ def test_step_matches_dense_direct_solve(g4, beta):
     phi0, psi0 = init_case(CaseSpec(case=3), g4)
     st = init_state(phi0, psi0, g4)
     system = assemble_system(g4, params)
-    b = assemble_rhs(st, g4, params)
     x_dense = np.linalg.solve(*eliminate_mu_edge(
         g4, dense_matrix(g4, params), dense_rhs(g4, params, st.phi, st.psi, st.Phi, st.Psi)
     ))
-    x_sparse, _ = system.solve(b)
+    # the increment solve's [y_new - y | mu], moved back to [y_new | mu]
+    x_sparse, _ = system.solve(increment_rhs(st, system, g4, params))
+    x_sparse[: g4.n_int + g4.n_loop] += np.concatenate([st.phi, st.psi])
     assert np.abs(x_sparse - x_dense).max() < 1e-10
     new, _ = step(st, system, g4, params)
     phi_dense, psi_dense, _, _ = split_unknowns(x_dense, g4)
@@ -345,7 +357,7 @@ def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
     x, _ = system.solve(b)
     state = init_state(np.full(g.n_int, 0.3), np.full(g.n_loop, -0.2), g)
     state = replace(state, step=6)
-    x_step, stats_step = system.solve(assemble_rhs(state, g, params))
+    x_step, stats_step = system.solve(increment_rhs(state, system, g, params))
     monkeypatch.setattr(scheme, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(SolveError) as err:
         system.solve(b)
@@ -420,6 +432,50 @@ def test_constant_fixed_points(value, n, beta):
         st, _ = step(st, system, g, params)
     assert np.abs(st.phi - value).max() < 1e-12
     assert np.abs(st.psi - value).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    value=hst.sampled_from([-1.0, 0.0, 1.0]),
+    n=hst.integers(4, 12),
+    beta=hst.floats(0.0, 1.0),
+)
+@example(value=1.0, n=8, beta=0.1)
+def test_constant_states_are_bitwise_fixed(value, n, beta):
+    # in increment form the right-hand side of a constant state at a well
+    # root is [r Phi | mu(y)] = [0 | 0] up to the rounding of R's entries,
+    # so the increment rounds away: the fields do not move by one bit.  At
+    # 0 it is exactly zero, and so are the solve's residual and the rates
+    g = build_grid(n)
+    params = params_for(g, beta1=beta, beta2=beta)
+    system = assemble_system(g, params)
+    phi0, psi0 = np.full(g.n_int, value), np.full(g.n_loop, value)
+    st = init_state(phi0, psi0, g)
+    for _ in range(5):
+        st, stats = step(st, system, g, params)
+        assert np.array_equal(st.phi, phi0) and np.array_equal(st.psi, psi0)
+        if value == 0.0:
+            assert stats.rel_residual == 0.0
+            assert not (st.Phi.any() or st.Psi.any() or st.P.any() or st.Q.any())
+
+
+def test_masses_exact_to_roundoff():
+    # K y never enters floating point, so each step changes the bulk and
+    # surface sums only by the roundoff of the increment's own sums
+    from hyperch import bulk_mass, surface_mass
+
+    g = build_grid(8)
+    for beta in (0.0, 0.1, 1.0):
+        params = params_for(g, beta1=beta, beta2=beta)
+        system = assemble_system(g, params)
+        for case in (1, 2, 3, 4):
+            phi0, psi0 = init_case(CaseSpec(case=case, seed=7, n=8), g)
+            st = init_state(phi0, psi0, g)
+            mb0, ms0 = bulk_mass(st.phi, g), surface_mass(st.psi, g)
+            for _ in range(50):
+                st, _ = step(st, system, g, params)
+                assert abs(bulk_mass(st.phi, g) - mb0) <= 1e-13, (case, beta)
+                assert abs(surface_mass(st.psi, g) - ms0) <= 1e-13, (case, beta)
 
 
 def test_rate_mean_recurrence():
@@ -584,7 +640,7 @@ def test_carried_potentials_match_poisson_oracle(n, case, beta, seed):
     field_max = [float(np.abs(phi0).max()), float(np.abs(psi0).max())]
     resid = 0.0
     for _ in range(30):
-        b = assemble_rhs(state, g, params)
+        b = increment_rhs(state, system, g, params)
         state, stats = step(state, system, g, params)
         resid = max(resid, stats.rel_residual * float(np.linalg.norm(b)))
         row = diag_record(state, g, params, stats)
