@@ -2,15 +2,20 @@
 
 The system matrix is held in compressed-sparse-row form (scipy).  The
 matrix never changes within a run, so it is factorized once by a sparse
-direct LU and every step pays one pair of triangular solves, held to a
-relative-residual contract.
+direct LU and every step pays one set of triangular solves, held to a
+relative-residual contract.  A block-diagonal matrix is factored one
+distinct block at a time, and a block that repeats is factored once: its
+factor solves the right-hand sides of all its copies as the columns of
+one call.
 
-SuperLU factors compressed-sparse-column input.  The CSR arrays of a are
-the CSC arrays of a^T, so the LU is taken of a^T, without a format copy,
-and each solve runs it transposed to solve a x = b.  On the scheme's
-Schur matrix in its mirror-sector basis that factor also solves faster
-than the LU of a itself, with the same ordering: 0.19 against 0.22 ms at
-n = 50 and 10.6 against 14.0 ms at n = 200 (medians, one BLAS thread).
+SuperLU factors compressed-sparse-column input.  The CSR arrays of a
+block are the CSC arrays of its transpose, so the LU is taken of the
+transpose, without a format copy, and each solve runs it transposed.  On
+the scheme's Schur matrix in its D4 basis (blocks A and B, one and two
+columns) that factor also has less fill and solves faster than the LU of
+the blocks themselves, with the same ordering: 3.19M against 3.90M fill
+and 4.4 against 4.9 ms at n = 200, 87,518 against 87,521 and 0.133
+against 0.146 ms at n = 50 (medians, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -81,27 +86,79 @@ def check_residual(
     return x, stats
 
 
-class DirectFactorization:
-    """Reusable sparse LU of a time-constant matrix (residual-checked).
+class BlockLU:
+    """SuperLU factors of the distinct diagonal blocks of a block-diagonal
+    matrix a, block k repeated ``copies[k]`` times in a row along the
+    diagonal.  ``factors[k]`` is the LU of block k's transpose, and
+    ``solve`` runs it transposed.  ``L`` and ``U`` are block-diagonal over
+    the distinct factors, so their nnz is the fill the factors store."""
 
-    ``_lu`` is the LU of a^T: the transpose of the CSR matrix ``a`` is a
-    CSC view of the same arrays, which SuperLU takes without a copy, and
-    ``solve`` runs it transposed to solve a x = b.  splu sums duplicate
-    entries of its input in place, so ``a`` is canonicalized first
+    def __init__(self, factors: list[spla.SuperLU], copies: list[int]):
+        self.factors, self.copies = factors, copies
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return sp.block_diag([f.L for f in self.factors], format="csc")
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return sp.block_diag([f.U for f in self.factors], format="csc")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with a x = b: each factor solves the parts of b that meet its
+        copies as the columns of one call."""
+        x, start = np.empty_like(b), 0
+        for f, c in zip(self.factors, self.copies):
+            stop = start + c * f.shape[0]
+            x[start:stop] = f.solve(b[start:stop].reshape(c, -1).T, trans="T").T.ravel()
+            start = stop
+        return x
+
+
+def _block_diag(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """blockdiag(blocks) from the blocks' own CSR arrays."""
+    dims = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()  # Python ints keep
+    nnz = np.cumsum([0] + [b.nnz for b in blocks]).tolist()  # the index dtype
+    return sp.csr_matrix(
+        (
+            np.concatenate([b.data for b in blocks]),
+            np.concatenate([b.indices + d for b, d in zip(blocks, dims)]),
+            np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, nnz)]),
+        ),
+        (dims[-1],) * 2,
+    )
+
+
+class DirectFactorization:
+    """Reusable sparse LU of a time-constant block-diagonal matrix
+    (residual-checked).
+
+    ``a`` = blockdiag(``copies[0]`` copies of ``blocks[0]``, then
+    ``copies[1]`` of ``blocks[1]``, ...); a single matrix is one block with
+    one copy.  Each distinct block is factored once (``_lu``, a BlockLU),
+    as its transpose: the transpose of a CSR matrix is a CSC view of the
+    same arrays, which SuperLU takes without a copy.  splu sums duplicate
+    entries of its input in place, so every block is canonicalized first
     (``check_csr``): the view must not rewrite the caller's arrays.
     SuperLU orders the columns by minimum degree on the pattern of
-    A^T + A; on the scheme's sector matrix that leaves 14% (n = 50) and
-    36% (n = 200) less fill than the default COLAMD ordering.
-    ``relax=1`` and ``panel_size=1`` keep SuperLU from padding small
-    supernodes, which made the sector matrix's n = 50 solve 0.29 ms
-    against 0.19.
+    A^T + A: on the scheme's D4 blocks that leaves 6% (n = 50) and 31%
+    (n = 200) less fill than the default COLAMD ordering.  ``relax=1`` and
+    ``panel_size=1`` keep SuperLU from padding small supernodes, which made
+    the D4 blocks' solve 0.173 against 0.133 ms at n = 50 and 6.3 against
+    4.4 ms at n = 200 (medians, one BLAS thread).
     """
 
-    def __init__(self, a: sp.csr_matrix):
-        self.a = check_csr(a)
-        self._lu = spla.splu(self.a.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    def __init__(self, blocks: list[sp.csr_matrix], copies: list[int]):
+        if len(blocks) != len(copies) or not all(c >= 1 for c in copies):
+            raise ValueError(f"need one copy count >= 1 per block, got {list(copies)}")
+        blocks = [check_csr(b) for b in blocks]
+        self.a = _block_diag([b for b, c in zip(blocks, copies) for _ in range(c)])
+        self._lu = BlockLU(
+            [spla.splu(b.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1) for b in blocks],
+            list(copies),
+        )
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
         b = np.asarray(b, dtype=float)
-        x = self._lu.solve(b, trans="T")
+        x = self._lu.solve(b)
         return check_residual(b - self.a @ x, b, x, tol)

@@ -9,8 +9,9 @@ outward normal derivative (``normal_derivative``).  Square-grid stencils
 lift one 1-D operator, the free-end second difference a, to both axes as
 a Kronecker sum: the Hessian on the (n+1)^2 vertex grid, weighted by the
 trapezoid weights, and the mirror-ghost Neumann Laplacian on the interior
-grid.  They commute with the mirror maps of the square, so the symmetric
-involution ``mirror_basis`` splits them into one block per quadrant.
+grid.  They commute with the eight symmetries of the square, its mirror
+maps and the diagonal swap, so the D4-adapted basis ``mirror_basis``
+splits them into one block per sector, two of them equal.
 The Poisson solvers invert the Neumann Laplacian (bulk) and the
 periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
@@ -92,28 +93,56 @@ def _vertex_index(grid: Grid) -> np.ndarray:
     return np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
 
 
-def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(Q, quadrant): the orthonormal basis of [phi | psi] adapted to the
-    mirror maps x -> 1-x and y -> 1-y, an involution: Q = Q^T = Q^-1.
-    quadrant[m] = 2 [2i > n] + [2j > n] for vertex m = (i, j); mirror lines
-    belong to the low halves.  Column m is the sign pattern of sector
-    quadrant[m] (++, +-, -+, -- in x, y parity) on the orbit of vertex m,
-    divided by the root of the orbit size, so sector s lives on the
-    vertices of quadrant s."""
+def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """(Q, sector, vertex): the orthonormal basis of [phi | psi] adapted to
+    the symmetry group D4 of the square, which its mirror maps x -> 1-x,
+    y -> 1-y and the diagonal swap (x, y) -> (y, x) generate.
+
+    sector[t] of column t is nondecreasing over six contiguous blocks:
+    0 ++even, 1 ++odd, 2 --even, 3 --odd (x and y parities, then the swap
+    parity), then the two copies 4 (+-) and 5 (-+) of the 2-D irreducible
+    representation E; column t of copy 5 is the swap of column t of copy
+    4.  Every column is the sign pattern of its x, y parities on the mirror
+    orbit of a vertex, divided by the root of the orbit size; in sectors 0
+    to 3 the patterns on the orbits of (i, j) and (j, i), when these
+    differ, are mixed as (e_1 +- e_2)/sqrt(2), and a diagonal orbit is
+    swap-even only.  vertex[t] is the [phi | psi] index of a vertex where
+    column t is positive, in the quadrant of its x, y parities (mirror
+    lines belong to the low halves); in sectors 0 to 3, min(i, n - i) <=
+    min(j, n - j) there if the column is swap-even and > if odd.  These
+    vertices are distinct, and each of sectors 0 to 4 lists them in
+    [phi | psi] order.  Q is not symmetric: a column of E has four entries
+    and a mixed one eight, so no pairing of columns with vertices gives
+    Q = Q^T, and a caller that applies Q^T holds it once."""
     n = grid.n
     order = _vertex_index(grid)
     at = np.empty_like(order)
     at[order] = np.arange(order.size)  # [phi | psi] index of every vertex
     i, j = np.divmod(order, n + 1)
-    hx, hy = (2 * i > n)[:, None], (2 * j > n)[:, None]  # in the high half of x, of y
-    ri, rj = np.minimum(i, n - i)[:, None], np.minimum(j, n - j)[:, None]
-    px, py = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # parities of ++, +-, -+, --
-    ox, oy = 2 * ri < n, 2 * rj < n  # off the mirror line: the orbit doubles along it
-    valid, size = (ox >= px) & (oy >= py), (1 + ox) * (1 + oy)  # size: also sectors reached
-    val = (1 - 2 * (px * hx ^ py * hy)) / np.sqrt(size)
-    col = at[np.where(px, n - ri, ri) * (n + 1) + np.where(py, n - rj, rj)]
-    q = sp.csr_matrix((val[valid], col[valid], np.r_[0, size.cumsum()]), (i.size,) * 2)
-    return q, (2 * hx + hy).ravel()
+    hx, hy = 2 * i > n, 2 * j > n  # in the high half of x, of y
+    ri, rj = np.minimum(i, n - i), np.minimum(j, n - j)
+    lo, hi, ox, oy = np.minimum(ri, rj), np.maximum(ri, rj), 2 * ri < n, 2 * rj < n
+    # the sector of the column whose vertex[t] each vertex is
+    own = np.where(hx == hy, 2 * hx + (ri > rj), 4 + hx)
+    vertex = np.argsort(own, kind="stable")
+    e = own.size - np.count_nonzero(own == 5)  # copy 5 starts at e, copy 4 at 2e - size
+    vertex[e:] = at[j * (n + 1) + i][vertex[2 * e - own.size : e]]
+    col = np.empty_like(vertex)
+    col[vertex] = np.arange(vertex.size)
+    # row m of Q, per sector: the vertex[t] of the column on vertex m's
+    # orbit, that column's value at m, and whether the sector has one
+    owner = [(lo, hi), (hi, lo), (n - lo, n - hi), (n - hi, n - lo), (ri, n - rj), (n - ri, rj)]
+    cols = col[at][np.stack([a * (n + 1) + b for a, b in owner], axis=1)]
+    mix = np.where(ri == rj, 1.0, np.sqrt(0.5))
+    odd, sign = np.where(ri > rj, mix, -mix), 1 - 2 * (hx ^ hy)
+    vals = np.stack([mix, odd, sign * mix, sign * odd, 2 * hy - 1, 2 * hx - 1], axis=1)
+    vals /= np.sqrt((1 + ox) * (1 + oy))[:, None]
+    pair = ri != rj
+    valid = np.stack([np.ones_like(pair), pair, ox & oy, ox & oy & pair, oy, ox], axis=1)
+    q = sp.csr_matrix(
+        (vals[valid], cols[valid], np.r_[0, valid.sum(axis=1).cumsum()]), (order.size,) * 2
+    )
+    return q, np.repeat(np.arange(6), np.bincount(own, minlength=6)), vertex
 
 
 def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:

@@ -11,10 +11,12 @@ the fields, so the coupled system is the 2x2 block saddle-point form
 Schur complement K + L R on the fields, half the unknowns, and rebuilds
 mu by one matrix-vector product after each solve; the full residual is
 taken on the block rows, never on an assembled coupled matrix.  K + L R
-commutes with the mirror maps of the square, so it is factored in their
-even/odd basis Q, an involution (Q = Q^T = Q^-1): four decoupled blocks,
-sector s on the vertices of quadrant s.  The explicit wells plus the
-linear stabilizers keep every block constant in time, so the blocks are
+commutes with the eight symmetries of the square, the group D4, so it is
+factored in the D4-adapted orthonormal basis Q: Q^T (K + L R) Q =
+blockdiag(A, B, B), with A the blocks of the four one-dimensional
+representations and B that of the two-dimensional one, which appears
+twice and is factored once.  The explicit wells plus the linear
+stabilizers keep every block constant in time, so the blocks are
 assembled and factorized once per run.  The increment form keeps K y
 out of floating point, so the masses are conserved to roundoff and a
 constant state at a well root does not move.  The rate fields are the
@@ -112,10 +114,10 @@ class SparseSystem:
     k2 I) and the mobility Laplacians L = blockdiag(M1 l_mu, M2 l_loop)
     (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
     explicit function of the fields.  ``schur`` = K + L R is what
-    eliminating mu leaves on y; only its sector blocks in the mirror basis
-    Q (``basis``, sector s on the ``quadrant`` s vertices) are factored,
-    and every solution's residual is formed on the coupled rows from the
-    blocks.
+    eliminating mu leaves on y; only its distinct blocks in the D4 basis
+    Q (``basis``, with ``basis_t`` = Q^T, and ``sector`` and ``vertex``
+    from ``operators.mirror_basis``) are factored, and every solution's
+    residual is formed on the coupled rows from the blocks.
     """
 
     k: np.ndarray
@@ -123,41 +125,51 @@ class SparseSystem:
     lap: sp.csr_matrix = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
     basis: sp.csr_matrix = field(repr=False)
-    quadrant: np.ndarray = field(repr=False)
+    basis_t: sp.csr_matrix = field(repr=False)
+    sector: np.ndarray = field(repr=False)
+    vertex: np.ndarray = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
-        """Factor of Q schur Q on its quadrant blocks, built on first use by
-        a gather: Q[:, k] . v = v[k] / Q[k, k] for every v of column k's
-        sector, so row k is (schur Q)[k, quadrant-k columns] / Q[k, k],
-        from schur's own row k.  Q_s, the columns of quadrant s, has one
-        entry per row or none.  Off-block entries are never formed."""
+        """Factor of Q^T schur Q = blockdiag(A, B, B), built on first use.
+
+        A holds sectors 0 to 3 and B sector 4; sector 5's block equals B,
+        so it is never formed.  The blocks are gathered from schur's own
+        rows: for every v in the span of sector s, Q[:, t] . v = v[p] /
+        Q[p, t] with p = ``vertex``[t], since a vertex lies on at most one
+        column of a sector; so row t is (schur Q)[p, columns of s] / Q[p, t],
+        from row p of schur.  Off-block entries are never formed."""
         if self._direct is None:
-            q, s, dim = self.basis, self.schur, self.k.size
-            p = np.repeat(np.arange(dim), np.diff(q.indptr))  # row of every entry of Q
-            slot = self.quadrant[q.indices] * dim + p
-            col, val = np.zeros(4 * dim, dtype=q.indices.dtype), np.zeros(4 * dim)
-            col[slot], val[slot] = q.indices, q.data  # Q_s[p] at s * dim + p, or a zero
-            k = np.repeat(np.arange(dim), np.diff(s.indptr))  # row of every entry of schur
-            at = self.quadrant[k] * dim + s.indices
-            data = s.data * val[at] / q.diagonal()[k]
-            # sum_duplicates rewrites the row offsets in place: not schur's own
-            a = sp.csr_matrix((data, col[at], s.indptr.copy()), q.shape)
-            a.sum_duplicates()
-            a.eliminate_zeros()  # schur columns p that have no entry in sector s
-            self._direct = linalg.DirectFactorization(a)
+            q, dim, sector = self.basis, self.k.size, self.sector
+            na, m = np.searchsorted(sector, [4, 5])  # A's rows end at na, B's at m
+            # the sector-s entry of row p of Q, stored at s * dim + p (or a zero)
+            slot = sector[q.indices] * dim + np.repeat(np.arange(dim), np.diff(q.indptr))
+            col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
+            col[slot], val[slot] = q.indices, q.data
+            p = self.vertex[:m]
+            rows = self.schur[p]  # new arrays: the canonical form below is not schur's
+            t = np.repeat(np.arange(m), np.diff(rows.indptr))  # row of every entry
+            at = sector[t] * dim + rows.indices
+            data = rows.data * val[at] / val[sector[:m] * dim + p][t]
+            g = sp.csr_matrix((data, col[at], rows.indptr), (m, m))
+            g.sum_duplicates()  # rows within two nodes of a mirror or diagonal line
+            g.eliminate_zeros()  # schur columns without an entry in the row's sector
+            k = g.indptr[na]
+            a = sp.csr_matrix((g.data[:k], g.indices[:k], g.indptr[: na + 1]), (na, na))
+            b = sp.csr_matrix((g.data[k:], g.indices[k:] - na, g.indptr[na:] - k), (m - na,) * 2)
+            self._direct = linalg.DirectFactorization([a, b], [1, 2])
         return self._direct
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
         """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y = Q z with z
-        from the sector factor on Q (b_y + L b_mu), then mu = b_mu - R y.
+        from the block factor on Q^T (b_y + L b_mu), then mu = b_mu - R y.
         The residual [b_y - (K y - L mu) | b_mu - (R y + mu)] reuses R y
         and never reads ``schur``; x is returned with ||residual|| / ||b||
         <= RESIDUAL_TOL, or a SolveError carries x and its stats."""
         b = np.asarray(b, dtype=float)
         b_y, b_mu = np.split(b, [self.k.size])
         # the coupled rows' residual below, not the reduced one, is checked
-        z, _ = self.direct().solve(self.basis @ (b_y + self.lap @ b_mu), tol=math.inf)
+        z, _ = self.direct().solve(self.basis_t @ (b_y + self.lap @ b_mu), tol=math.inf)
         y = self.basis @ z
         ry = self.rows @ y
         mu = b_mu - ry
@@ -196,8 +208,11 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     ).tocsr()
     schur = (sp.diags(k) + lap @ rows).tocsr()
     schur.sort_indices()
-    basis, quadrant = ops.mirror_basis(grid)
-    return SparseSystem(k=k, schur=schur, lap=lap, rows=rows, basis=basis, quadrant=quadrant)
+    basis, sector, vertex = ops.mirror_basis(grid)
+    return SparseSystem(
+        k=k, schur=schur, lap=lap, rows=rows, basis=basis, basis_t=basis.T.tocsr(),
+        sector=sector, vertex=vertex,
+    )
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:

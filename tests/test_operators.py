@@ -240,39 +240,60 @@ def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
 def test_mirror_basis_is_orthonormal(n):
-    # and symmetric, so an involution: Q^T Q = Q Q = I
-    q, _ = operators.mirror_basis(build_grid(n))
-    assert abs(q - q.T).max() == 0.0
+    # Q^T Q = I; Q is not symmetric (its docstring says why), so Q^-1 = Q^T
+    q, _, _ = operators.mirror_basis(build_grid(n))
     assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
+    assert abs(q - q.T).max() > 0.0
 
 
 @pytest.mark.parametrize("n, sizes", [
-    (4, [9, 6, 6, 4]), (5, [9] * 4), (50, [676, 650, 650, 625]), (51, [676] * 4),
+    (4, [6, 3, 3, 1, 6, 6]), (5, [6, 3, 6, 3, 9, 9]),
+    (50, [351, 325, 325, 300, 650, 650]), (51, [351, 325, 351, 325, 676, 676]),
 ])
 def test_mirror_basis_sector_sizes(n, sizes):
-    # (n/2 + 1) vertices per axis in a low half, n/2 in a high one at even n
-    q, quadrant = operators.mirror_basis(build_grid(n))
-    assert quadrant.shape == (q.shape[0],)
-    assert np.bincount(quadrant, minlength=4).tolist() == sizes
+    # m = n//2 + 1 fundamental indices per axis, m' = (n+1)//2 of them off
+    # the mirror line: ++ has the m(m+1)/2 orbits of pairs lo <= hi, odd
+    # ones only the m(m-1)/2 with lo < hi; -- likewise with m'; each copy
+    # of E has m m' columns.  Sectors are contiguous, in order.
+    q, sector, vertex = operators.mirror_basis(build_grid(n))
+    m, m_off = n // 2 + 1, (n + 1) // 2
+    closed = [m * (m + 1) // 2, m * (m - 1) // 2, m_off * (m_off + 1) // 2,
+              m_off * (m_off - 1) // 2, m * m_off, m * m_off]
+    assert sizes == closed
+    assert sector.shape == vertex.shape == (q.shape[0],)
+    assert np.array_equal(sector, np.repeat(np.arange(6), sizes))
+    assert np.array_equal(np.sort(vertex), np.arange(q.shape[0]))
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9])
 def test_mirror_basis_columns_have_their_sector_parities(n):
-    # on the vertex grid, column m of sector (sx, sy) = quadrant[m] is a
-    # pattern on the mirror orbit of vertex m that x -> 1-x multiplies by
-    # sx and y -> 1-y by sy, and vertex m lies in quadrant[m]
+    # on the vertex grid, column t is a pattern on one D4 orbit that
+    # x -> 1-x multiplies by sx and y -> 1-y by sy; sectors 0 to 3 are even
+    # or odd under the swap (i, j) -> (j, i), and column t of copy 5 is the
+    # swap of column t of copy 4.  Column t is positive at vertex[t], which
+    # lies in the quadrant of its parities; in sectors 0 to 3 its
+    # min(i, n - i) <= min(j, n - j) if swap-even and > if odd.
     g = build_grid(n)
-    q, quadrant = operators.mirror_basis(g)
+    q, sector, vertex = operators.mirror_basis(g)
     dense, eye = q.toarray(), np.eye(q.shape[0])
-    parities = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for m, s in enumerate(quadrant):
-        sx, sy = parities[s]
-        full = to_full_grid(dense[: g.n_int, m], dense[g.n_int :, m], g)
+    parities = [(1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1), (1, -1, 0), (-1, 1, 0)]
+    n_e = np.count_nonzero(sector == 5)
+    for t, s in enumerate(sector):
+        sx, sy, swap = parities[s]
+        full = to_full_grid(dense[: g.n_int, t], dense[g.n_int :, t], g)
         assert np.array_equal(full[::-1], sx * full) and np.array_equal(full[:, ::-1], sy * full)
+        if swap:
+            assert np.array_equal(full.T, swap * full)
+        if s == 5:
+            first = dense[:, t - n_e]
+            assert np.array_equal(full, to_full_grid(first[: g.n_int], first[g.n_int :], g).T)
         i, j = np.nonzero(full)
-        assert len(set(zip(np.minimum(i, n - i), np.minimum(j, n - j)))) == 1
-        (vi, vj), = np.argwhere(to_full_grid(eye[m, : g.n_int], eye[m, g.n_int :], g))
-        assert full[vi, vj] != 0.0 and s == 2 * (2 * vi > n) + (2 * vj > n)
+        ri, rj = np.minimum(i, n - i), np.minimum(j, n - j)
+        assert len(set(zip(np.minimum(ri, rj), np.maximum(ri, rj)))) == 1
+        (vi, vj), = np.argwhere(to_full_grid(eye[vertex[t], : g.n_int], eye[vertex[t], g.n_int :], g))
+        assert full[vi, vj] > 0.0 and (2 * vi > n, 2 * vj > n) == (sx < 0, sy < 0)
+        if swap:
+            assert (min(vi, n - vi) > min(vj, n - vj)) == (swap < 0)
 
 
 def test_dirichlet_energy_loop_values():
