@@ -260,9 +260,9 @@ def _pinned_factor(n: int, which: str) -> tuple[sp.csr_matrix, spla.SuperLU]:
 
 def _solve_zeromean(w: np.ndarray, n: int, which: str, tol: float) -> np.ndarray:
     """Pinned solve, its residual checked against the factored Laplacian."""
-    lap, factor = _pinned_factor(n, which)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    lap, factor = _pinned_factor(n, which)
     w_free = w - w.mean()
     rhs = w_free.copy()
     rhs[0] = 0.0

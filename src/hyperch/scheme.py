@@ -15,7 +15,8 @@ commutes with the eight symmetries of the square, the group D4, so it is
 factored in the D4-adapted orthonormal basis Q: Q^T (K + L R) Q =
 blockdiag(A, B, B), with A the blocks of the four one-dimensional
 representations and B that of the two-dimensional one, which appears
-twice and is factored once.  The explicit wells plus the linear
+twice and is factored once.  Only the rows of K + L R the blocks are
+gathered from are formed.  The explicit wells plus the linear
 stabilizers keep every block constant in time, so the blocks are
 assembled and factorized once per run.  The increment form keeps K y
 out of floating point, so the masses are conserved to roundoff and a
@@ -106,22 +107,21 @@ def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
 
 @dataclass
 class SparseSystem:
-    """Time-constant blocks of the coupled system, its Schur complement on
-    the fields and the reusable factor of the latter.
+    """Time-constant blocks of the coupled system and the reusable factor
+    of its Schur complement on the fields.
 
     The coupled system [[K, -L], [R, I]] acts on x = [y | mu].  The
     evolution rows are K y - L mu, with K = diag(``k``) = blockdiag(k1 I,
     k2 I) and the mobility Laplacians L = blockdiag(M1 l_mu, M2 l_loop)
     (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
-    explicit function of the fields.  ``schur`` = K + L R is what
-    eliminating mu leaves on y; only its distinct blocks in the D4 basis
-    Q (``basis``, with ``basis_t`` = Q^T, and ``sector`` and ``vertex``
-    from ``operators.mirror_basis``) are factored, and every solution's
-    residual is formed on the coupled rows from the blocks.
+    explicit function of the fields.  Eliminating mu leaves K + L R on y;
+    it is never held whole: only its distinct blocks in the D4 basis Q
+    (``basis``, with ``basis_t`` = Q^T, and ``sector`` and ``vertex`` from
+    ``operators.mirror_basis``) are formed and factored, and every
+    solution's residual is formed on the coupled rows from the blocks.
     """
 
     k: np.ndarray
-    schur: sp.csr_matrix
     lap: sp.csr_matrix = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
     basis: sp.csr_matrix = field(repr=False)
@@ -131,14 +131,15 @@ class SparseSystem:
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
-        """Factor of Q^T schur Q = blockdiag(A, B, B), built on first use.
+        """Factor of Q^T (K + L R) Q = blockdiag(A, B, B), built on first use.
 
         A holds sectors 0 to 3 and B sector 4; sector 5's block equals B,
-        so it is never formed.  The blocks are gathered from schur's own
-        rows: for every v in the span of sector s, Q[:, t] . v = v[p] /
-        Q[p, t] with p = ``vertex``[t], since a vertex lies on at most one
-        column of a sector; so row t is (schur Q)[p, columns of s] / Q[p, t],
-        from row p of schur.  Off-block entries are never formed."""
+        so it is never formed.  The blocks are gathered from rows of
+        S = K + L R: for every v in the span of sector s, Q[:, t] . v =
+        v[p] / Q[p, t] with p = ``vertex``[t], since a vertex lies on at
+        most one column of a sector; so row t is (S Q)[p, columns of s] /
+        Q[p, t].  Only the gathered rows p of S are formed, and no
+        off-block entry."""
         if self._direct is None:
             q, dim, sector = self.basis, self.k.size, self.sector
             na, m = np.searchsorted(sector, [4, 5])  # A's rows end at na, B's at m
@@ -147,13 +148,14 @@ class SparseSystem:
             col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
             col[slot], val[slot] = q.indices, q.data
             p = self.vertex[:m]
-            rows = self.schur[p]  # new arrays: the canonical form below is not schur's
+            rows = self.lap[p] @ self.rows + sp.csr_matrix((self.k[p], (np.arange(m), p)), (m, dim))
+            rows.sort_indices()  # sum_duplicates below then adds in a fixed order
             t = np.repeat(np.arange(m), np.diff(rows.indptr))  # row of every entry
             at = sector[t] * dim + rows.indices
             data = rows.data * val[at] / val[sector[:m] * dim + p][t]
             g = sp.csr_matrix((data, col[at], rows.indptr), (m, m))
             g.sum_duplicates()  # rows within two nodes of a mirror or diagonal line
-            g.eliminate_zeros()  # schur columns without an entry in the row's sector
+            g.eliminate_zeros()  # S columns without an entry in the row's sector
             k = g.indptr[na]
             a = sp.csr_matrix((g.data[:k], g.indices[:k], g.indptr[: na + 1]), (na, na))
             b = sp.csr_matrix((g.data[k:], g.indices[k:] - na, g.indptr[na:] - k), (m - na,) * 2)
@@ -164,7 +166,7 @@ class SparseSystem:
         """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y = Q z with z
         from the block factor on Q^T (b_y + L b_mu), then mu = b_mu - R y.
         The residual [b_y - (K y - L mu) | b_mu - (R y + mu)] reuses R y
-        and never reads ``schur``; x is returned with ||residual|| / ||b||
+        and never forms K + L R; x is returned with ||residual|| / ||b||
         <= RESIDUAL_TOL, or a SolveError carries x and its stats."""
         b = np.asarray(b, dtype=float)
         b_y, b_mu = np.split(b, [self.k.size])
@@ -178,8 +180,8 @@ class SparseSystem:
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
-    """Assemble the blocks of the coupled system and its Schur complement
-    for one (grid, params) pair; entries depend only on grid and params.
+    """Assemble the blocks of the coupled system for one (grid, params)
+    pair; entries depend only on grid and params.
 
     The evolution rows apply to mu_int the mirror-ghost Neumann Laplacian
     l_mu: the ghost value of mu outside each side is the first interior
@@ -206,12 +208,9 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
         -sp.vstack([hess[: grid.n_int] / (h * h), hess[grid.n_int :] / h])
         - sp.block_diag([params.s1 * eye_i, loop_diag - l_loop])
     ).tocsr()
-    schur = (sp.diags(k) + lap @ rows).tocsr()
-    schur.sort_indices()
     basis, sector, vertex = ops.mirror_basis(grid)
     return SparseSystem(
-        k=k, schur=schur, lap=lap, rows=rows, basis=basis, basis_t=basis.T.tocsr(),
-        sector=sector, vertex=vertex,
+        k=k, lap=lap, rows=rows, basis=basis, basis_t=basis.T.tocsr(), sector=sector, vertex=vertex
     )
 
 

@@ -8,7 +8,8 @@ mirror closure rows (b') mu_edge = mu_1.  Its unknowns are ordered
 ``eliminate_mu_edge`` reduces it to the package's stacked unknowns
 [phi | psi | mu_int | mu_loop], rows and columns alike.  ``coupled_matrix``
 places the package's blocks in that coupled form, which the package never
-assembles itself.
+assembles itself, and ``schur_matrix`` their Schur complement K + L R,
+which the package forms only row by row inside its factor.
 """
 
 import numpy as np
@@ -181,3 +182,11 @@ def coupled_matrix(system):
     assembled from the blocks a ``SparseSystem`` holds."""
     eye = sp.identity(system.k.size)
     return sp.bmat([[sp.diags(system.k), -system.lap], [system.rows, eye]], format="csr")
+
+
+def schur_matrix(system):
+    """The Schur complement diag(k) + lap @ rows on [y], in canonical CSR,
+    assembled from the blocks a ``SparseSystem`` holds."""
+    schur = (sp.diags(system.k) + system.lap @ system.rows).tocsr()
+    schur.sort_indices()
+    return schur

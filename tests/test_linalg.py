@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dense_oracle import schur_matrix
+
 from hyperch import ModelParams, assemble_system, build_grid
 from hyperch.linalg import DirectFactorization, SolveError, check_csr, check_residual
 
@@ -46,10 +48,10 @@ def test_duplicate_entries_summed_without_touching_input():
 
 def test_schur_solve_matches_dense():
     g = build_grid(8)
-    system = assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.3))
-    b = np.random.default_rng(8).standard_normal(system.schur.shape[0])
-    x, _ = DirectFactorization([system.schur], [1]).solve(b)
-    want = np.linalg.solve(system.schur.toarray(), b)
+    schur = schur_matrix(assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.3)))
+    b = np.random.default_rng(8).standard_normal(schur.shape[0])
+    x, _ = DirectFactorization([schur], [1]).solve(b)
+    want = np.linalg.solve(schur.toarray(), b)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -194,12 +194,14 @@ def test_matrices_belong_to_their_caller():
     # scaling a returned matrix in place reaches no later assembly
     g = build_grid(8)
     params = model.ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.1)
-    want = assemble_system(g, params).schur
+    want = assemble_system(g, params)
     for mat in (neumann_laplacian_matrix(8), loop_laplacian_matrix(8), dirichlet_hessian(g)):
         mat.data *= 3.0
-    got = assemble_system(g, params).schur
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, part), getattr(want, part))
+    got = assemble_system(g, params)
+    for name in ("lap", "rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
 
 
 def test_weights_share_one_trapezoid_vector():
@@ -356,8 +358,14 @@ def test_poisson_loop_constant_rhs_gives_zero():
 
 
 def test_poisson_rejects_bad_tol(g10):
-    with pytest.raises(ValueError):
-        solve_poisson_neumann_zeromean(np.zeros(g10.n_int), g10, tol=0.0)
+    # a bad tol fails fast: no Laplacian is factored or cached for it
+    operators._pinned_factor.cache_clear()
+    for tol in (0.0, np.nan, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            solve_poisson_neumann_zeromean(np.zeros(g10.n_int), g10, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            solve_poisson_loop_zeromean(np.zeros(g10.n_loop), g10, tol=tol)
+    assert operators._pinned_factor.cache_info().currsize == 0
 
 
 # ---- summation-by-parts pairing -----------------------------------------

@@ -6,7 +6,14 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dense_oracle import coupled_matrix, dense_matrix, dense_rhs, eliminate_mu_edge, offsets
+from dense_oracle import (
+    coupled_matrix,
+    dense_matrix,
+    dense_rhs,
+    eliminate_mu_edge,
+    offsets,
+    schur_matrix,
+)
 
 from hyperch import (
     F_val,
@@ -233,7 +240,7 @@ def test_schur_matches_dense_schur_complement(n, beta):
     want = a[np.ix_(keep, keep)] - a[np.ix_(keep, mu)] @ np.linalg.solve(
         a[np.ix_(mu, mu)], a[np.ix_(mu, keep)]
     )
-    got = system.schur.toarray()
+    got = schur_matrix(system).toarray()
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -314,13 +321,16 @@ def test_direct_solve_reports_full_system_residual(monkeypatch):
     assert err.value.stats.rel_residual == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_full_residual_check_does_not_trust_schur():
-    # a Schur matrix off by a relative 1e-6 is solved to roundoff by its
-    # own factor; the coupled rows, formed from k, lap and rows, see it
+def test_full_residual_check_does_not_trust_the_factor():
+    # blocks off by a relative 1e-6 are solved to roundoff by their own
+    # factor; the coupled rows, formed from k, lap and rows, see it
     g = build_grid(8)
     params = params_for(g, beta1=0.5, beta2=0.5)
     system = assemble_system(g, params)
-    system.schur.data *= 1.0 + 1e-6
+    a = system.direct().a
+    na, m = np.searchsorted(system.sector, [4, 5])  # A's rows end at na, B's at m
+    blocks = [a[:na, :na] * (1.0 + 1e-6), a[na:m, na:m] * (1.0 + 1e-6)]
+    system._direct = DirectFactorization(blocks, [1, 2])
     with pytest.raises(SolveError) as err:
         system.solve(_rough_rhs(g, params))
     assert err.value.stats.rel_residual > 1e-8
@@ -328,25 +338,35 @@ def test_full_residual_check_does_not_trust_schur():
 
 def test_system_holds_only_field_sized_matrices():
     # the coupled matrix on [y | mu] is never assembled: every sparse
-    # matrix the system and its factor keep acts on the fields
+    # matrix the system and its factor keep acts on the fields.  The
+    # system holds the coupled blocks and the basis, and nothing derived
+    # from them (K + L R is formed row by row inside the factor only)
     g = build_grid(5)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     dim = g.n_int + g.n_loop
+    own = {"lap", "rows", "basis", "basis_t"}
+    assert {k for k, v in vars(system).items() if sp.issparse(v)} == own
+    system.direct()
+    assert {k for k, v in vars(system).items() if sp.issparse(v)} == own
     held = [v for obj in (system, system.direct()) for v in vars(obj).values() if sp.issparse(v)]
     assert held and all(m.shape == (dim, dim) for m in held)
     assert system.k.shape == (dim,)
 
 
 def test_factoring_leaves_the_blocks_untouched():
-    # the sector matrix is gathered from schur's own rows; its canonical
-    # form must not rewrite the arrays it was built from
+    # the blocks are gathered from rows of K + L R formed from k, lap and
+    # rows; neither that nor their canonical form may rewrite the arrays
+    # they were built from
     g = build_grid(8)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
-    held = [m.copy() for m in (system.schur, system.lap, system.rows, system.basis)]
+    names = ("lap", "rows", "basis", "basis_t")
+    held = [getattr(system, name).copy() for name in names]
+    k = system.k.copy()
     system.direct()
-    for before, after in zip(held, (system.schur, system.lap, system.rows, system.basis)):
+    assert np.array_equal(system.k, k)
+    for before, name in zip(held, names):
         for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(before, part), getattr(after, part))
+            assert np.array_equal(getattr(before, part), getattr(getattr(system, name), part))
 
 
 def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
@@ -391,7 +411,7 @@ def test_schur_commutes_with_the_symmetries_of_the_square(n):
     # the swap reverses the loop's orientation, which the periodic loop
     # Laplacian and the normal derivative do not see
     g = build_grid(n)
-    schur = assemble_system(g, params_for(g, beta1=0.1, beta2=0.3)).schur
+    schur = schur_matrix(assemble_system(g, params_for(g, beta1=0.1, beta2=0.3)))
     for fi, fj in ((lambda i, j: n - i, lambda i, j: j), (lambda i, j: i, lambda i, j: n - j),
                    (lambda i, j: j, lambda i, j: i)):
         perm = vertex_permutation(g, fi, fj)
@@ -412,10 +432,11 @@ def check_d4_solve(n, beta1, beta2, seed):
     # second to the bit; the solve agrees with a nodal factor of schur
     g = build_grid(n)
     system = assemble_system(g, params_for(g, beta1=beta1, beta2=beta2))
-    q, sector, scale = system.basis, system.sector, np.abs(system.schur.data).max()
+    schur = schur_matrix(system)
+    q, sector, scale = system.basis, system.sector, np.abs(schur.data).max()
     assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
     assert abs(system.basis_t - q.T).max() == 0.0
-    full = (system.basis_t @ system.schur @ q).tocsr()
+    full = (system.basis_t @ schur @ q).tocsr()
     coo = full.tocoo()
     inside = sector[coo.row] == sector[coo.col]
     assert np.abs(coo.data[~inside]).max(initial=0.0) <= 1e-14 * scale
@@ -428,7 +449,7 @@ def check_d4_solve(n, beta1, beta2, seed):
     assert abs(a - in_blocks).max() <= 1e-14 * scale
     b = np.random.default_rng(seed).standard_normal(2 * q.shape[0])
     b_y, b_mu = np.split(b, 2)
-    y, _ = DirectFactorization([system.schur], [1]).solve(b_y + system.lap @ b_mu)
+    y, _ = DirectFactorization([schur], [1]).solve(b_y + system.lap @ b_mu)
     want = np.concatenate([y, b_mu - system.rows @ y])
     got, _ = system.solve(b)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
