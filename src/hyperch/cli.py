@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from . import experiments as exps
 from . import model as mdl
 from . import scheme
@@ -242,12 +240,11 @@ def write_vtk_snapshot(state: scheme.State, grid: Grid, path: str) -> None:
         fh.write(f"POINT_DATA {(n + 1) * (n + 1)}\n")
         fh.write("SCALARS phi double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        values = full.T.ravel()  # x varies fastest in structured points
-        fh.write(("%.17e\n" * values.size) % tuple(values))
-    trace = np.column_stack([grid.loop_arc_length(), state.psi]).ravel()
+        line = "%.17e\n" * (n + 1)  # one grid row: x varies fastest in structured points
+        fh.writelines(line % tuple(row) for row in full.T)
     with open(trace_csv_path(path), "w", encoding="utf-8") as fh:
         fh.write("arc_length,psi\n")
-        fh.write(("%.17e,%.17e\n" * grid.n_loop) % tuple(trace))
+        fh.writelines("%.17e,%.17e\n" % pair for pair in zip(grid.loop_arc_length(), state.psi))
 
 
 # ---- commands ----------------------------------------------------------

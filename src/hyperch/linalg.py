@@ -1,12 +1,12 @@
 """Sparse linear algebra for the time-constant coupled system.
 
-The system matrix is held in compressed-sparse-row form (scipy).  The
-matrix never changes within a run, so it is factorized once by a sparse
-direct LU and every step pays one set of triangular solves, held to a
-relative-residual contract.  A block-diagonal matrix is factored one
-distinct block at a time, and a block that repeats is factored once: its
-factor solves the right-hand sides of all its copies as the columns of
-one call.
+The matrix never changes within a run, so it is factorized once by a
+sparse direct LU and every step pays one set of triangular solves, held
+to a relative-residual contract.  A block-diagonal matrix is held as its
+distinct blocks, in compressed-sparse-row form (scipy), and never
+expanded: each is factored once, a block that repeats solves the
+right-hand sides of all its copies as the columns of one call, and the
+residual is formed one copy of a block at a time.
 
 SuperLU factors compressed-sparse-column input.  The CSR arrays of a
 block are the CSC arrays of its transpose, so the LU is taken of the
@@ -115,50 +115,50 @@ class BlockLU:
         return x
 
 
-def _block_diag(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """blockdiag(blocks) from the blocks' own CSR arrays."""
-    dims = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()  # Python ints keep
-    nnz = np.cumsum([0] + [b.nnz for b in blocks]).tolist()  # the index dtype
-    return sp.csr_matrix(
-        (
-            np.concatenate([b.data for b in blocks]),
-            np.concatenate([b.indices + d for b, d in zip(blocks, dims)]),
-            np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, nnz)]),
-        ),
-        (dims[-1],) * 2,
-    )
-
-
 class DirectFactorization:
     """Reusable sparse LU of a time-constant block-diagonal matrix
     (residual-checked).
 
-    ``a`` = blockdiag(``copies[0]`` copies of ``blocks[0]``, then
-    ``copies[1]`` of ``blocks[1]``, ...); a single matrix is one block with
-    one copy.  Each distinct block is factored once (``_lu``, a BlockLU),
-    as its transpose: the transpose of a CSR matrix is a CSC view of the
-    same arrays, which SuperLU takes without a copy.  splu sums duplicate
-    entries of its input in place, so every block is canonicalized first
-    (``check_csr``): the view must not rewrite the caller's arrays.
-    SuperLU orders the columns by minimum degree on the pattern of
-    A^T + A: on the scheme's D4 blocks that leaves 6% (n = 50) and 31%
-    (n = 200) less fill than the default COLAMD ordering.  ``relax=1`` and
-    ``panel_size=1`` keep SuperLU from padding small supernodes, which made
-    the D4 blocks' solve 0.173 against 0.133 ms at n = 50 and 6.3 against
-    4.4 ms at n = 200 (medians, one BLAS thread).
+    The matrix ``a`` is blockdiag(``copies[0]`` copies of ``blocks[0]``,
+    then ``copies[1]`` of ``blocks[1]``, ...); a single matrix is one block
+    with one copy.  Only the distinct blocks are held (``blocks``): ``a``
+    is built on each read, for the benchmark's size counts and the tests,
+    and ``solve`` forms the residual one copy at a time.  Each block is
+    factored once (``_lu``, a BlockLU), as its transpose, a CSC view of
+    its arrays.  splu sums duplicate entries of its input in place, so
+    every block is canonicalized first (``check_csr``): the view must not
+    rewrite the caller's arrays.  SuperLU orders the columns by minimum
+    degree on the pattern of A^T + A: on the scheme's D4 blocks that leaves
+    6% (n = 50) and 31% (n = 200) less fill than the default COLAMD
+    ordering.  ``relax=1`` and ``panel_size=1`` keep SuperLU from padding
+    small supernodes, which made the D4 blocks' solve 0.173 against
+    0.133 ms at n = 50 and 6.3 against 4.4 ms at n = 200 (medians, one
+    BLAS thread).
     """
 
     def __init__(self, blocks: list[sp.csr_matrix], copies: list[int]):
         if len(blocks) != len(copies) or not all(c >= 1 for c in copies):
             raise ValueError(f"need one copy count >= 1 per block, got {list(copies)}")
-        blocks = [check_csr(b) for b in blocks]
-        self.a = _block_diag([b for b, c in zip(blocks, copies) for _ in range(c)])
+        self.blocks = blocks = [check_csr(b) for b in blocks]
         self._lu = BlockLU(
             [spla.splu(b.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1) for b in blocks],
             list(copies),
         )
 
+    @property
+    def a(self) -> sp.csr_matrix:
+        diagonal = [b for b, c in zip(self.blocks, self._lu.copies) for _ in range(c)]
+        return sp.block_diag(diagonal, format="csr")
+
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
+        """x with a x = b and its stats; b - a x is formed one copy at a time
+        (vectors beat columns here), each row summed in the order of a @ x."""
         b = np.asarray(b, dtype=float)
         x = self._lu.solve(b)
-        return check_residual(b - self.a @ x, b, x, tol)
+        ax, start = np.empty_like(x), 0
+        for blk, c in zip(self.blocks, self._lu.copies):
+            for _ in range(c):
+                stop = start + blk.shape[0]
+                ax[start:stop] = blk @ x[start:stop]
+                start = stop
+        return check_residual(b - ax, b, x, tol)

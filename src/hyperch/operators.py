@@ -115,7 +115,7 @@ def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     and a mixed one eight, so no pairing of columns with vertices gives
     Q = Q^T, and a caller that applies Q^T holds it once."""
     n = grid.n
-    order = _vertex_index(grid)
+    order = _vertex_index(grid).astype(np.int32)  # halves the (dim, 6) index stacks
     at = np.empty_like(order)
     at[order] = np.arange(order.size)  # [phi | psi] index of every vertex
     i, j = np.divmod(order, n + 1)
@@ -127,7 +127,7 @@ def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     vertex = np.argsort(own, kind="stable")
     e = own.size - np.count_nonzero(own == 5)  # copy 5 starts at e, copy 4 at 2e - size
     vertex[e:] = at[j * (n + 1) + i][vertex[2 * e - own.size : e]]
-    col = np.empty_like(vertex)
+    col = np.empty_like(vertex, dtype=np.int32)
     col[vertex] = np.arange(vertex.size)
     # row m of Q, per sector: the vertex[t] of the column on vertex m's
     # orbit, that column's value at m, and whether the sector has one

@@ -116,51 +116,54 @@ class SparseSystem:
     (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
     explicit function of the fields.  Eliminating mu leaves K + L R on y;
     it is never held whole: only its distinct blocks in the D4 basis Q
-    (``basis``, with ``basis_t`` = Q^T, and ``sector`` and ``vertex`` from
-    ``operators.mirror_basis``) are formed and factored, and every
-    solution's residual is formed on the coupled rows from the blocks.
+    (``basis``, ``sector`` and ``vertex`` from ``operators.mirror_basis``;
+    ``basis_t`` = Q^T is a view of Q's arrays) are formed and factored, and
+    every solution's residual is formed on the coupled rows from the blocks.
     """
 
     k: np.ndarray
     lap: sp.csr_matrix = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
     basis: sp.csr_matrix = field(repr=False)
-    basis_t: sp.csr_matrix = field(repr=False)
+    basis_t: sp.csc_matrix = field(repr=False)
     sector: np.ndarray = field(repr=False)
     vertex: np.ndarray = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
-        """Factor of Q^T (K + L R) Q = blockdiag(A, B, B), built on first use.
+        """Factor of Q^T (K + L R) Q = blockdiag(A, B, B), built on first use."""
+        if self._direct is None:
+            self._direct = linalg.DirectFactorization(self._gather(), [1, 2])
+        return self._direct
 
-        A holds sectors 0 to 3 and B sector 4; sector 5's block equals B,
-        so it is never formed.  The blocks are gathered from rows of
-        S = K + L R: for every v in the span of sector s, Q[:, t] . v =
+    def _gather(self) -> list[sp.csr_matrix]:
+        """[A, B]: A holds sectors 0 to 3 and B sector 4; sector 5's block
+        equals B, so it is never formed.  The blocks are gathered from rows
+        of S = K + L R: for every v in the span of sector s, Q[:, t] . v =
         v[p] / Q[p, t] with p = ``vertex``[t], since a vertex lies on at
         most one column of a sector; so row t is (S Q)[p, columns of s] /
-        Q[p, t].  Only the gathered rows p of S are formed, and no
-        off-block entry."""
-        if self._direct is None:
-            q, dim, sector = self.basis, self.k.size, self.sector
-            na, m = np.searchsorted(sector, [4, 5])  # A's rows end at na, B's at m
-            # the sector-s entry of row p of Q, stored at s * dim + p (or a zero)
-            slot = sector[q.indices] * dim + np.repeat(np.arange(dim), np.diff(q.indptr))
-            col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
-            col[slot], val[slot] = q.indices, q.data
-            p = self.vertex[:m]
-            rows = self.lap[p] @ self.rows + sp.csr_matrix((self.k[p], (np.arange(m), p)), (m, dim))
+        Q[p, t].  Only the gathered rows p of S are formed, one block at a
+        time, and no off-block entry."""
+        q, dim, sector = self.basis, self.k.size, self.sector.astype(np.int32)
+        na, m = np.searchsorted(sector, [4, 5])  # A's rows end at na, B's at m
+        # the sector-s entry of row p of Q, stored at s * dim + p (or a zero)
+        slot = sector[q.indices] * dim + q.tocoo().row
+        col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
+        col[slot], val[slot] = q.indices, q.data
+
+        def block(lo: int, hi: int) -> sp.csr_matrix:  # its temporaries die on return
+            p, s, r = self.vertex[lo:hi], sector[lo:hi], np.arange(hi - lo, dtype=np.int32)
+            rows = self.lap[p] @ self.rows + sp.csr_matrix((self.k[p], (r, p)), (r.size, dim))
             rows.sort_indices()  # sum_duplicates below then adds in a fixed order
-            t = np.repeat(np.arange(m), np.diff(rows.indptr))  # row of every entry
-            at = sector[t] * dim + rows.indices
-            data = rows.data * val[at] / val[sector[:m] * dim + p][t]
-            g = sp.csr_matrix((data, col[at], rows.indptr), (m, m))
+            t = np.repeat(r, np.diff(rows.indptr))  # row of every entry
+            at = s[t] * dim + rows.indices
+            data = rows.data * val[at] / val[s * dim + p][t]
+            g = sp.csr_matrix((data, col[at], rows.indptr), (r.size, m))
             g.sum_duplicates()  # rows within two nodes of a mirror or diagonal line
             g.eliminate_zeros()  # S columns without an entry in the row's sector
-            k = g.indptr[na]
-            a = sp.csr_matrix((g.data[:k], g.indices[:k], g.indptr[: na + 1]), (na, na))
-            b = sp.csr_matrix((g.data[k:], g.indices[k:] - na, g.indptr[na:] - k), (m - na,) * 2)
-            self._direct = linalg.DirectFactorization([a, b], [1, 2])
-        return self._direct
+            return sp.csr_matrix((g.data, g.indices - lo, g.indptr), (r.size,) * 2)
+
+        return [block(0, na), block(na, m)]
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
         """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y = Q z with z
@@ -210,7 +213,7 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     ).tocsr()
     basis, sector, vertex = ops.mirror_basis(grid)
     return SparseSystem(
-        k=k, lap=lap, rows=rows, basis=basis, basis_t=basis.T.tocsr(), sector=sector, vertex=vertex
+        k=k, lap=lap, rows=rows, basis=basis, basis_t=basis.T, sector=sector, vertex=vertex
     )
 
 

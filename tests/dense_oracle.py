@@ -9,7 +9,8 @@ mirror closure rows (b') mu_edge = mu_1.  Its unknowns are ordered
 [phi | psi | mu_int | mu_loop], rows and columns alike.  ``coupled_matrix``
 places the package's blocks in that coupled form, which the package never
 assembles itself, and ``schur_matrix`` their Schur complement K + L R,
-which the package forms only row by row inside its factor.
+which the package forms only row by row inside its factor;
+``gathered_blocks`` gathers the factored blocks from it in one pass.
 """
 
 import numpy as np
@@ -190,3 +191,28 @@ def schur_matrix(system):
     schur = (sp.diags(system.k) + system.lap @ system.rows).tocsr()
     schur.sort_indices()
     return schur
+
+
+def gathered_blocks(system):
+    """[A, B] gathered in one pass from the rows of the sorted
+    ``schur_matrix``, as the package did while it held K + L R whole: row
+    t is (S Q)[p, columns of t's sector] / Q[p, t] with p = vertex[t];
+    duplicates summed in the sorted order, zeros dropped."""
+    schur, q, sector = schur_matrix(system), system.basis, system.sector
+    dim = q.shape[0]
+    na, m = np.searchsorted(sector, [4, 5])
+    slot = sector[q.indices] * dim + np.repeat(np.arange(dim), np.diff(q.indptr))
+    col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
+    col[slot], val[slot] = q.indices, q.data
+    p = system.vertex[:m]
+    rows = schur[p]
+    t = np.repeat(np.arange(m), np.diff(rows.indptr))
+    at = sector[t] * dim + rows.indices
+    data = rows.data * val[at] / val[sector[:m] * dim + p][t]
+    g = sp.csr_matrix((data, col[at], rows.indptr), (m, m))
+    g.sum_duplicates()
+    g.eliminate_zeros()
+    k = g.indptr[na]
+    a = sp.csr_matrix((g.data[:k], g.indices[:k], g.indptr[: na + 1]), (na, na))
+    b = sp.csr_matrix((g.data[k:], g.indices[k:] - na, g.indptr[na:] - k), (m - na,) * 2)
+    return [a, b]

@@ -25,6 +25,7 @@ from hyperch.cli import (
     write_diag_csv,
     write_vtk_snapshot,
 )
+from hyperch.operators import to_full_grid
 
 
 # ---- config parsing --------------------------------------------------------
@@ -227,6 +228,20 @@ def test_vtk_snapshot_constant_state(tmp_path):
     write_vtk_snapshot(st, g, path)
     _, vals = read_vtk_scalars(path)
     assert (vals == 0.5).all()
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_vtk_data_is_one_full_precision_value_per_line(tmp_path, n):
+    # the writer formats a grid row at a time; the bytes are those of one
+    # "%.17e\n" per vertex value, x varying fastest
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    st = init_state(rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop), g)
+    path = tmp_path / "r.vtk"
+    write_vtk_snapshot(st, g, str(path))
+    _, sep, data = path.read_text().partition("LOOKUP_TABLE default\n")
+    want = "".join("%.17e\n" % v for v in to_full_grid(st.phi, st.psi, g).T.ravel())
+    assert sep and data == want
 
 
 def test_vtk_values_ordered_x_fastest(tmp_path):

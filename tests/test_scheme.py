@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from dense_oracle import (
     dense_matrix,
     dense_rhs,
     eliminate_mu_edge,
+    gathered_blocks,
     offsets,
     schur_matrix,
 )
@@ -338,9 +340,10 @@ def test_full_residual_check_does_not_trust_the_factor():
 
 def test_system_holds_only_field_sized_matrices():
     # the coupled matrix on [y | mu] is never assembled: every sparse
-    # matrix the system and its factor keep acts on the fields.  The
-    # system holds the coupled blocks and the basis, and nothing derived
-    # from them (K + L R is formed row by row inside the factor only)
+    # matrix the system keeps acts on the fields.  The system holds the
+    # coupled blocks and the basis, and nothing derived from them (K + L R
+    # is formed row by row inside the factor only); the factor holds only
+    # the distinct blocks A and B (test_factoring_holds_only_its_blocks)
     g = build_grid(5)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     dim = g.n_int + g.n_loop
@@ -348,9 +351,50 @@ def test_system_holds_only_field_sized_matrices():
     assert {k for k, v in vars(system).items() if sp.issparse(v)} == own
     system.direct()
     assert {k for k, v in vars(system).items() if sp.issparse(v)} == own
-    held = [v for obj in (system, system.direct()) for v in vars(obj).values() if sp.issparse(v)]
-    assert held and all(m.shape == (dim, dim) for m in held)
+    held = [v for v in vars(system).values() if sp.issparse(v)]
+    assert all(m.shape == (dim, dim) for m in held)
     assert system.k.shape == (dim,)
+
+
+def test_factoring_holds_only_its_blocks():
+    # factoring keeps the distinct blocks and their SuperLU factors, with
+    # no expanded blockdiag(A, B, B), and its transients stay near the
+    # size of the system's own blocks: the gather forms one block's rows at
+    # a time.  tracemalloc sees numpy's arrays but not SuperLU's own C
+    # allocations, so this bounds the gather, not the factor's fill
+    # (1.9x at n = 64; 3.7x with both blocks' rows and the expansion live)
+    g = build_grid(64)
+    system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
+    own = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+              for m in (system.lap, system.rows, system.basis))
+    tracemalloc.start()
+    try:
+        fac = system.direct()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * own
+    na, m = np.searchsorted(system.sector, [4, 5])
+    assert [b.shape for b in fac.blocks] == [(na, na), (m - na, m - na)]
+    assert not [v for obj in (fac, fac._lu) for v in vars(obj).values() if sp.issparse(v)]
+    # Q^T is a view of Q's arrays, not a copy
+    assert np.shares_memory(system.basis_t.data, system.basis.data)
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 21, 51])
+@pytest.mark.parametrize("betas", [(0.0, 0.0), (0.1, 0.3)])
+def test_factored_blocks_match_the_one_pass_gather_to_the_bit(n, betas):
+    # the blocks are gathered one at a time from rows formed as L[p] R plus
+    # K's diagonal; sorted, those rows sum their orbit duplicates in the
+    # same order as the one-pass gather from the whole sorted K + L R
+    g = build_grid(n)
+    system = assemble_system(g, params_for(g, beta1=betas[0], beta2=betas[1]))
+    blocks = system.direct().blocks
+    want = gathered_blocks(system)
+    assert len(blocks) == len(want) == 2
+    for got, ref in zip(blocks, want):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
 
 
 def test_factoring_leaves_the_blocks_untouched():
