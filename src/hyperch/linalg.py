@@ -86,6 +86,22 @@ def check_residual(
     return x, stats
 
 
+def _block_diag(blocks: list[sp.spmatrix]) -> sp.spmatrix:
+    """blockdiag(blocks) of square blocks, all CSR or all CSC, built from
+    the blocks' own arrays in their order (no COO round trip)."""
+    dims = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()  # Python ints keep
+    nnz = np.cumsum([0] + [b.nnz for b in blocks]).tolist()  # the index dtype
+    indptr = [blocks[0].indptr[:1]] + [b.indptr[1:] + z for b, z in zip(blocks, nnz)]
+    return type(blocks[0])(
+        (
+            np.concatenate([b.data for b in blocks]),
+            np.concatenate([b.indices + d for b, d in zip(blocks, dims)]),
+            np.concatenate(indptr),
+        ),
+        (dims[-1],) * 2,
+    )
+
+
 class BlockLU:
     """SuperLU factors of the distinct diagonal blocks of a block-diagonal
     matrix a, block k repeated ``copies[k]`` times in a row along the
@@ -98,11 +114,11 @@ class BlockLU:
 
     @property
     def L(self) -> sp.csc_matrix:
-        return sp.block_diag([f.L for f in self.factors], format="csc")
+        return _block_diag([f.L for f in self.factors])
 
     @property
     def U(self) -> sp.csc_matrix:
-        return sp.block_diag([f.U for f in self.factors], format="csc")
+        return _block_diag([f.U for f in self.factors])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with a x = b: each factor solves the parts of b that meet its
@@ -147,8 +163,7 @@ class DirectFactorization:
 
     @property
     def a(self) -> sp.csr_matrix:
-        diagonal = [b for b, c in zip(self.blocks, self._lu.copies) for _ in range(c)]
-        return sp.block_diag(diagonal, format="csr")
+        return _block_diag([b for b, c in zip(self.blocks, self._lu.copies) for _ in range(c)])
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
         """x with a x = b and its stats; b - a x is formed one copy at a time

@@ -7,11 +7,14 @@ on the stacked fields [phi | psi].  Its interior rows are the 5-point
 Laplacian (``apply_bulk_laplacian``) and its loop rows the variational
 outward normal derivative (``normal_derivative``).  Square-grid stencils
 lift one 1-D operator, the free-end second difference a, to both axes as
-a Kronecker sum: the Hessian on the (n+1)^2 vertex grid, weighted by the
-trapezoid weights, and the mirror-ghost Neumann Laplacian on the interior
-grid.  They commute with the eight symmetries of the square, its mirror
-maps and the diagonal swap, so the D4-adapted basis ``mirror_basis``
-splits them into one block per sector, two of them equal.
+the Kronecker sum kron(a, T) + kron(T, a): the Hessian on the (n+1)^2
+vertex grid, T the trapezoid weights, and the mirror-ghost Neumann
+Laplacian on the interior grid, T the identity.  Each is built as its
+written-out 5-point stencil, directly in the caller's node order and in
+final CSR form (``_kron_sum``).  They commute with the eight symmetries
+of the square, its mirror maps and the diagonal swap, so the D4-adapted
+basis ``mirror_basis`` splits them into one block per sector, two of
+them equal.
 The Poisson solvers invert the Neumann Laplacian (bulk) and the
 periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
@@ -73,24 +76,44 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _free_end_second_difference(m: int) -> sp.csr_matrix:
-    """D^T D for the forward difference D along a chain of m nodes:
-    tridiag(-1, 2, -1) with 1 in both end entries."""
-    d = sp.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m))
-    return (d.T @ d).tocsr()
-
-
-def _kron_sum(a: sp.spmatrix, t: sp.spmatrix) -> sp.csr_matrix:
-    """kron(a, t) + kron(t, a): the 1-D operator a along both axes of a
-    square grid, weighted by t along the other; x index i is slow."""
-    return (sp.kron(a, t) + sp.kron(t, a)).tocsr()
+def _kron_sum(m: int, t: np.ndarray, order: np.ndarray) -> sp.csr_matrix:
+    """kron(a, T) + kron(T, a) on an m x m grid, with T = diag(t) and a the
+    free-end second difference (tridiag(-1, 2, -1) with 1 in both end
+    entries), written out as its 5-point stencil: node (i, j), flat index
+    i m + j, couples to (i +- 1, j) with -t[j], to (i, j +- 1) with -t[i],
+    and to itself with a_ii t[j] + t[i] a_jj, which zeroes the row sum.
+    Rows and columns are in ``order``, a permutation of the flat indices;
+    each row's columns are sorted."""
+    i, j = np.divmod(order, m)
+    w = m + 2
+    at = np.full((w, w), order.size, order.dtype)  # a border of missing neighbors
+    at[i + 1, j + 1] = np.arange(order.size, dtype=order.dtype)
+    # a row's keys 8 * column + k of the neighbors at grid offsets (-1, 0),
+    # (0, -1), (0, 0), (0, 1) and (1, 0), sorted; missing ones sort last
+    key = at.ravel()[(i * w + j + w + 1)[:, None] + np.array([-w, -1, 0, 1, w], order.dtype)]
+    key <<= 3
+    key += np.arange(5, dtype=order.dtype)
+    key.sort(axis=1)
+    key = key[key < order.size << 3]
+    # a_ii and a_jj: the node's chain neighbors along i and along j
+    ai, aj = (i > 0).astype(order.dtype) + (i < m - 1), (j > 0).astype(order.dtype) + (j < m - 1)
+    ti, tj = t[i], t[j]
+    vals = np.stack([-tj, -ti, ai * tj + ti * aj, -ti, -tj], axis=1).ravel()
+    count = ai + aj + 1
+    pick = np.repeat(np.arange(0, vals.size, 5, dtype=order.dtype), count)
+    pick += key & 7  # row r's entry at offset k is vals[5 r + k]
+    key >>= 3
+    return sp.csr_matrix(
+        (vals[pick], key, np.r_[0, count.cumsum()].astype(order.dtype)), (order.size,) * 2
+    )
 
 
 def _vertex_index(grid: Grid) -> np.ndarray:
     """Flat (n+1)^2 vertex-grid indices, row-major in (i, j), in the order
     of [phi | psi]: interior vertices, then the loop (``grid.loop_ij``)."""
     n1, inner = grid.n + 1, np.arange(1, grid.n)
-    return np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
+    order = np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
+    return order.astype(np.int32)  # halves the index arrays built on it
 
 
 def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
@@ -113,9 +136,10 @@ def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     vertices are distinct, and each of sectors 0 to 4 lists them in
     [phi | psi] order.  Q is not symmetric: a column of E has four entries
     and a mixed one eight, so no pairing of columns with vertices gives
-    Q = Q^T, and a caller that applies Q^T holds it once."""
+    Q = Q^T, and a caller that applies Q^T holds it once.  Q's index
+    arrays, sector and vertex are int32."""
     n = grid.n
-    order = _vertex_index(grid).astype(np.int32)  # halves the (dim, 6) index stacks
+    order = _vertex_index(grid)
     at = np.empty_like(order)
     at[order] = np.arange(order.size)  # [phi | psi] index of every vertex
     i, j = np.divmod(order, n + 1)
@@ -142,7 +166,8 @@ def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     q = sp.csr_matrix(
         (vals[valid], cols[valid], np.r_[0, valid.sum(axis=1).cumsum()]), (order.size,) * 2
     )
-    return q, np.repeat(np.arange(6), np.bincount(own, minlength=6)), vertex
+    sector = np.repeat(np.arange(6, dtype=np.int32), np.bincount(own, minlength=6))
+    return q, sector, vertex.astype(np.int32)
 
 
 def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:
@@ -150,15 +175,13 @@ def dirichlet_hessian(grid: Grid) -> sp.csr_matrix:
     is y^T H y / 2.
 
     kron(a, T) + kron(T, a) on the vertex grid, T = diag(trapezoid
-    weights), rows and columns in [phi | psi] order, indices sorted.
+    weights), written out with rows and columns in [phi | psi] order,
+    indices sorted.
     Symmetric, zero row sums.  Interior rows are the 5-point stencil; an
     edge row is 2 at its node, -1/2 at its loop neighbors and -1 inside;
     a corner row is 1 at the corner and -1/2 at its loop neighbors.
     """
-    order, a = _vertex_index(grid), _free_end_second_difference(grid.n + 1)
-    hess = _kron_sum(a, sp.diags(trapezoid_weights(grid.n)))[order][:, order]
-    hess.sort_indices()
-    return hess
+    return _kron_sum(grid.n + 1, trapezoid_weights(grid.n), _vertex_index(grid))
 
 
 def _fields(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -224,12 +247,15 @@ def neumann_laplacian_matrix(n: int) -> sp.csr_matrix:
     """Mirror-ghost Neumann 5-point Laplacian on the (n-1)^2 interior grid.
 
     Symmetric with zero row sums; the ghost value outside each side equals
-    the first inside value, which realizes a homogeneous Neumann closure.
-    It is the operator the scheme's bulk evolution rows apply to mu, and
+    the first inside value, which realizes a homogeneous Neumann closure:
+    -(kron(a, I) + kron(I, a)) / h^2, written out in row-major order.  It
+    is the operator the scheme's bulk evolution rows apply to mu, and
     the one the bulk Poisson solver inverts.
     """
-    h2 = (1.0 / n) ** 2
-    return -_kron_sum(_free_end_second_difference(n - 1), sp.identity(n - 1)) / h2
+    m = n - 1
+    lap = _kron_sum(m, np.ones(m), np.arange(m * m, dtype=np.int32))
+    lap.data *= -1.0 / (1.0 / n) ** 2
+    return lap
 
 
 def loop_laplacian_matrix(n: int) -> sp.csr_matrix:

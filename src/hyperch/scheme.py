@@ -144,10 +144,11 @@ class SparseSystem:
         most one column of a sector; so row t is (S Q)[p, columns of s] /
         Q[p, t].  Only the gathered rows p of S are formed, one block at a
         time, and no off-block entry."""
-        q, dim, sector = self.basis, self.k.size, self.sector.astype(np.int32)
+        q, dim, sector = self.basis, self.k.size, self.sector
         na, m = np.searchsorted(sector, [4, 5])  # A's rows end at na, B's at m
         # the sector-s entry of row p of Q, stored at s * dim + p (or a zero)
-        slot = sector[q.indices] * dim + q.tocoo().row
+        slot = sector[q.indices] * dim
+        slot += np.repeat(np.arange(dim, dtype=sector.dtype), np.diff(q.indptr))  # entry's row
         col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
         col[slot], val[slot] = q.indices, q.data
 
@@ -196,21 +197,26 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     W = blockdiag(h^2 I, h I), so W R is symmetric:
     R = -W^-1 H - blockdiag(s1 I, diag(s2 + s1 h w_k) - l_loop), with H
     ``operators.dirichlet_hessian`` and h w_k ``model.loop_well_weights``.
+    Every block is built in its final CSR arrays: H is scaled in place, and
+    the block-diagonal parts are concatenated from their blocks' arrays.
     """
     _, _, k1, k2 = _relaxation(params)
-    h = grid.h
+    h, ni = grid.h, grid.n_int
+    k = np.concatenate([np.full(ni, k1), np.full(grid.n_loop, k2)])
     l_loop = ops.loop_laplacian_matrix(grid.n)
-    hess = ops.dirichlet_hessian(grid)
-    eye_i = sp.identity(grid.n_int, format="csr")
-    k = np.concatenate([np.full(grid.n_int, k1), np.full(grid.n_loop, k2)])
-    lap = sp.block_diag(
-        [params.M1 * ops.neumann_laplacian_matrix(grid.n), params.M2 * l_loop], format="csr"
-    )
+    hess = ops.dirichlet_hessian(grid)  # scaled in place into -W^-1 H
+    cut = hess.indptr[ni]
+    hess.data[:cut] *= -1.0 / (h * h)
+    hess.data[cut:] *= -1.0 / h
     loop_diag = sp.diags(params.s2 + params.s1 * mdl.loop_well_weights(grid.n))
-    rows = (
-        -sp.vstack([hess[: grid.n_int] / (h * h), hess[grid.n_int :] / h])
-        - sp.block_diag([params.s1 * eye_i, loop_diag - l_loop])
-    ).tocsr()
+    rows = hess - linalg._block_diag(
+        [params.s1 * sp.identity(ni, format="csr"), loop_diag - l_loop]
+    )
+    l_mu = ops.neumann_laplacian_matrix(grid.n)
+    l_mu.data *= params.M1
+    l_loop.data *= params.M2
+    lap = linalg._block_diag([l_mu, l_loop])
+    del hess, l_mu, l_loop  # freed before the basis's transients: a lower heap peak
     basis, sector, vertex = ops.mirror_basis(grid)
     return SparseSystem(
         k=k, lap=lap, rows=rows, basis=basis, basis_t=basis.T, sector=sector, vertex=vertex

@@ -11,10 +11,18 @@ places the package's blocks in that coupled form, which the package never
 assembles itself, and ``schur_matrix`` their Schur complement K + L R,
 which the package forms only row by row inside its factor;
 ``gathered_blocks`` gathers the factored blocks from it in one pass.
+``reference_hessian``, ``reference_neumann_laplacian`` and
+``reference_blocks`` are the package's earlier sparse formulas for its
+stencils and the blocks lap and rows: Kronecker products permuted by
+fancy indexing, scipy's block_diag and vstack.  The package writes the
+same matrices out entry by entry, to the bit.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from hyperch.model import loop_well_weights
+from hyperch.operators import loop_laplacian_matrix, trapezoid_weights
 
 
 def offsets(grid):
@@ -216,3 +224,48 @@ def gathered_blocks(system):
     a = sp.csr_matrix((g.data[:k], g.indices[:k], g.indptr[: na + 1]), (na, na))
     b = sp.csr_matrix((g.data[k:], g.indices[k:] - na, g.indptr[na:] - k), (m - na,) * 2)
     return [a, b]
+
+
+def _free_end_second_difference(m):
+    """D^T D for the forward difference D along a chain of m nodes:
+    tridiag(-1, 2, -1) with 1 in both end entries."""
+    d = sp.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m))
+    return (d.T @ d).tocsr()
+
+
+def _kron_sum(a, t):
+    """kron(a, t) + kron(t, a) on a square grid; x index i is slow."""
+    return (sp.kron(a, t) + sp.kron(t, a)).tocsr()
+
+
+def reference_hessian(grid):
+    """kron(a, T) + kron(T, a) on the (n+1)^2 vertex grid, T the trapezoid
+    weights, restricted to [phi | psi] order by fancy indexing; sorted."""
+    n1, inner = grid.n + 1, np.arange(1, grid.n)
+    order = np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
+    hess = _kron_sum(_free_end_second_difference(n1), sp.diags(trapezoid_weights(grid.n)))
+    hess = hess[order][:, order]
+    hess.sort_indices()
+    return hess
+
+
+def reference_neumann_laplacian(n):
+    """-(kron(a, I) + kron(I, a)) / h^2 on the (n-1)^2 interior grid."""
+    return -_kron_sum(_free_end_second_difference(n - 1), sp.identity(n - 1)) / (1.0 / n) ** 2
+
+
+def reference_blocks(grid, params):
+    """(lap, rows) of ``assemble_system`` from scipy's block_diag and vstack:
+    lap = blockdiag(M1 l_mu, M2 l_loop) and
+    rows = -[H_int / h^2 ; H_loop / h] - blockdiag(s1 I, diag(s2 + s1 h w) - l_loop)."""
+    h, ni = grid.h, grid.n_int
+    hess, l_loop = reference_hessian(grid), loop_laplacian_matrix(grid.n)
+    lap = sp.block_diag(
+        [params.M1 * reference_neumann_laplacian(grid.n), params.M2 * l_loop], format="csr"
+    )
+    loop_diag = sp.diags(params.s2 + params.s1 * loop_well_weights(grid.n))
+    rows = (
+        -sp.vstack([hess[:ni] / (h * h), hess[ni:] / h])
+        - sp.block_diag([params.s1 * sp.identity(ni, format="csr"), loop_diag - l_loop])
+    ).tocsr()
+    return lap, rows

@@ -15,6 +15,7 @@ from hyperch import (
     init_case,
     init_state,
 )
+from hyperch import scheme
 from hyperch.cli import (
     ConfigError,
     RunConfig,
@@ -451,6 +452,26 @@ def test_main_cases(tmp_path):
     for case in (1, 2, 3, 4):
         assert (out / f"case{case}" / "diag.csv").exists()
         assert (out / f"case{case}" / "final.vtk").exists()
+
+
+def test_main_cases_share_one_system_and_write_what_run_writes(tmp_path, monkeypatch):
+    # the cases differ only in their initial state: one assembly (and so
+    # one factor) serves all four, and each case's files are byte-identical
+    # to a run of that case alone
+    keys = ["n=8", "t_end=0.0005", "seed=3", "beta1=0.1"]
+    assemblies = []
+    assemble = scheme.assemble_system
+    monkeypatch.setattr(
+        scheme, "assemble_system", lambda *args: assemblies.append(args) or assemble(*args)
+    )
+    assert main(["cases", *keys, f"output_dir={tmp_path / 'cases'}"]) == 0
+    assert len(assemblies) == 1
+    for case in (1, 2, 3, 4):
+        alone = tmp_path / f"run{case}"
+        assert main(["run", *keys, f"case={case}", f"output_dir={alone}"]) == 0
+        for name in ("diag.csv", "final.vtk", "final_trace.csv"):
+            got = (tmp_path / "cases" / f"case{case}" / name).read_bytes()
+            assert got == (alone / name).read_bytes()
 
 
 @pytest.mark.parametrize("command, key", [

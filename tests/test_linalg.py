@@ -81,6 +81,22 @@ def test_fill_counts_each_distinct_block_once():
     assert fac.a.shape == (dims[0] + 2 * dims[1],) * 2
 
 
+def test_expansions_are_the_block_diagonals():
+    # a, L and U are concatenated from their blocks' own arrays: a equals
+    # scipy's block_diag to the bit, and L and U equal it as matrices (the
+    # entries of a column may come in another order)
+    g = build_grid(8)
+    fac = assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.3)).direct()
+    want = sp.block_diag([fac.blocks[0], fac.blocks[1], fac.blocks[1]], format="csr")
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(fac.a, part), getattr(want, part))
+    for name in ("L", "U"):
+        got = getattr(fac._lu, name)
+        ref = sp.block_diag([getattr(f, name) for f in fac._lu.factors], format="csc")
+        assert got.format == "csc" and got.shape == ref.shape and got.nnz == ref.nnz
+        assert (got != ref).nnz == 0
+
+
 def test_factor_fill_at_n50():
     # the D4 blocks A and B factored once each: 87,518 (152,840 for the four
     # mirror sectors in one factor)
