@@ -10,12 +10,10 @@ residual is formed one copy of a block at a time.
 
 SuperLU factors compressed-sparse-column input.  The CSR arrays of a
 block are the CSC arrays of its transpose, so the LU is taken of the
-transpose, without a format copy, and each solve runs it transposed.  On
-the scheme's Schur matrix in its D4 basis (blocks A and B, one and two
-columns) that factor also has less fill and solves faster than the LU of
-the blocks themselves, with the same ordering: 3.19M against 3.90M fill
-and 4.4 against 4.9 ms at n = 200, 87,518 against 87,521 and 0.133
-against 0.146 ms at n = 50 (medians, one BLAS thread).
+transpose, without a format copy, and each solve runs it transposed.
+The scheme factors its boundary capacitance matrix this way: blocks A
+and B of width 4n - 4 and 2n - 2 (one and two columns), dense inside
+their D4 sectors.
 """
 
 from __future__ import annotations
@@ -143,13 +141,13 @@ class DirectFactorization:
     factored once (``_lu``, a BlockLU), as its transpose, a CSC view of
     its arrays.  splu sums duplicate entries of its input in place, so
     every block is canonicalized first (``check_csr``): the view must not
-    rewrite the caller's arrays.  SuperLU orders the columns by minimum
-    degree on the pattern of A^T + A: on the scheme's D4 blocks that leaves
-    6% (n = 50) and 31% (n = 200) less fill than the default COLAMD
-    ordering.  ``relax=1`` and ``panel_size=1`` keep SuperLU from padding
-    small supernodes, which made the D4 blocks' solve 0.173 against
-    0.133 ms at n = 50 and 6.3 against 4.4 ms at n = 200 (medians, one
-    BLAS thread).
+    rewrite the caller's arrays.  The columns keep their natural order:
+    the scheme's blocks are dense within their sectors, so an ordering
+    saves no fill (316,930 against 317,127 with minimum degree on A^T + A
+    at n = 200) and costs time, and SuperLU's default supernode relaxation
+    and panel size factor them fastest: 13.4 against 18.4 ms and a 0.34
+    against 0.39 ms solve at n = 200, with minimum degree, relax=1 and
+    panel_size=1 (mins, one BLAS thread).
     """
 
     def __init__(self, blocks: list[sp.csr_matrix], copies: list[int]):
@@ -157,7 +155,7 @@ class DirectFactorization:
             raise ValueError(f"need one copy count >= 1 per block, got {list(copies)}")
         self.blocks = blocks = [check_csr(b) for b in blocks]
         self._lu = BlockLU(
-            [spla.splu(b.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1) for b in blocks],
+            [spla.splu(b.T, permc_spec="NATURAL") for b in blocks],
             list(copies),
         )
 

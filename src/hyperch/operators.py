@@ -14,7 +14,8 @@ written-out 5-point stencil, directly in the caller's node order and in
 final CSR form (``_kron_sum``).  They commute with the eight symmetries
 of the square, its mirror maps and the diagonal swap, so the D4-adapted
 basis ``mirror_basis`` splits them into one block per sector, two of
-them equal.
+them equal.  The Dirichlet 5-point Laplacian is diagonal in the 2-D
+sine basis of the interior grid (``dirichlet_modes``).
 The Poisson solvers invert the Neumann Laplacian (bulk) and the
 periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
@@ -116,10 +117,30 @@ def _vertex_index(grid: Grid) -> np.ndarray:
     return order.astype(np.int32)  # halves the index arrays built on it
 
 
-def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """(Q, sector, vertex): the orthonormal basis of [phi | psi] adapted to
-    the symmetry group D4 of the square, which its mirror maps x -> 1-x,
-    y -> 1-y and the diagonal swap (x, y) -> (y, x) generate.
+def dirichlet_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, lam): the orthonormal DST-I matrix of the n - 1 interior
+    nodes of a side, sigma[a, k] = sqrt(2/n) sin(pi (a+1)(k+1) / n), which
+    is symmetric and its own inverse, and the eigenvalues lam[k] =
+    -4 sin^2(pi (k+1) / 2n) / h^2 of the second difference with zero values
+    beyond both ends.  The Dirichlet 5-point Laplacian on the interior grid
+    (values on the loop set to zero), the interior block of -H / h^2 for H
+    ``dirichlet_hessian``, is (sigma x sigma) diag(lam_k + lam_l) (sigma x
+    sigma).  Row m - 1 - a of sigma is (-1)^k times row a, so mode k is
+    even under the mirror of its axis if k is even and odd if k is odd."""
+    k, h = np.arange(1, n), 1.0 / n
+    # sin(pi j / n) with j reduced mod 2n, so the argument stays below 2 pi
+    sigma = np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n)))
+    return sigma, -4.0 * np.sin(0.5 * np.pi / n * k) ** 2 / (h * h)
+
+
+def mirror_basis(grid: Grid, nodes: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """(Q, sector, vertex): the orthonormal basis of the fields on
+    ``nodes`` adapted to the symmetry group D4 of the square, which its
+    mirror maps x -> 1-x, y -> 1-y and the diagonal swap (x, y) -> (y, x)
+    generate.  ``nodes`` are [phi | psi] indices of a node set that D4 maps
+    onto itself (the whole grid, or layers at fixed distances from the
+    boundary); Q's rows, and the positions vertex[t] below, follow their
+    order.
 
     sector[t] of column t is nondecreasing over six contiguous blocks:
     0 ++even, 1 ++odd, 2 --even, 3 --odd (x and y parities, then the swap
@@ -129,19 +150,18 @@ def mirror_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     orbit of a vertex, divided by the root of the orbit size; in sectors 0
     to 3 the patterns on the orbits of (i, j) and (j, i), when these
     differ, are mixed as (e_1 +- e_2)/sqrt(2), and a diagonal orbit is
-    swap-even only.  vertex[t] is the [phi | psi] index of a vertex where
-    column t is positive, in the quadrant of its x, y parities (mirror
-    lines belong to the low halves); in sectors 0 to 3, min(i, n - i) <=
-    min(j, n - j) there if the column is swap-even and > if odd.  These
-    vertices are distinct, and each of sectors 0 to 4 lists them in
-    [phi | psi] order.  Q is not symmetric: a column of E has four entries
-    and a mixed one eight, so no pairing of columns with vertices gives
-    Q = Q^T, and a caller that applies Q^T holds it once.  Q's index
-    arrays, sector and vertex are int32."""
+    swap-even only.  vertex[t] is the position in ``nodes`` of a vertex
+    where column t is positive, in the quadrant of its x, y parities
+    (mirror lines belong to the low halves); in sectors 0 to 3, min(i, n -
+    i) <= min(j, n - j) there if the column is swap-even and > if odd.
+    These vertices are distinct, and each of sectors 0 to 4 lists them in
+    the order of ``nodes``.  Q is not symmetric: a column of E has four
+    entries and a mixed one eight, so no pairing of columns with vertices
+    gives Q = Q^T.  Q's index arrays, sector and vertex are int32."""
     n = grid.n
-    order = _vertex_index(grid)
-    at = np.empty_like(order)
-    at[order] = np.arange(order.size)  # [phi | psi] index of every vertex
+    order = _vertex_index(grid)[nodes]
+    at = np.zeros((n + 1) ** 2, dtype=order.dtype)
+    at[order] = np.arange(order.size, dtype=order.dtype)  # position of every node
     i, j = np.divmod(order, n + 1)
     hx, hy = 2 * i > n, 2 * j > n  # in the high half of x, of y
     ri, rj = np.minimum(i, n - i), np.minimum(j, n - j)
@@ -274,8 +294,8 @@ def _pinned_factor(n: int, which: str) -> tuple[sp.csr_matrix, spla.SuperLU]:
     For a symmetric operator with constants in the kernel and a mean-free
     right-hand side (with rhs[0] set to 0), the pinned solve is exact: the
     dropped row's residual vanishes automatically.  Ordered by minimum
-    degree on A^T + A, as linalg.DirectFactorization orders the scheme's
-    factor; at n = 50 the bulk factor's fill is 40% below COLAMD's.
+    degree on A^T + A: at n = 50 the bulk factor's fill is 40% below
+    COLAMD's.
     """
     lap = neumann_laplacian_matrix(n) if which == "bulk" else loop_laplacian_matrix(n)
     pinned = lap.tolil()

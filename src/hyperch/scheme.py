@@ -7,16 +7,20 @@ chemical potential has unknowns at interior nodes only; its no-flux
 condition enters the bulk evolution rows as the mirror-ghost Neumann
 Laplacian.  Every chemical potential is an explicit sparse function of
 the fields, so the coupled system is the 2x2 block saddle-point form
-[[K, -L], [R, I]] and the solve eliminates mu exactly: it factors the
+[[K, -L], [R, I]] and the solve eliminates mu exactly: it solves the
 Schur complement K + L R on the fields, half the unknowns, and rebuilds
 mu by one matrix-vector product after each solve; the full residual is
 taken on the block rows, never on an assembled coupled matrix.  K + L R
+is never formed either.  Away from the boundary it is a polynomial in
+the Dirichlet Laplacian, diagonal in the 2-D sine basis, so a solve is
+two sine transforms plus the capacitance-matrix correction of Buzbee,
+Dorr, George & Golub (SIAM J. Numer. Anal. 8, 1971) on the first
+interior layer and the loop: a bordered system 8n - 8 wide.  That system
 commutes with the eight symmetries of the square, the group D4, so it is
-factored in the D4-adapted orthonormal basis Q: Q^T (K + L R) Q =
+factored in the D4-adapted orthonormal basis Q of those nodes: Q^T C Q =
 blockdiag(A, B, B), with A the blocks of the four one-dimensional
 representations and B that of the two-dimensional one, which appears
-twice and is factored once.  Only the rows of K + L R the blocks are
-gathered from are formed.  The explicit wells plus the linear
+twice and is factored once.  The explicit wells plus the linear
 stabilizers keep every block constant in time, so the blocks are
 assembled and factorized once per run.  The increment form keeps K y
 out of floating point, so the masses are conserved to roundoff and a
@@ -105,82 +109,237 @@ def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
     return r1, r2, (r1 + 1.0) / tau, (r2 + 1.0) / tau
 
 
+# (x, y) parities of sectors 0 to 4 of ``operators.mirror_basis``
+_PARITIES = ((1, 1), (1, 1), (-1, -1), (-1, -1), (1, -1))
+
+
+def _ring(n: int) -> np.ndarray:
+    """Interior indices of the first layer F, the 4n - 8 interior nodes
+    next to the loop, line by line: the rows a = 0 and a = m - 1 of the
+    (m, m) interior grid, corners included, then the columns b = 0 and
+    b = m - 1 between them (m = n - 1)."""
+    m = n - 1
+    row, inner = np.arange(m), np.arange(1, m - 1) * m
+    return np.concatenate([row, (m - 1) * m + row, inner, inner + m - 1]).astype(np.int32)
+
+
+def _dense(a: sp.coo_matrix, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """a[r0:r1, c0:c1] as a dense array, from the entries of a, which has
+    no duplicates."""
+    keep = (a.row >= r0) & (a.row < r1) & (a.col >= c0) & (a.col < c1)
+    out = np.zeros((r1 - r0, c1 - c0))
+    out[a.row[keep] - r0, a.col[keep] - c0] = a.data[keep]
+    return out
+
+
+def _dense_csr(c: np.ndarray) -> sp.csr_matrix:
+    """A dense square block in CSR form, every entry stored."""
+    k = c.shape[0]
+    cols = np.tile(np.arange(k, dtype=np.int32), k)
+    return sp.csr_matrix((c.ravel(), cols, np.arange(0, k * k + 1, k, dtype=np.int32)), c.shape)
+
+
 @dataclass
 class SparseSystem:
     """Time-constant blocks of the coupled system and the reusable factor
-    of its Schur complement on the fields.
+    of its boundary capacitance matrix.
 
     The coupled system [[K, -L], [R, I]] acts on x = [y | mu].  The
     evolution rows are K y - L mu, with K = diag(``k``) = blockdiag(k1 I,
     k2 I) and the mobility Laplacians L = blockdiag(M1 l_mu, M2 l_loop)
     (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
-    explicit function of the fields.  Eliminating mu leaves K + L R on y;
-    it is never held whole: only its distinct blocks in the D4 basis Q
-    (``basis``, ``sector`` and ``vertex`` from ``operators.mirror_basis``;
-    ``basis_t`` = Q^T is a view of Q's arrays) are formed and factored, and
-    every solution's residual is formed on the coupled rows from the blocks.
+    explicit function of the fields.  Eliminating mu leaves S = K + L R on
+    y, which is never formed.  With L_D the Dirichlet 5-point Laplacian
+    (L_D - s1 I is R's bulk block), S's bulk block is P + U V^T:
+
+    - P = k1 I + M1 L_D (L_D - s1 I) is diagonal in the 2-D sine basis
+      sigma x sigma (``sigma`` from ``operators.dirichlet_modes``); ``lam``
+      is the symbol of L_D and ``inv_p`` that of P^-1;
+    - U = M1 J, where J = l_mu - L_D is diagonal and nonzero only on the
+      first layer F (``ring``): 1/h^2 for each neighbor a node has on the
+      loop;
+    - V^T = (L_D - s1 I)[F, :].
+
+    S's loop rows read the bulk on F only, and its loop columns are
+    M1 l_mu R[:, loop] with R[:, loop] nonzero in F's rows only.  So
+    S y = r is solved by the capacitance-matrix method: z = V^T y_phi and
+    y_psi solve the bordered system
+
+        C [z | y_psi] = [V^T P^-1 r_phi | r_psi - S_psi,phi P^-1 r_phi]
+
+    of width |F| + 4n = 8n - 8, and y_phi = P^-1 (r_phi - U z - S_phi,psi
+    y_psi).  C commutes with D4, so in the D4 basis Q of F and the loop
+    (``basis``, ``sector`` and ``vertex`` from ``operators.mirror_basis``)
+    it is blockdiag(A, B, B).  The factor holds A and B once each, their
+    columns scaled to unit maxima, and the maps ``_enter`` and ``_leave``
+    into and out of it carry Q, the scaling and C's sparse couplings.
+    Every solution's residual is formed on the coupled rows from k, lap
+    and rows.
     """
 
     k: np.ndarray
     lap: sp.csr_matrix = field(repr=False)
     rows: sp.csr_matrix = field(repr=False)
+    m1: float
+    s1: float
+    sigma: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
+    inv_p: np.ndarray = field(repr=False)
+    ring: np.ndarray = field(repr=False)
     basis: sp.csr_matrix = field(repr=False)
-    basis_t: sp.csc_matrix = field(repr=False)
     sector: np.ndarray = field(repr=False)
     vertex: np.ndarray = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
+    _enter: sp.csc_matrix | None = field(default=None, repr=False)
+    _leave: sp.csr_matrix | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
-        """Factor of Q^T (K + L R) Q = blockdiag(A, B, B), built on first use."""
+        """Factor of Q^T C Q D = blockdiag(A, B, B), C's blocks with their
+        columns scaled, built on first use with the maps into and out of it:
+
+        - ``_enter`` takes [V^T P^-1 r_phi | P^-1 r_phi on F | r_psi] to
+          Q^T of C's right-hand side;
+        - ``_leave`` takes the factor's solution to [U (z + R_F,psi
+          y_psi) | R_F,psi y_psi | y_psi], what y_phi and y read."""
         if self._direct is None:
-            self._direct = linalg.DirectFactorization(self._gather(), [1, 2])
+            couplings = self._couplings()
+            blocks = self.capacitance_blocks(couplings)
+            u, r_f, lr, _ = couplings
+            # the LU is of the transpose (linalg), so its partial pivoting
+            # picks within C's columns: they are scaled to unit maxima
+            cs = [1.0 / np.abs(c).max(axis=0) for c in blocks]
+            for c, s in zip(blocks, cs):
+                c *= s
+            nf, q = self.ring.size, self.basis
+            self._enter = sp.hstack([q[:nf].T, -(q[nf:].T @ lr).tocsc(), q[nf:].T], format="csc")
+            # sector 5 is solved by B's factor, so it takes B's scaling
+            qd = (q @ sp.diags(np.concatenate(cs + cs[4:]))).tocsr()
+            v = (r_f @ qd[nf:]).tocsr()
+            self._leave = sp.vstack([sp.diags(u) @ (qd[:nf] + v), v, qd[nf:]], format="csr")
+            a = linalg._block_diag([_dense_csr(c) for c in blocks[:4]])
+            self._direct = linalg.DirectFactorization([a, _dense_csr(blocks[4])], [1, 2])
         return self._direct
 
-    def _gather(self) -> list[sp.csr_matrix]:
-        """[A, B]: A holds sectors 0 to 3 and B sector 4; sector 5's block
-        equals B, so it is never formed.  The blocks are gathered from rows
-        of S = K + L R: for every v in the span of sector s, Q[:, t] . v =
-        v[p] / Q[p, t] with p = ``vertex``[t], since a vertex lies on at
-        most one column of a sector; so row t is (S Q)[p, columns of s] /
-        Q[p, t].  Only the gathered rows p of S are formed, one block at a
-        time, and no off-block entry."""
-        q, dim, sector = self.basis, self.k.size, self.sector
-        na, m = np.searchsorted(sector, [4, 5])  # A's rows end at na, B's at m
-        # the sector-s entry of row p of Q, stored at s * dim + p (or a zero)
-        slot = sector[q.indices] * dim
-        slot += np.repeat(np.arange(dim, dtype=sector.dtype), np.diff(q.indptr))  # entry's row
-        col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
-        col[slot], val[slot] = q.indices, q.data
+    def _couplings(self) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """C's sparse parts (u, R_F,psi, LR, S_psi,psi): U's diagonal on F,
+        R's block from the loop to F, S_psi,phi's columns on F (LR = M2
+        l_loop R[loop, F]) and S's loop block."""
+        m, ring = self.sigma.shape[0], self.ring
+        ni = m * m
+        corner = np.isin(np.arange(ring.size), [0, m - 1, m, 2 * m - 1])  # two loop neighbors
+        u = self.m1 * (m + 1.0) ** 2 * np.where(corner, 2.0, 1.0)
+        loop_rows = self.lap[ni:] @ self.rows  # S's loop rows, less K
+        s_pp = loop_rows[:, ni:] + sp.diags(self.k[ni:])
+        return u, self.rows[ring][:, ni:], loop_rows[:, ring], s_pp
 
-        def block(lo: int, hi: int) -> sp.csr_matrix:  # its temporaries die on return
-            p, s, r = self.vertex[lo:hi], sector[lo:hi], np.arange(hi - lo, dtype=np.int32)
-            rows = self.lap[p] @ self.rows + sp.csr_matrix((self.k[p], (r, p)), (r.size, dim))
-            rows.sort_indices()  # sum_duplicates below then adds in a fixed order
-            t = np.repeat(r, np.diff(rows.indptr))  # row of every entry
-            at = s[t] * dim + rows.indices
-            data = rows.data * val[at] / val[s * dim + p][t]
-            g = sp.csr_matrix((data, col[at], rows.indptr), (r.size, m))
-            g.sum_duplicates()  # rows within two nodes of a mirror or diagonal line
-            g.eliminate_zeros()  # S columns without an entry in the row's sector
-            return sp.csr_matrix((g.data, g.indices - lo, g.indptr), (r.size,) * 2)
+    def capacitance_blocks(self, couplings: tuple | None = None) -> list[np.ndarray]:
+        """Q_s^T C Q_s, dense, for the sectors s = 0 to 4: A's four blocks
+        and B; sector 5's block equals B and is never formed.
 
-        return [block(0, na), block(na, m)]
+        With G_g the operator of symbol g in the sine basis (P^-1 is G_1/p)
+        and every operator restricted to the sector's columns, the block is
+
+            [[I + G_rho U,  (M1 G_lam,rho + G_rho U) R_F,psi],
+             [-LR G_1 U,    S_psi,psi - LR (M1 G_lam + G_1 U) R_F,psi]]
+
+        with symbols 1/p, lam/p, rho = (lam - s1)/p and lam rho, since
+        P^-1 l_mu = G_lam/p + G_1/p J.  A column on F is fixed by its values
+        v on the row a = 0 and w on the column b = 0, the corners halved
+        between the two; the other two lines are these times the sector's
+        parities (sx, sy).  Its sine transform is 2 s0_k (sigma v)_l +
+        2 (sigma w)_k s0_l on the modes k, l of those parities (s0 is
+        sigma's first row) and zero elsewhere, so each G_g block is a few
+        products of width n, and no (8n - 8)^2 matrix is formed."""
+        s, lam, m = self.sigma, self.lam, self.sigma.shape[0]
+        symbols = np.empty((4, m, m))  # filled in place: set-up's peak memory at large n
+        symbols[0] = self.inv_p
+        np.multiply(self.inv_p, lam, out=symbols[1])
+        np.multiply(self.inv_p, lam - self.s1, out=symbols[2])
+        np.multiply(symbols[2], lam, out=symbols[3])
+        u, r_f, lr, s_pp = self._couplings() if couplings is None else couplings
+        # C's sparse parts on [F | loop], which Q keeps apart: its columns
+        # lie on F or on the loop
+        sparse = sp.bmat([[sp.diags(u), r_f], [lr, s_pp]], format="csr")
+        sparse = (self.basis.T @ sparse @ self.basis).tocoo()
+        # Q's rows on the row a = 0 and on the column b = 0 of F; the corners,
+        # rows 0, m - 1, m and 2m - 1 of ``lines``, are halved between them
+        lines = self.basis[np.r_[0:m, 0, 2 * m : 3 * m - 2, m]].tocoo()
+        lines.data[np.isin(lines.row, [0, m - 1, m, 2 * m - 1])] *= 0.5
+        even = np.arange(m) % 2 == 0
+        blocks = []
+        for sec, (sx, sy) in enumerate(_PARITIES):
+            lo, hi = np.searchsorted(self.sector, [sec, sec + 1])
+            f = np.count_nonzero(self.vertex[lo:hi] < self.ring.size)  # F's columns come first
+            kx, ly = np.flatnonzero(even == (sx > 0)), np.flatnonzero(even == (sy > 0))
+            vw = _dense(lines, 0, 2 * m, lo, lo + f)
+            x, w = s[ly] @ vw[:m], s[kx] @ vw[m:]
+            sk, sl = s[0, kx], s[0, ly]
+            # the four symbols' blocks at once: products over modes (kx, ly)
+            gs = symbols[:, kx[:, None], ly]
+            t = w.T @ ((sk[:, None] * gs * sl) @ x)
+            g = x.T @ ((sk * sk @ gs)[..., None] * x)
+            g += w.T @ ((gs @ (sl * sl))[..., None] * w)
+            g += t
+            g += t.transpose(0, 2, 1)
+            g *= 4.0
+            g1, g_lam, g_rho, g_lr = g
+            part = _dense(sparse, lo, hi, lo, hi)
+            du, rh, lrh, sh = part[:f, :f], part[:f, f:], part[f:, :f], part[f:, f:]
+            blocks.append(np.block([
+                [np.eye(f) + g_rho @ du, (self.m1 * g_lr + g_rho @ du) @ rh],
+                [-lrh @ (g1 @ du), sh - lrh @ ((self.m1 * g_lam + g1 @ du) @ rh)],
+            ]))
+        return blocks
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
-        """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y = Q z with z
-        from the block factor on Q^T (b_y + L b_mu), then mu = b_mu - R y.
-        The residual [b_y - (K y - L mu) | b_mu - (R y + mu)] reuses R y
-        and never forms K + L R; x is returned with ||residual|| / ||b||
-        <= RESIDUAL_TOL, or a SolveError carries x and its stats."""
+        """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y solves
+        S y = b_y + L b_mu by the capacitance-matrix method, then mu =
+        b_mu - R y.  A solve takes two sine transforms of the (n-1)^2
+        grid, transforms of F's four lines only, and one solve of the
+        factor.  The residual [b_y - (K y - L mu) | b_mu - (R y + mu)]
+        reuses R y and never forms K + L R; x is returned with
+        ||residual|| / ||b|| <= RESIDUAL_TOL, or a SolveError carries x and
+        its stats."""
         b = np.asarray(b, dtype=float)
         b_y, b_mu = np.split(b, [self.k.size])
-        # the coupled rows' residual below, not the reduced one, is checked
-        z, _ = self.direct().solve(self.basis_t @ (b_y + self.lap @ b_mu), tol=math.inf)
-        y = self.basis @ z
+        rhs = b_y + self.lap @ b_mu
+        fac = self.direct()
+        s, m, nf = self.sigma, self.sigma.shape[0], self.ring.size
+        c = s @ rhs[: m * m].reshape(m, m) @ s
+        c *= self.inv_p  # P^-1 r_phi in the sine basis
+        on_f = self._on_ring(np.stack([c * (self.lam - self.s1), c]))
+        # the coupled rows' residual below, not the capacitance one, is checked
+        sol, _ = fac.solve(self._enter @ np.concatenate([on_f.ravel(), rhs[m * m :]]), tol=math.inf)
+        uz_v_y = self._leave @ sol
+        d = self._ring_transform(uz_v_y[: 2 * nf].reshape(2, nf))
+        c -= (d[0] + self.m1 * self.lam * d[1]) * self.inv_p
+        y = np.concatenate([(s @ c @ s).ravel(), uz_v_y[2 * nf :]])
         ry = self.rows @ y
         mu = b_mu - ry
         r = np.concatenate([b_y - (self.k * y - self.lap @ mu), b_mu - (ry + mu)])
         return linalg.check_residual(r, b, np.concatenate([y, mu]), RESIDUAL_TOL)
+
+    def _on_ring(self, c: np.ndarray) -> np.ndarray:
+        """Values on F, in ``ring`` order, of the fields whose sine
+        transforms are c[i]: the inverse transform of F's four lines only."""
+        s = self.sigma
+        e = s[:: s.shape[0] - 1]  # rows a = 0 and m - 1 of sigma
+        lines = e @ c @ s
+        inner = e @ c.transpose(0, 2, 1) @ s[:, 1:-1]  # the columns b = 0, m - 1 between
+        return np.concatenate([lines.reshape(len(c), -1), inner.reshape(len(c), -1)], axis=1)
+
+    def _ring_transform(self, f: np.ndarray) -> np.ndarray:
+        """Sine transforms of the fields that are f[i] on F (``ring`` order)
+        and zero elsewhere: the adjoint of ``_on_ring``.  A field on the
+        rows a = 0, m - 1 and the columns b = 0, m - 1 transforms to
+        e^T (rows sigma) + (columns sigma)^T e, e the rows 0 and m - 1 of
+        sigma: four outer products, taken as one product of width 4."""
+        s, m = self.sigma, self.sigma.shape[0]
+        e = np.broadcast_to(s[:: m - 1], (len(f), 2, m))
+        lines = f[:, : 2 * m].reshape(len(f), 2, m)
+        inner = f[:, 2 * m :].reshape(len(f), 2, m - 2)
+        left = np.concatenate([e, inner @ s[1:-1]], axis=1)
+        return left.transpose(0, 2, 1) @ np.concatenate([lines @ s, e], axis=1)
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
@@ -199,6 +358,9 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     ``operators.dirichlet_hessian`` and h w_k ``model.loop_well_weights``.
     Every block is built in its final CSR arrays: H is scaled in place, and
     the block-diagonal parts are concatenated from their blocks' arrays.
+    The solver's time-constant parts are set here too: the sine basis and
+    the symbols of L_D and P^-1 on the (n-1)^2 interior grid, and the D4
+    basis of the first layer F and the loop (``SparseSystem``).
     """
     _, _, k1, k2 = _relaxation(params)
     h, ni = grid.h, grid.n_int
@@ -209,17 +371,24 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     hess.data[:cut] *= -1.0 / (h * h)
     hess.data[cut:] *= -1.0 / h
     loop_diag = sp.diags(params.s2 + params.s1 * mdl.loop_well_weights(grid.n))
-    rows = hess - linalg._block_diag(
+    # scipy sizes the difference for nnz(H) + nnz(blockdiag) and keeps views
+    # of those arrays; the copy holds R at its exact size for the run
+    rows = (hess - linalg._block_diag(
         [params.s1 * sp.identity(ni, format="csr"), loop_diag - l_loop]
-    )
+    )).copy()
     l_mu = ops.neumann_laplacian_matrix(grid.n)
     l_mu.data *= params.M1
     l_loop.data *= params.M2
     lap = linalg._block_diag([l_mu, l_loop])
-    del hess, l_mu, l_loop  # freed before the basis's transients: a lower heap peak
-    basis, sector, vertex = ops.mirror_basis(grid)
+    del hess, l_mu, l_loop  # freed before the solver's arrays: a lower heap peak
+    sigma, lam = ops.dirichlet_modes(grid.n)
+    lam = lam[:, None] + lam
+    ring = _ring(grid.n)
+    basis, sector, vertex = ops.mirror_basis(grid, np.r_[ring, ni : ni + grid.n_loop])
     return SparseSystem(
-        k=k, lap=lap, rows=rows, basis=basis, basis_t=basis.T, sector=sector, vertex=vertex
+        k=k, lap=lap, rows=rows, m1=params.M1, s1=params.s1, sigma=sigma, lam=lam,
+        inv_p=1.0 / (k1 + params.M1 * lam * (lam - params.s1)), ring=ring, basis=basis,
+        sector=sector, vertex=vertex,
     )
 
 

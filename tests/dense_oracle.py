@@ -8,9 +8,9 @@ mirror closure rows (b') mu_edge = mu_1.  Its unknowns are ordered
 ``eliminate_mu_edge`` reduces it to the package's stacked unknowns
 [phi | psi | mu_int | mu_loop], rows and columns alike.  ``coupled_matrix``
 places the package's blocks in that coupled form, which the package never
-assembles itself, and ``schur_matrix`` their Schur complement K + L R,
-which the package forms only row by row inside its factor;
-``gathered_blocks`` gathers the factored blocks from it in one pass.
+assembles itself, ``schur_matrix`` their Schur complement K + L R, which
+the package never forms, and ``capacitance_matrix`` the bordered boundary
+system the package factors, from dense inverses.
 ``reference_hessian``, ``reference_neumann_laplacian`` and
 ``reference_blocks`` are the package's earlier sparse formulas for its
 stencils and the blocks lap and rows: Kronecker products permuted by
@@ -201,31 +201,6 @@ def schur_matrix(system):
     return schur
 
 
-def gathered_blocks(system):
-    """[A, B] gathered in one pass from the rows of the sorted
-    ``schur_matrix``, as the package did while it held K + L R whole: row
-    t is (S Q)[p, columns of t's sector] / Q[p, t] with p = vertex[t];
-    duplicates summed in the sorted order, zeros dropped."""
-    schur, q, sector = schur_matrix(system), system.basis, system.sector
-    dim = q.shape[0]
-    na, m = np.searchsorted(sector, [4, 5])
-    slot = sector[q.indices] * dim + np.repeat(np.arange(dim), np.diff(q.indptr))
-    col, val = np.zeros(6 * dim, dtype=q.indices.dtype), np.zeros(6 * dim)
-    col[slot], val[slot] = q.indices, q.data
-    p = system.vertex[:m]
-    rows = schur[p]
-    t = np.repeat(np.arange(m), np.diff(rows.indptr))
-    at = sector[t] * dim + rows.indices
-    data = rows.data * val[at] / val[sector[:m] * dim + p][t]
-    g = sp.csr_matrix((data, col[at], rows.indptr), (m, m))
-    g.sum_duplicates()
-    g.eliminate_zeros()
-    k = g.indptr[na]
-    a = sp.csr_matrix((g.data[:k], g.indices[:k], g.indptr[: na + 1]), (na, na))
-    b = sp.csr_matrix((g.data[k:], g.indices[k:] - na, g.indptr[na:] - k), (m - na,) * 2)
-    return [a, b]
-
-
 def _free_end_second_difference(m):
     """D^T D for the forward difference D along a chain of m nodes:
     tridiag(-1, 2, -1) with 1 in both end entries."""
@@ -269,3 +244,28 @@ def reference_blocks(grid, params):
         - sp.block_diag([params.s1 * sp.identity(ni, format="csr"), loop_diag - l_loop])
     ).tocsr()
     return lap, rows
+
+
+def capacitance_matrix(system, grid, params):
+    """The bordered capacitance matrix C on [F | loop] (F = ``system.ring``)
+    from the dense Schur complement S and the reference Laplacians: with
+    L_D = -H_int,int / h^2 the Dirichlet and l_mu the Neumann Laplacian,
+    U = M1 (l_mu - L_D)[:, F], V^T = (L_D - s1 I)[F, :] and P = S_pp - U V^T,
+
+        C = [[I + V^T P^-1 U,    V^T P^-1 S_p,psi],
+             [-S_psi,p P^-1 U,   S_psi,psi - S_psi,p P^-1 S_p,psi]],
+
+    with P inverted densely.  Also returns P."""
+    s = schur_matrix(system).toarray()
+    ni, ring = grid.n_int, system.ring
+    l_d = -reference_hessian(grid)[:ni, :ni].toarray() / (grid.h * grid.h)
+    u = params.M1 * (reference_neumann_laplacian(grid.n).toarray() - l_d)[:, ring]
+    vt = (l_d - params.s1 * np.eye(ni))[ring]
+    p = s[:ni, :ni] - u @ vt
+    p_inv = np.linalg.inv(p)
+    s_pq, s_qp = s[:ni, ni:], s[ni:, :ni]
+    c = np.block([
+        [np.eye(ring.size) + vt @ p_inv @ u, vt @ p_inv @ s_pq],
+        [-s_qp @ p_inv @ u, s[ni:, ni:] - s_qp @ p_inv @ s_pq],
+    ])
+    return c, p

@@ -243,7 +243,8 @@ def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
 def test_mirror_basis_is_orthonormal(n):
     # Q^T Q = I; Q is not symmetric (its docstring says why), so Q^-1 = Q^T
-    q, _, _ = operators.mirror_basis(build_grid(n))
+    g = build_grid(n)
+    q, _, _ = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
     assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
     assert abs(q - q.T).max() > 0.0
 
@@ -257,7 +258,8 @@ def test_mirror_basis_sector_sizes(n, sizes):
     # the mirror line: ++ has the m(m+1)/2 orbits of pairs lo <= hi, odd
     # ones only the m(m-1)/2 with lo < hi; -- likewise with m'; each copy
     # of E has m m' columns.  Sectors are contiguous, in order.
-    q, sector, vertex = operators.mirror_basis(build_grid(n))
+    g = build_grid(n)
+    q, sector, vertex = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
     m, m_off = n // 2 + 1, (n + 1) // 2
     closed = [m * (m + 1) // 2, m * (m - 1) // 2, m_off * (m_off + 1) // 2,
               m_off * (m_off - 1) // 2, m * m_off, m * m_off]
@@ -265,6 +267,32 @@ def test_mirror_basis_sector_sizes(n, sizes):
     assert sector.shape == vertex.shape == (q.shape[0],)
     assert np.array_equal(sector, np.repeat(np.arange(6), sizes))
     assert np.array_equal(np.sort(vertex), np.arange(q.shape[0]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
+def test_mirror_basis_of_the_boundary_layers(n):
+    # on the first interior layer F and the loop, the scheme's capacitance
+    # nodes, the basis is that of the whole grid restricted to the columns
+    # on those orbits: orthonormal, 8n - 8 wide, each E copy 2n - 2 wide
+    # (n - 2 on F, n on the loop), and each sector lists F's columns first
+    g = build_grid(n)
+    m = n - 1
+    inner = np.arange(1, m - 1) * m
+    ring = np.concatenate([np.arange(m), (m - 1) * m + np.arange(m), inner, inner + m - 1])
+    nodes = np.concatenate([ring, g.n_int + np.arange(g.n_loop)])
+    q, sector, vertex = operators.mirror_basis(g, nodes)
+    assert q.shape == (8 * n - 8,) * 2
+    assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
+    assert np.count_nonzero(sector == 4) == np.count_nonzero(sector == 5) == 2 * n - 2
+    assert np.count_nonzero(vertex[sector == 4] < ring.size) == n - 2
+    for s in range(6):
+        on_f = vertex[sector == s] < ring.size
+        assert np.array_equal(on_f, np.sort(on_f)[::-1])
+    full, full_sector, _ = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
+    rows = full[nodes].tocsc()
+    keep = np.flatnonzero(np.diff(rows.indptr) > 0)  # the whole grid's columns on these orbits
+    assert np.array_equal(full_sector[keep], sector)
+    assert abs(rows[:, keep] - q).max() == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9])
@@ -276,7 +304,7 @@ def test_mirror_basis_columns_have_their_sector_parities(n):
     # lies in the quadrant of its parities; in sectors 0 to 3 its
     # min(i, n - i) <= min(j, n - j) if swap-even and > if odd.
     g = build_grid(n)
-    q, sector, vertex = operators.mirror_basis(g)
+    q, sector, vertex = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
     dense, eye = q.toarray(), np.eye(q.shape[0])
     parities = [(1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1), (1, -1, 0), (-1, 1, 0)]
     n_e = np.count_nonzero(sector == 5)
@@ -406,3 +434,20 @@ def test_poisson_rejects_nan_data(g10):
 def test_poisson_rejects_nan_tol(g10):
     with pytest.raises(ValueError, match="tol must be positive"):
         solve_poisson_neumann_zeromean(np.zeros(g10.n_int), g10, tol=np.nan)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50])
+def test_dirichlet_modes_diagonalize_the_interior_block_of_the_hessian(n):
+    # sigma is symmetric and orthogonal, its rows a and m - 1 - a differ by
+    # the sign (-1)^k, and (sigma x sigma) diag(lam_k + lam_l) (sigma x
+    # sigma) is -H / h^2 on the interior, the Dirichlet 5-point Laplacian
+    g = build_grid(n)
+    sigma, lam = operators.dirichlet_modes(n)
+    m = n - 1
+    assert np.array_equal(sigma, sigma.T)
+    assert np.abs(sigma @ sigma - np.eye(m)).max() <= 1e-15 * m
+    assert np.abs(sigma[::-1] - sigma * (-1.0) ** np.arange(m)).max() <= 1e-15
+    l_d = -operators.dirichlet_hessian(g)[: g.n_int, : g.n_int].toarray() / (g.h * g.h)
+    modes = np.kron(sigma, sigma)
+    want = modes @ np.diag(np.add.outer(lam, lam).ravel()) @ modes
+    assert np.abs(l_d - want).max() <= 1e-13 * np.abs(l_d).max()

@@ -4,15 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dense_oracle import (
+    capacitance_matrix,
     coupled_matrix,
     dense_matrix,
     dense_rhs,
     eliminate_mu_edge,
-    gathered_blocks,
     offsets,
     reference_blocks,
     reference_hessian,
@@ -302,21 +303,24 @@ def _rough_rhs(grid, params):
 
 
 def test_direct_solve_reports_full_system_residual(monkeypatch):
-    # a factor whose y is off by a known delta puts the coupled residual
-    # near 1e-4, far above roundoff: the reported residual must be that of
-    # the dense oracle's coupled matrix on the returned x, within 1e-12.
-    # The two summation orders differ by about 2e-17 ||b||, which is up to
-    # 1.1e-11 of a residual near 1e-6, hence the larger delta
+    # a factor whose solution is off by a known relative 1e-4 puts the
+    # coupled residual near 1e-4, far above roundoff: the reported residual
+    # must be that of the dense oracle's coupled matrix on the returned x,
+    # within 1e-12.  The two summation orders differ by about 2e-17 ||b||,
+    # which is up to 1.1e-11 of a residual near 1e-6, hence the larger delta
     g = build_grid(8)
     params = params_for(g, beta1=0.5, beta2=0.5)
     system = assemble_system(g, params)
     b = _rough_rhs(g, params)
     fac = system.direct()
     exact = fac.solve
-    x_exact, _ = system.solve(b)
-    delta = 1e-4 * np.abs(x_exact[: g.n_int + g.n_loop]).max()
-    delta *= np.random.default_rng(9).standard_normal(g.n_int + g.n_loop)
-    monkeypatch.setattr(fac, "solve", lambda rhs, tol: (exact(rhs, tol)[0] + delta, None))
+    noise = np.random.default_rng(9).standard_normal(system.basis.shape[0])
+
+    def off(rhs, tol):
+        x, _ = exact(rhs, tol)
+        return x + 1e-4 * np.abs(x).max() * noise, None
+
+    monkeypatch.setattr(fac, "solve", off)
     with pytest.raises(SolveError) as err:
         system.solve(b)
     x = err.value.x
@@ -333,72 +337,122 @@ def test_full_residual_check_does_not_trust_the_factor():
     g = build_grid(8)
     params = params_for(g, beta1=0.5, beta2=0.5)
     system = assemble_system(g, params)
-    a = system.direct().a
-    na, m = np.searchsorted(system.sector, [4, 5])  # A's rows end at na, B's at m
-    blocks = [a[:na, :na] * (1.0 + 1e-6), a[na:m, na:m] * (1.0 + 1e-6)]
+    blocks = [blk * (1.0 + 1e-6) for blk in system.direct().blocks]
     system._direct = DirectFactorization(blocks, [1, 2])
     with pytest.raises(SolveError) as err:
         system.solve(_rough_rhs(g, params))
     assert err.value.stats.rel_residual > 1e-8
 
 
-def test_system_holds_only_field_sized_matrices():
-    # the coupled matrix on [y | mu] is never assembled: every sparse
-    # matrix the system keeps acts on the fields.  The system holds the
-    # coupled blocks and the basis, and nothing derived from them (K + L R
-    # is formed row by row inside the factor only); the factor holds only
-    # the distinct blocks A and B (test_factoring_holds_only_its_blocks)
+def test_system_holds_only_field_and_boundary_sized_matrices():
+    # the coupled matrix on [y | mu] and K + L R are never assembled: the
+    # system keeps the coupled blocks on the fields, the D4 basis of F and
+    # the loop (8n - 8 wide), and, once factored, the two maps into and out
+    # of the factor; the factor holds only the distinct blocks A and B
+    # (test_factoring_holds_only_its_blocks)
     g = build_grid(5)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
-    dim = g.n_int + g.n_loop
-    own = {"lap", "rows", "basis", "basis_t"}
-    assert {k for k, v in vars(system).items() if sp.issparse(v)} == own
-    system.direct()
-    assert {k for k, v in vars(system).items() if sp.issparse(v)} == own
-    held = [v for v in vars(system).values() if sp.issparse(v)]
-    assert all(m.shape == (dim, dim) for m in held)
+    dim, wide = g.n_int + g.n_loop, 8 * g.n - 8
+    sizes = {"lap": (dim, dim), "rows": (dim, dim), "basis": (wide, wide)}
+    assert {k: v.shape for k, v in vars(system).items() if sp.issparse(v)} == sizes
+    fac = system.direct()
+    nf = system.ring.size
+    sizes.update(_enter=(wide, 2 * nf + g.n_loop), _leave=(2 * nf + g.n_loop, wide))
+    assert {k: v.shape for k, v in vars(system).items() if sp.issparse(v)} == sizes
     assert system.k.shape == (dim,)
+    assert [b.shape for b in fac.blocks] == [(4 * g.n - 4,) * 2, (2 * g.n - 2,) * 2]
 
 
 def test_factoring_holds_only_its_blocks():
-    # factoring keeps the distinct blocks and their SuperLU factors, with
-    # no expanded blockdiag(A, B, B), and its transients stay near the
-    # size of the system's own blocks: the gather forms one block's rows at
-    # a time.  tracemalloc sees numpy's arrays but not SuperLU's own C
-    # allocations, so this bounds the gather, not the factor's fill
-    # (1.9x at n = 64; 3.7x with both blocks' rows and the expansion live)
+    # factoring keeps the distinct blocks A and B and their SuperLU
+    # factors, with no expanded blockdiag(A, B, B).  C is built sector by
+    # sector from products of width n, so factoring's transients stay below
+    # one dense (8n - 8)^2 matrix, C's nodal form: 0.62 of its 2.0 MB at
+    # n = 64, most of it the sparse couplings in the D4 basis, which grow
+    # like n.  tracemalloc sees numpy's arrays, not SuperLU's own C
+    # allocations
     g = build_grid(64)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
-    own = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-              for m in (system.lap, system.rows, system.basis))
+    square = (8 * g.n - 8) ** 2 * 8
     tracemalloc.start()
     try:
         fac = system.direct()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * own
-    na, m = np.searchsorted(system.sector, [4, 5])
-    assert [b.shape for b in fac.blocks] == [(na, na), (m - na, m - na)]
+    assert peak <= 0.75 * square
+    assert [b.shape for b in fac.blocks] == [(4 * g.n - 4,) * 2, (2 * g.n - 2,) * 2]
     assert not [v for obj in (fac, fac._lu) for v in vars(obj).values() if sp.issparse(v)]
-    # Q^T is a view of Q's arrays, not a copy
-    assert np.shares_memory(system.basis_t.data, system.basis.data)
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 21, 51])
 @pytest.mark.parametrize("betas", [(0.0, 0.0), (0.1, 0.3)])
-def test_factored_blocks_match_the_one_pass_gather_to_the_bit(n, betas):
-    # the blocks are gathered one at a time from rows formed as L[p] R plus
-    # K's diagonal; sorted, those rows sum their orbit duplicates in the
-    # same order as the one-pass gather from the whole sorted K + L R
+def test_capacitance_blocks_match_the_dense_oracle(n, betas):
+    # S's bulk block is P + U V^T with P diagonal in the sine basis, and
+    # C from dense inverses, restricted to each D4 sector, is the block
+    # built from the separable structure, sector 5's the one built for
+    # sector 4; C has no entry between sectors.  The factored matrix is
+    # blockdiag(A, B, B), its two E blocks one block to the bit
     g = build_grid(n)
-    system = assemble_system(g, params_for(g, beta1=betas[0], beta2=betas[1]))
-    blocks = system.direct().blocks
-    want = gathered_blocks(system)
-    assert len(blocks) == len(want) == 2
-    for got, ref in zip(blocks, want):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(ref, part))
+    params = params_for(g, beta1=betas[0], beta2=betas[1])
+    system = assemble_system(g, params)
+    c, p = capacitance_matrix(system, g, params)
+    modes = np.kron(system.sigma, system.sigma)
+    assert np.abs(modes @ p @ modes - np.diag(1.0 / system.inv_p.ravel())).max() <= (
+        1e-12 * np.abs(p).max())
+    q, sector = system.basis.toarray(), system.sector
+    full, scale = q.T @ c @ q, np.abs(c).max()
+    assert np.abs(full[sector[:, None] != sector]).max() <= 1e-12 * scale
+    blocks = system.capacitance_blocks()
+    for s, built in enumerate(blocks + blocks[4:]):
+        cols = sector == s
+        assert np.abs(built - full[np.ix_(cols, cols)]).max() <= 1e-12 * scale
+        # and each of its quadrants, F and loop rows and columns, on its own
+        # scale: the loop block's 1e8 entries do not hide the others
+        f = np.count_nonzero(system.vertex[cols] < system.ring.size)
+        for rows, part in ((slice(0, f), slice(0, f)), (slice(0, f), slice(f, None)),
+                           (slice(f, None), slice(0, f)), (slice(f, None), slice(f, None))):
+            want = full[np.ix_(cols, cols)][rows, part]
+            err = np.abs(built[rows, part] - want).max(initial=0.0)
+            assert err <= 1e-12 * np.abs(want).max(initial=0.0)
+    a = system.direct().a.toarray()
+    e4, e5 = sector == 4, sector == 5
+    assert np.array_equal(a[np.ix_(e4, e4)], a[np.ix_(e5, e5)])
+    assert not a[sector[:, None] != sector].any()
+
+
+def check_solve_against_nodal_lu(n, beta1, beta2, seed):
+    # the capacitance-matrix solve, one D4 sector at a time, against
+    # scipy's nodal LU of K + L R, the Schur matrix assembled by the dense
+    # oracle's formula: the coupled residual holds its contract, and y and
+    # mu agree to 1e-12 relative
+    g = build_grid(n)
+    system = assemble_system(g, params_for(g, beta1=beta1, beta2=beta2))
+    b = np.random.default_rng(seed).standard_normal(2 * system.k.size)
+    b_y, b_mu = np.split(b, 2)
+    y = spla.splu(schur_matrix(system).tocsc()).solve(b_y + system.lap @ b_mu)
+    want = np.concatenate([y, b_mu - system.rows @ y])
+    got, stats = system.solve(b)
+    assert stats.rel_residual <= scheme.RESIDUAL_TOL
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
+def test_sector_solve_matches_nodal_factor(n):
+    check_solve_against_nodal_lu(n, 0.1, 0.1, seed=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=hst.integers(4, 24),
+    beta1=hst.floats(0.0, 1.0),
+    beta2=hst.floats(0.0, 1.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(n=4, beta1=0.0, beta2=0.0, seed=0)
+@example(n=24, beta1=1.0, beta2=0.0, seed=1)
+def test_sector_solve_matches_nodal_factor_property(n, beta1, beta2, seed):
+    check_solve_against_nodal_lu(n, beta1, beta2, seed)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 21, 51])
@@ -429,8 +483,8 @@ def test_written_out_stencils_match_the_kronecker_formulas_to_the_bit(n, betas):
 def test_assembly_builds_its_blocks_in_place():
     # every block is built in its final CSR arrays, with no Kronecker
     # product, permutation or COO round trip, so set-up's transients stay
-    # near the size of the blocks it keeps: 2.14x at n = 64, against 2.55x
-    # with the formulas of the dense oracle's reference_* functions
+    # near the size of what the system keeps, its sparse blocks and its
+    # arrays: 1.86x at n = 64
     g = build_grid(64)
     params = params_for(g, beta1=0.1, beta2=0.1)
     assemble_system(g, params)  # the per-n caches are not set-up's transients
@@ -442,19 +496,30 @@ def test_assembly_builds_its_blocks_in_place():
         tracemalloc.stop()
     held = (system.lap, system.rows, system.basis)
     own = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in held)
+    own += sum(v.nbytes for v in vars(system).values() if isinstance(v, np.ndarray))
     assert peak <= 2.4 * own
-    # the gather indexes with these as they are, without a cast per use
+    # the factor's set-up indexes with these as they are, without a cast
     assert system.sector.dtype == system.vertex.dtype == np.int32
     assert all(m.indices.dtype == m.indptr.dtype == np.int32 for m in held)
 
 
+def test_rows_are_held_at_their_exact_size():
+    # a CSR difference is allocated for the sum of its operands' nnz; R
+    # keeps no such slack for the run
+    g = build_grid(200)
+    rows = assemble_system(g, params_for(g)).rows
+    for part in (rows.data, rows.indices):
+        while part.base is not None:
+            part = part.base
+        assert part.size == rows.nnz
+
+
 def test_factoring_leaves_the_blocks_untouched():
-    # the blocks are gathered from rows of K + L R formed from k, lap and
-    # rows; neither that nor their canonical form may rewrite the arrays
-    # they were built from
+    # C is built from products with k, lap, rows and the basis; neither
+    # that nor the blocks' canonical form may rewrite the arrays it read
     g = build_grid(8)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
-    names = ("lap", "rows", "basis", "basis_t")
+    names = ("lap", "rows", "basis")
     held = [getattr(system, name).copy() for name in names]
     k = system.k.copy()
     system.direct()
@@ -515,57 +580,6 @@ def test_schur_commutes_with_the_symmetries_of_the_square(n):
         moved.sort_indices()
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(moved, part), getattr(schur, part))
-
-
-def check_d4_solve(n, beta1, beta2, seed):
-    # schur commutes with D4, so Q^T schur Q is block diagonal up to
-    # roundoff, one block per sector, and its two E blocks are equal.  They
-    # are equal in exact arithmetic only: schur and the basis map onto
-    # themselves to the bit, but a product sums in another order on each
-    # copy (1.8e-12 apart at n = 21, beta = 0).  The factored matrix is
-    # blockdiag(A, B, B), gathered from schur's rows, its third block the
-    # second to the bit; the solve agrees with a nodal factor of schur
-    g = build_grid(n)
-    system = assemble_system(g, params_for(g, beta1=beta1, beta2=beta2))
-    schur = schur_matrix(system)
-    q, sector, scale = system.basis, system.sector, np.abs(schur.data).max()
-    assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
-    assert abs(system.basis_t - q.T).max() == 0.0
-    full = (system.basis_t @ schur @ q).tocsr()
-    coo = full.tocoo()
-    inside = sector[coo.row] == sector[coo.col]
-    assert np.abs(coo.data[~inside]).max(initial=0.0) <= 1e-14 * scale
-    e4, e5 = sector == 4, sector == 5
-    assert abs(full[e4][:, e4] - full[e5][:, e5]).max() <= 1e-14 * scale
-    a = system.direct().a
-    assert np.array_equal(a[e5][:, e5].toarray(), a[e4][:, e4].toarray())
-    assert np.array_equal(sector[a.tocoo().row], sector[a.tocoo().col])
-    in_blocks = sp.coo_matrix((coo.data[inside], (coo.row[inside], coo.col[inside])), a.shape)
-    assert abs(a - in_blocks).max() <= 1e-14 * scale
-    b = np.random.default_rng(seed).standard_normal(2 * q.shape[0])
-    b_y, b_mu = np.split(b, 2)
-    y, _ = DirectFactorization([schur], [1]).solve(b_y + system.lap @ b_mu)
-    want = np.concatenate([y, b_mu - system.rows @ y])
-    got, _ = system.solve(b)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
-def test_sector_solve_matches_nodal_factor(n):
-    check_d4_solve(n, 0.1, 0.1, seed=n)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=hst.integers(4, 24),
-    beta1=hst.sampled_from([0.0, 0.1, 1.0]),
-    beta2=hst.sampled_from([0.0, 0.1, 1.0]),
-    seed=hst.integers(0, 2**32 - 1),
-)
-@example(n=4, beta1=0.0, beta2=0.0, seed=0)
-@example(n=5, beta1=1.0, beta2=0.1, seed=1)
-def test_sector_solve_matches_nodal_factor_property(n, beta1, beta2, seed):
-    check_d4_solve(n, beta1, beta2, seed)
 
 
 # ---- fixed points and invariants -------------------------------------------
