@@ -344,6 +344,25 @@ def test_full_residual_check_does_not_trust_the_factor():
     assert err.value.stats.rel_residual > 1e-8
 
 
+def test_system_holds_only_field_sized_matrices():
+    # the coupled matrix on [y | mu] and K + L R are never assembled: the
+    # only matrices the system keeps on the fields are the coupled blocks
+    # lap and rows, before and after factoring, and no matrix it keeps is
+    # wider than the fields.  The others act on F and the loop or on one
+    # grid line (test_system_holds_only_field_and_boundary_sized_matrices)
+    g = build_grid(9)
+    system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
+    dim = g.n_int + g.n_loop
+    for _ in range(2):
+        held = {k: v.shape for k, v in vars(system).items()
+                if sp.issparse(v) or (isinstance(v, np.ndarray) and v.ndim == 2)}
+        assert {k: s for k, s in held.items() if dim in s} == {
+            "lap": (dim, dim), "rows": (dim, dim)}
+        assert max(max(s) for s in held.values()) == dim
+        assert system.k.shape == (dim,)
+        system.direct()
+
+
 def test_system_holds_only_field_and_boundary_sized_matrices():
     # the coupled matrix on [y | mu] and K + L R are never assembled: the
     # system keeps the coupled blocks on the fields, the D4 basis of F and
