@@ -132,13 +132,6 @@ def _dense(a: sp.coo_matrix, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     return out
 
 
-def _dense_csr(c: np.ndarray) -> sp.csr_matrix:
-    """A dense square block in CSR form, every entry stored."""
-    k = c.shape[0]
-    cols = np.tile(np.arange(k, dtype=np.int32), k)
-    return sp.csr_matrix((c.ravel(), cols, np.arange(0, k * k + 1, k, dtype=np.int32)), c.shape)
-
-
 @dataclass
 class SparseSystem:
     """Time-constant blocks of the coupled system and the reusable factor
@@ -170,9 +163,9 @@ class SparseSystem:
     of width |F| + 4n = 8n - 8, and y_phi = P^-1 (r_phi - U z - S_phi,psi
     y_psi).  C commutes with D4, so in the D4 basis Q of F and the loop
     (``basis``, ``sector`` and ``vertex`` from ``operators.mirror_basis``)
-    it is blockdiag(A, B, B).  The factor holds A and B once each, their
-    columns scaled to unit maxima, and the maps ``_enter`` and ``_leave``
-    into and out of it carry Q, the scaling and C's sparse couplings.
+    it is blockdiag(A, B, B).  The factor holds A's four sector blocks and
+    B once each, and the maps ``_enter`` and ``_leave`` into and out of it
+    carry Q and C's sparse couplings.
     Every solution's residual is formed on the coupled rows from k, lap
     and rows.
     """
@@ -194,30 +187,22 @@ class SparseSystem:
     _leave: sp.csr_matrix | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
-        """Factor of Q^T C Q D = blockdiag(A, B, B), C's blocks with their
-        columns scaled, built on first use with the maps into and out of it:
+        """Factor of Q^T C Q = blockdiag(A, B, B), with A the blocks of
+        sectors 0 to 3 and B that of sector 4, each factored once, built on
+        first use with the maps into and out of it:
 
         - ``_enter`` takes [V^T P^-1 r_phi | P^-1 r_phi on F | r_psi] to
           Q^T of C's right-hand side;
         - ``_leave`` takes the factor's solution to [U (z + R_F,psi
           y_psi) | R_F,psi y_psi | y_psi], what y_phi and y read."""
         if self._direct is None:
-            couplings = self._couplings()
+            u, r_f, lr, _ = couplings = self._couplings()
             blocks = self.capacitance_blocks(couplings)
-            u, r_f, lr, _ = couplings
-            # the LU is of the transpose (linalg), so its partial pivoting
-            # picks within C's columns: they are scaled to unit maxima
-            cs = [1.0 / np.abs(c).max(axis=0) for c in blocks]
-            for c, s in zip(blocks, cs):
-                c *= s
             nf, q = self.ring.size, self.basis
             self._enter = sp.hstack([q[:nf].T, -(q[nf:].T @ lr).tocsc(), q[nf:].T], format="csc")
-            # sector 5 is solved by B's factor, so it takes B's scaling
-            qd = (q @ sp.diags(np.concatenate(cs + cs[4:]))).tocsr()
-            v = (r_f @ qd[nf:]).tocsr()
-            self._leave = sp.vstack([sp.diags(u) @ (qd[:nf] + v), v, qd[nf:]], format="csr")
-            a = linalg._block_diag([_dense_csr(c) for c in blocks[:4]])
-            self._direct = linalg.DirectFactorization([a, _dense_csr(blocks[4])], [1, 2])
+            v = (r_f @ q[nf:]).tocsr()
+            self._leave = sp.vstack([sp.diags(u) @ (q[:nf] + v), v, q[nf:]], format="csr")
+            self._direct = linalg.DirectFactorization(blocks, [1, 1, 1, 1, 2])
         return self._direct
 
     def _couplings(self) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:

@@ -1,56 +1,67 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.linalg as sla
 
 from dense_oracle import schur_matrix
 
 from hyperch import ModelParams, assemble_system, build_grid
-from hyperch.linalg import DirectFactorization, SolveError, check_csr, check_residual
+from hyperch.linalg import DirectFactorization, SolveError, check_residual
 
 
-def csr(dense):
-    return sp.csr_matrix(np.asarray(dense, dtype=float))
+def dense(rows):
+    return np.asarray(rows, dtype=float)
 
 
-def test_check_csr_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        check_csr(sp.csr_matrix(np.ones((2, 3))))
+def test_nonsquare_block_rejected_with_the_shapes():
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        DirectFactorization([np.eye(2), np.ones((2, 3))], [1, 1])
+
+
+def test_singular_block_names_block_and_pivot():
+    # getrf reports an exactly zero pivot in info; the factor must not
+    # return a LU that solves to Inf or NaN
+    with pytest.raises(SolveError, match=r"block 1 .*pivot 1"):
+        DirectFactorization([np.eye(2), dense([[1.0, 2.0], [2.0, 4.0]])], [1, 2])
 
 
 # ---- direct solve -----------------------------------------------------------
 
 
 def test_solve_hand_system():
-    a = csr([[2.0, 1.0], [1.0, 2.0]])
+    a = dense([[2.0, 1.0], [1.0, 2.0]])
     x, _ = DirectFactorization([a], [1]).solve(np.array([3.0, 3.0]), tol=1e-12)
     assert np.allclose(x, [1.0, 1.0], rtol=1e-10)
 
 
 def test_solve_nonsymmetric_hand_system():
     # a^T x = b has the solution (3/2, 1/2): a solve of the transpose fails
-    a = csr([[2.0, 1.0], [0.0, 3.0]])
+    a = dense([[2.0, 1.0], [0.0, 3.0]])
     x, _ = DirectFactorization([a], [1]).solve(np.array([3.0, 3.0]), tol=1e-12)
     assert np.allclose(x, [1.0, 1.0], rtol=1e-14)
 
 
-def test_duplicate_entries_summed_without_touching_input():
-    # [[2, 1], [0, 3]] with its (0, 0) entry stored as 1.5 + 0.5: sorted
-    # column indices, so only the duplicate makes the input non-canonical
-    data, indices, indptr = np.array([1.5, 0.5, 1.0, 3.0]), np.array([0, 0, 1, 1]), np.array([0, 3, 4])
-    a = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
-    kept = [arr.copy() for arr in (a.data, a.indices, a.indptr)]
-    x, stats = DirectFactorization([a], [1]).solve(np.array([3.0, 3.0]), tol=1e-12)
-    assert np.allclose(x, [1.0, 1.0], rtol=1e-14)
+def test_factor_and_solve_leave_the_inputs_untouched():
+    # getrf and getrs work on copies: neither the caller's blocks nor b
+    # are rewritten, C-ordered or Fortran-ordered
+    rng = np.random.default_rng(4)
+    blocks = [np.eye(m) * 3 + rng.standard_normal((m, m)) for m in (6, 4)]
+    blocks[1] = np.asfortranarray(blocks[1])
+    kept = [blk.copy() for blk in blocks]
+    fac = DirectFactorization(blocks, [1, 2])
+    b = rng.standard_normal(14)
+    b_kept = b.copy()
+    x, stats = fac.solve(b, tol=1e-12)
+    for blk, before in zip(blocks, kept):
+        assert np.array_equal(blk, before)
+    assert np.array_equal(b, b_kept)
     assert stats.rel_residual <= 1e-15
-    for arr, before in zip((a.data, a.indices, a.indptr), kept):
-        assert np.array_equal(arr, before)
 
 
 def test_schur_solve_matches_dense():
     g = build_grid(8)
     schur = schur_matrix(assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.3)))
     b = np.random.default_rng(8).standard_normal(schur.shape[0])
-    x, _ = DirectFactorization([schur], [1]).solve(b)
+    x, _ = DirectFactorization([schur.toarray()], [1]).solve(b)
     want = np.linalg.solve(schur.toarray(), b)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -60,48 +71,45 @@ def test_repeated_blocks_solve_matches_dense():
     # two copies' right-hand sides as the columns of one solve
     rng = np.random.default_rng(3)
     blocks = [np.eye(m) * 3 + rng.standard_normal((m, m)) * 0.3 for m in (7, 5)]
-    fac = DirectFactorization([csr(blk) for blk in blocks], [1, 2])
-    dense = sp.block_diag([blocks[0], blocks[1], blocks[1]]).toarray()
-    assert np.array_equal(fac.a.toarray(), dense)
+    fac = DirectFactorization(blocks, [1, 2])
+    full = sla.block_diag(blocks[0], blocks[1], blocks[1])
+    assert np.array_equal(fac.a.toarray(), full)
     b = rng.standard_normal(17)
     x, _ = fac.solve(b, tol=1e-12)
-    want = np.linalg.solve(dense, b)
+    want = np.linalg.solve(full, b)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fill_counts_each_distinct_block_once():
+    # A's four sector blocks and B, each factored once; L and U store what
+    # the packed LAPACK factors hold, exact zeros and L's unit diagonal left out
     g = build_grid(8)
     system = assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.3))
     fac = system.direct()
-    fill = [f.L.nnz + f.U.nnz for f in fac._lu.factors]
-    assert len(fill) == 2 and fac._lu.copies == [1, 2]
+    fill = [np.count_nonzero(lu) for lu, _ in fac._lu.factors]
+    assert len(fill) == 5 and fac._lu.copies == [1, 1, 1, 1, 2]
     assert fac._lu.L.nnz + fac._lu.U.nnz == sum(fill)
-    dims = [f.shape[0] for f in fac._lu.factors]
+    dims = [lu.shape[0] for lu, _ in fac._lu.factors]
     assert fac._lu.L.shape == fac._lu.U.shape == (sum(dims),) * 2
-    assert fac.a.shape == (dims[0] + 2 * dims[1],) * 2
+    assert fac.a.shape == (sum(dims) + dims[-1],) * 2
 
 
 def test_expansions_are_the_block_diagonals():
-    # a, L and U are concatenated from their blocks' own arrays: a equals
-    # scipy's block_diag to the bit, and L and U equal it as matrices (the
-    # entries of a column may come in another order)
+    # a is blockdiag(blocks, each copy in turn), L and U the block
+    # diagonals of each factor's strict lower and upper triangles
     g = build_grid(8)
     fac = assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.3)).direct()
-    want = sp.block_diag([fac.blocks[0], fac.blocks[1], fac.blocks[1]], format="csr")
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(fac.a, part), getattr(want, part))
-    for name in ("L", "U"):
-        got = getattr(fac._lu, name)
-        ref = sp.block_diag([getattr(f, name) for f in fac._lu.factors], format="csc")
-        assert got.format == "csc" and got.shape == ref.shape and got.nnz == ref.nnz
-        assert (got != ref).nnz == 0
+    blocks = fac.blocks + fac.blocks[4:]
+    assert np.array_equal(fac.a.toarray(), sla.block_diag(*blocks))
+    lus = [lu for lu, _ in fac._lu.factors]
+    assert np.array_equal(fac._lu.L.toarray(), sla.block_diag(*[np.tril(lu, -1) for lu in lus]))
+    assert np.array_equal(fac._lu.U.toarray(), sla.block_diag(*[np.triu(lu) for lu in lus]))
 
 
 def test_factor_fill_at_n50():
-    # the D4 blocks of the capacitance matrix, A (four sectors) and B,
-    # factored once each: dense within their sectors, in their natural
-    # order, they fill as dense LUs do, 19,255 against sum k^2 = 19,216
-    # (the nodal Schur factor held 87,518)
+    # the D4 blocks of the capacitance matrix, A's four sector blocks and
+    # B, factored once each: dense, their packed LUs store at most sum k^2
+    # = 19,216 entries (the nodal Schur factor held 87,518)
     g = build_grid(50)
     system = assemble_system(g, ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.1))
     fac = system.direct()
@@ -111,7 +119,7 @@ def test_factor_fill_at_n50():
 
 
 def test_solve_zero_rhs():
-    a = csr([[2.0, 1.0], [1.0, 2.0]])
+    a = dense([[2.0, 1.0], [1.0, 2.0]])
     x, stats = DirectFactorization([a], [1]).solve(np.zeros(2), tol=1e-12)
     assert np.array_equal(x, np.zeros(2))
     assert stats.rel_residual == 0.0
@@ -120,8 +128,7 @@ def test_solve_zero_rhs():
 def test_solve_residual_contract_posthoc():
     rng = np.random.default_rng(2)
     n = 50
-    dense = np.eye(n) * 4 + (rng.random((n, n)) < 0.1) * rng.standard_normal((n, n)) * 0.3
-    a = csr(dense)
+    a = np.eye(n) * 4 + (rng.random((n, n)) < 0.1) * rng.standard_normal((n, n)) * 0.3
     b = rng.standard_normal(n)
     tol = 1e-11
     x, stats = DirectFactorization([a], [1]).solve(b, tol=tol)
@@ -132,19 +139,19 @@ def test_solve_residual_contract_posthoc():
 def test_direct_factorization_contract():
     rng = np.random.default_rng(5)
     n = 30
-    dense = np.eye(n) * 3 + rng.standard_normal((n, n)) * 0.2
-    fac = DirectFactorization([csr(dense)], [1])
+    a = np.eye(n) * 3 + rng.standard_normal((n, n)) * 0.2
+    fac = DirectFactorization([a], [1])
     for _ in range(3):
         b = rng.standard_normal(n)
         x, stats = fac.solve(b, tol=1e-10)
-        assert np.linalg.norm(b - dense @ x) / np.linalg.norm(b) <= 1e-10
+        assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-10
         assert stats.rel_residual <= 1e-10
 
 
 def test_nan_fails_residual_check():
     # NaN compares false with every tolerance, so a NaN residual must
     # fail the contract instead of slipping through a `>` test
-    a = csr([[2.0, 1.0], [0.0, 3.0]])
+    a = dense([[2.0, 1.0], [0.0, 3.0]])
     with pytest.raises(SolveError) as err:
         DirectFactorization([a], [1]).solve(np.array([np.nan, 1.0]))
     assert np.isnan(err.value.stats.rel_residual)
@@ -155,6 +162,6 @@ def test_nan_fails_residual_check():
 
 
 def test_nan_tol_fails_residual_check():
-    a = csr([[2.0, 1.0], [0.0, 3.0]])
+    a = dense([[2.0, 1.0], [0.0, 3.0]])
     with pytest.raises(SolveError):
         DirectFactorization([a], [1]).solve(np.array([3.0, 3.0]), tol=np.nan)

@@ -303,11 +303,12 @@ def _rough_rhs(grid, params):
 
 
 def test_direct_solve_reports_full_system_residual(monkeypatch):
-    # a factor whose solution is off by a known relative 1e-4 puts the
-    # coupled residual near 1e-4, far above roundoff: the reported residual
-    # must be that of the dense oracle's coupled matrix on the returned x,
-    # within 1e-12.  The two summation orders differ by about 2e-17 ||b||,
-    # which is up to 1.1e-11 of a residual near 1e-6, hence the larger delta
+    # a factor whose solution is off by a known relative 1e-4, component
+    # by component, puts the coupled residual near 1e-4, far above
+    # roundoff: the reported residual must be that of the dense oracle's
+    # coupled matrix on the returned x, within 1e-12.  The two summation
+    # orders differ by about 2e-17 ||b||, which is up to 1.1e-11 of a
+    # residual near 1e-6, hence the larger delta
     g = build_grid(8)
     params = params_for(g, beta1=0.5, beta2=0.5)
     system = assemble_system(g, params)
@@ -318,7 +319,7 @@ def test_direct_solve_reports_full_system_residual(monkeypatch):
 
     def off(rhs, tol):
         x, _ = exact(rhs, tol)
-        return x + 1e-4 * np.abs(x).max() * noise, None
+        return x * (1.0 + 1e-4 * noise), None
 
     monkeypatch.setattr(fac, "solve", off)
     with pytest.raises(SolveError) as err:
@@ -338,7 +339,7 @@ def test_full_residual_check_does_not_trust_the_factor():
     params = params_for(g, beta1=0.5, beta2=0.5)
     system = assemble_system(g, params)
     blocks = [blk * (1.0 + 1e-6) for blk in system.direct().blocks]
-    system._direct = DirectFactorization(blocks, [1, 2])
+    system._direct = DirectFactorization(blocks, [1, 1, 1, 1, 2])
     with pytest.raises(SolveError) as err:
         system.solve(_rough_rhs(g, params))
     assert err.value.stats.rel_residual > 1e-8
@@ -367,8 +368,8 @@ def test_system_holds_only_field_and_boundary_sized_matrices():
     # the coupled matrix on [y | mu] and K + L R are never assembled: the
     # system keeps the coupled blocks on the fields, the D4 basis of F and
     # the loop (8n - 8 wide), and, once factored, the two maps into and out
-    # of the factor; the factor holds only the distinct blocks A and B
-    # (test_factoring_holds_only_its_blocks)
+    # of the factor; the factor holds only the distinct blocks, A's four
+    # sector blocks and B (test_factoring_holds_only_its_blocks)
     g = build_grid(5)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     dim, wide = g.n_int + g.n_loop, 8 * g.n - 8
@@ -379,17 +380,18 @@ def test_system_holds_only_field_and_boundary_sized_matrices():
     sizes.update(_enter=(wide, 2 * nf + g.n_loop), _leave=(2 * nf + g.n_loop, wide))
     assert {k: v.shape for k, v in vars(system).items() if sp.issparse(v)} == sizes
     assert system.k.shape == (dim,)
-    assert [b.shape for b in fac.blocks] == [(4 * g.n - 4,) * 2, (2 * g.n - 2,) * 2]
+    assert [b.shape for b in fac.blocks] == [(k, k) for k in np.bincount(system.sector)[:5]]
+    assert sum(b.shape[0] for b in fac.blocks[:4]) == 4 * g.n - 4
+    assert fac.blocks[4].shape == (2 * g.n - 2,) * 2
 
 
 def test_factoring_holds_only_its_blocks():
-    # factoring keeps the distinct blocks A and B and their SuperLU
-    # factors, with no expanded blockdiag(A, B, B).  C is built sector by
-    # sector from products of width n, so factoring's transients stay below
-    # one dense (8n - 8)^2 matrix, C's nodal form: 0.62 of its 2.0 MB at
-    # n = 64, most of it the sparse couplings in the D4 basis, which grow
-    # like n.  tracemalloc sees numpy's arrays, not SuperLU's own C
-    # allocations
+    # factoring keeps the distinct blocks, A's four sector blocks and B,
+    # and their dense LU factors, with no expanded blockdiag(A, B, B).  C is
+    # built sector by sector from products of width n, so factoring's
+    # transients stay below one dense (8n - 8)^2 matrix, C's nodal form:
+    # 0.62 of its 2.0 MB at n = 64, most of it the sparse couplings in the
+    # D4 basis, which grow like n; the blocks and their LUs take 0.125 each
     g = build_grid(64)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     square = (8 * g.n - 8) ** 2 * 8
@@ -400,7 +402,7 @@ def test_factoring_holds_only_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * square
-    assert [b.shape for b in fac.blocks] == [(4 * g.n - 4,) * 2, (2 * g.n - 2,) * 2]
+    assert [b.shape for b in fac.blocks] == [(k, k) for k in np.bincount(system.sector)[:5]]
     assert not [v for obj in (fac, fac._lu) for v in vars(obj).values() if sp.issparse(v)]
 
 
@@ -470,6 +472,7 @@ def test_sector_solve_matches_nodal_factor(n):
 )
 @example(n=4, beta1=0.0, beta2=0.0, seed=0)
 @example(n=24, beta1=1.0, beta2=0.0, seed=1)
+@example(n=10, beta1=0.0, beta2=0.94, seed=0)
 def test_sector_solve_matches_nodal_factor_property(n, beta1, beta2, seed):
     check_solve_against_nodal_lu(n, beta1, beta2, seed)
 
@@ -534,8 +537,8 @@ def test_rows_are_held_at_their_exact_size():
 
 
 def test_factoring_leaves_the_blocks_untouched():
-    # C is built from products with k, lap, rows and the basis; neither
-    # that nor the blocks' canonical form may rewrite the arrays it read
+    # C is built from products with k, lap, rows and the basis, which
+    # must not rewrite the arrays it read
     g = build_grid(8)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     names = ("lap", "rows", "basis")
