@@ -5,8 +5,8 @@ LAPACK's LU with partial pivoting (getrf) and every step pays one set of
 triangular solves (getrs), held to a relative-residual contract.  A
 block-diagonal matrix is held as its distinct dense blocks and never
 expanded: each is factored once, a block that repeats solves the
-right-hand sides of all its copies as the columns of one call, and the
-residual is formed one distinct block at a time.  The scheme factors its
+right-hand sides of all its copies as the columns of one call, and each
+block's part of the residual follows its solve.  The scheme factors its
 boundary capacitance matrix this way: the four sector blocks of A, 4n - 4
 wide in all, and the block B, 2n - 2 wide, with two copies.
 """
@@ -79,7 +79,7 @@ def _block_diag(blocks: list[sp.spmatrix]) -> sp.spmatrix:
 class BlockLU:
     """LAPACK LU factors (getrf's packed ``lu`` and ``piv``) of the distinct
     diagonal blocks of a block-diagonal matrix a, block k repeated
-    ``copies[k]`` times in a row along the diagonal.  ``L`` (its unit
+    ``copies[k]`` times in a row along the diagonal; ``L`` (its unit
     diagonal implicit, as LAPACK keeps it) and ``U`` are block-diagonal
     over the distinct factors, exact zeros dropped, so their nnz is what
     the packed factors store."""
@@ -95,16 +95,6 @@ class BlockLU:
     def U(self) -> sp.csc_matrix:
         return _block_diag([sp.csc_matrix(np.triu(lu)) for lu, _ in self.factors])
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with a x = b: each factor solves the parts of b that meet its
-        copies as the columns of one call."""
-        x, start = np.empty_like(b), 0
-        for (lu, piv), c in zip(self.factors, self.copies):
-            stop = start + c * lu.shape[0]
-            x[start:stop] = _getrs(lu, piv, b[start:stop].reshape(c, -1).T)[0].T.ravel()
-            start = stop
-        return x
-
 
 class DirectFactorization:
     """Reusable dense LU of a time-constant block-diagonal matrix
@@ -114,11 +104,10 @@ class DirectFactorization:
     then ``copies[1]`` of ``blocks[1]``, ...); a single matrix is one block
     with one copy.  Only the distinct square blocks are held (``blocks``,
     dense): ``a`` is built on each read, for the benchmark's size counts
-    and the tests, exact zeros dropped, and ``solve`` forms the residual
-    one distinct block at a time.  Each block is factored once (``_lu``, a
-    BlockLU) from a copy, so the caller's arrays are never rewritten; an
-    exactly zero pivot raises a SolveError that names the block and the
-    pivot.
+    and the tests, exact zeros dropped.  Each block is factored once
+    (``_lu``, a BlockLU) from a copy, so the caller's arrays are never
+    rewritten; an exactly zero pivot raises a SolveError that names the
+    block and the pivot.  ``solve`` runs one loop over the distinct blocks.
     """
 
     def __init__(self, blocks: list[np.ndarray], copies: list[int]):
@@ -142,13 +131,15 @@ class DirectFactorization:
         )
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
-        """x with a x = b and its stats; b - a x is formed one distinct
-        block at a time, its copies as the columns of one product."""
+        """x with a x = b and its stats: each distinct block solves the
+        parts of b that meet its copies as the columns of one getrs call,
+        then forms its part of b - a x as one product."""
         b = np.asarray(b, dtype=float)
-        x = self._lu.solve(b)
-        ax, start = np.empty_like(x), 0
-        for blk, c in zip(self.blocks, self._lu.copies):
+        x, r, start = np.empty_like(b), np.empty_like(b), 0
+        for blk, (lu, piv), c in zip(self.blocks, self._lu.factors, self._lu.copies):
             stop = start + c * blk.shape[0]
-            ax[start:stop] = (x[start:stop].reshape(c, -1) @ blk.T).ravel()
+            x_k = x[start:stop].reshape(c, -1)
+            x_k[...] = _getrs(lu, piv, b[start:stop].reshape(c, -1).T)[0].T
+            np.subtract(b[start:stop], (x_k @ blk.T).ravel(), out=r[start:stop])
             start = stop
-        return check_residual(b - ax, b, x, tol)
+        return check_residual(r, b, x, tol)

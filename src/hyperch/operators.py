@@ -20,7 +20,8 @@ The Poisson solvers invert the Neumann Laplacian (bulk) and the
 periodic loop Laplacian on mean-free right-hand sides, the operators of
 the scheme's evolution rows.  They back ``model.modified_energy``, the
 reference the tests hold a run's kinetic terms to; runs read those terms
-from the potentials the step carries and never call the solvers.
+from the potentials the step carries and never call the solvers, so
+SuperLU's package (``scipy.sparse.linalg``) is imported on first use.
 Every matrix is built afresh per call and belongs to its caller; a module
 cache holds only a read-only per-n array that the step or the diagnostic
 row reads, plus the Poisson solvers' pinned factors.
@@ -32,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Grid
 
@@ -287,7 +287,7 @@ def loop_laplacian_matrix(n: int) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=8)
-def _pinned_factor(n: int, which: str) -> tuple[sp.csr_matrix, spla.SuperLU]:
+def _pinned_factor(n: int, which: str) -> tuple[sp.csr_matrix, sp.linalg.SuperLU]:
     """The ``which`` ("bulk" or "loop") Laplacian and the LU
     factorization of it with row 0 pinned.
 
@@ -295,8 +295,9 @@ def _pinned_factor(n: int, which: str) -> tuple[sp.csr_matrix, spla.SuperLU]:
     right-hand side (with rhs[0] set to 0), the pinned solve is exact: the
     dropped row's residual vanishes automatically.  Ordered by minimum
     degree on A^T + A: at n = 50 the bulk factor's fill is 40% below
-    COLAMD's.
+    COLAMD's.  SuperLU's package is imported here, on first use.
     """
+    import scipy.sparse.linalg as spla
     lap = neumann_laplacian_matrix(n) if which == "bulk" else loop_laplacian_matrix(n)
     pinned = lap.tolil()
     pinned[0, :] = 0.0

@@ -146,8 +146,9 @@ class SparseSystem:
     (L_D - s1 I is R's bulk block), S's bulk block is P + U V^T:
 
     - P = k1 I + M1 L_D (L_D - s1 I) is diagonal in the 2-D sine basis
-      sigma x sigma (``sigma`` from ``operators.dirichlet_modes``); ``lam``
-      is the symbol of L_D and ``inv_p`` that of P^-1;
+      sigma x sigma (``sigma`` from ``operators.dirichlet_modes``); ``ell``
+      holds the eigenvalues of the 1-D second difference, so L_D's symbol
+      is lam_kl = ell_k + ell_l, never held, and ``inv_p`` is that of P^-1;
     - U = M1 J, where J = l_mu - L_D is diagonal and nonzero only on the
       first layer F (``ring``): 1/h^2 for each neighbor a node has on the
       loop;
@@ -176,7 +177,7 @@ class SparseSystem:
     m1: float
     s1: float
     sigma: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)
+    ell: np.ndarray = field(repr=False)
     inv_p: np.ndarray = field(repr=False)
     ring: np.ndarray = field(repr=False)
     basis: sp.csr_matrix = field(repr=False)
@@ -235,12 +236,13 @@ class SparseSystem:
         2 (sigma w)_k s0_l on the modes k, l of those parities (s0 is
         sigma's first row) and zero elsewhere, so each G_g block is a few
         products of width n, and no (8n - 8)^2 matrix is formed."""
-        s, lam, m = self.sigma, self.lam, self.sigma.shape[0]
+        s, m = self.sigma, self.sigma.shape[0]
         symbols = np.empty((4, m, m))  # filled in place: set-up's peak memory at large n
         symbols[0] = self.inv_p
-        np.multiply(self.inv_p, lam, out=symbols[1])
-        np.multiply(self.inv_p, lam - self.s1, out=symbols[2])
+        lam = np.add(self.ell[:, None], self.ell, out=symbols[1])  # scaled by 1/p last
+        np.multiply(np.subtract(lam, self.s1, out=symbols[2]), self.inv_p, out=symbols[2])
         np.multiply(symbols[2], lam, out=symbols[3])
+        lam *= self.inv_p
         u, r_f, lr, s_pp = self._couplings() if couplings is None else couplings
         # C's sparse parts on [F | loop], which Q keeps apart: its columns
         # lie on F or on the loop
@@ -277,54 +279,60 @@ class SparseSystem:
         return blocks
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
-        """Solve [[K, -L], [R, I]] x = b for x = [y | mu]: y solves
-        S y = b_y + L b_mu by the capacitance-matrix method, then mu =
-        b_mu - R y.  A solve takes two sine transforms of the (n-1)^2
-        grid, transforms of F's four lines only, and one solve of the
-        factor.  The residual [b_y - (K y - L mu) | b_mu - (R y + mu)]
-        reuses R y and never forms K + L R; x is returned with
-        ||residual|| / ||b|| <= RESIDUAL_TOL, or a SolveError carries x and
-        its stats."""
+        """Solve [[K, -L], [R, I]] x = b for x = [y | mu], b of shape
+        (2 * (n_int + n_loop),) (else a ValueError): y solves S y = b_y +
+        L b_mu by the capacitance-matrix method, then mu = b_mu - R y.  Two
+        sine transforms of the (n-1)^2 grid; as lam_kl = ell_k + ell_l, the
+        rest is on F's four lines: products with [e; e ell], e sigma's rows
+        0 and m - 1, and the correction P^-1 (L^T R) of two (12, m) stacks.
+        x and the residual [b_y - (K y - L mu) | b_mu - (R y + mu)] fill one
+        array each; x is returned with ||residual|| / ||b|| <= RESIDUAL_TOL,
+        or a SolveError carries x and its stats."""
         b = np.asarray(b, dtype=float)
-        b_y, b_mu = np.split(b, [self.k.size])
+        n_y = self.k.size
+        if b.shape != (2 * n_y,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected ({2 * n_y},)")
+        b_y, b_mu = b[:n_y], b[n_y:]
+        fac = self.direct()  # built on first use, with _enter and _leave
+        s, ell, m, nf = self.sigma, self.ell, self.sigma.shape[0], self.ring.size
         rhs = b_y + self.lap @ b_mu
-        fac = self.direct()
-        s, m, nf = self.sigma, self.sigma.shape[0], self.ring.size
         c = s @ rhs[: m * m].reshape(m, m) @ s
         c *= self.inv_p  # P^-1 r_phi in the sine basis
-        on_f = self._on_ring(np.stack([c * (self.lam - self.s1), c]))
+        # F's lines e g sigma and e g^T sigma of g = c (lam - s1) and of c, e
+        # sigma's rows 0 and m - 1: e (c (lam - s1)) = (e ell) c + (e c) (ell - s1)
+        e4 = np.concatenate([s[:: m - 1], s[:: m - 1] * ell])
+        g = [np.concatenate([t[2:] + t[:2] * (ell - self.s1), t[:2]]) for t in (e4 @ c, e4 @ c.T)]
+        on_f = np.concatenate([(g[0] @ s).reshape(2, -1), (g[1] @ s[:, 1:-1]).reshape(2, -1)], 1)
         # the coupled rows' residual below, not the capacitance one, is checked
         sol, _ = fac.solve(self._enter @ np.concatenate([on_f.ravel(), rhs[m * m :]]), tol=math.inf)
+        del rhs  # freed before x and r: a lower peak
         uz_v_y = self._leave @ sol
-        d = self._ring_transform(uz_v_y[: 2 * nf].reshape(2, nf))
-        c -= (d[0] + self.m1 * self.lam * d[1]) * self.inv_p
-        y = np.concatenate([(s @ c @ s).ravel(), uz_v_y[2 * nf :]])
+        # the factor's field f_i on F transforms to d_i = left_i^T right_i:
+        # e by the transforms of f_i's rows, and those of its columns by e
+        f = uz_v_y[: 2 * nf].reshape(2, nf)
+        e2 = np.broadcast_to(e4[:2], (2, 2, m))
+        left = np.concatenate([e2, f[:, 2 * m :].reshape(2, 2, m - 2) @ s[1:-1]], axis=1)
+        right = np.concatenate([f[:, : 2 * m].reshape(2, 2, m) @ s, e2], axis=1)
+        # d_0 + M1 lam d_1, lam d_1 = (ell left_1)^T right_1 + left_1^T (right_1 ell)
+        lf = np.concatenate([left[0], self.m1 * ell * left[1], self.m1 * left[1]])
+        corr = lf.T @ np.concatenate([right[0], right[1], right[1] * ell])
+        corr *= self.inv_p
+        c -= corr
+        x = np.empty_like(b)
+        np.matmul(np.matmul(s, c, out=corr), s, out=x[: m * m].reshape(m, m))
+        del c, corr  # freed before r, as rhs
+        x[m * m : n_y] = uz_v_y[2 * nf :]
+        y, mu = x[:n_y], x[n_y:]
         ry = self.rows @ y
-        mu = b_mu - ry
-        r = np.concatenate([b_y - (self.k * y - self.lap @ mu), b_mu - (ry + mu)])
-        return linalg.check_residual(r, b, np.concatenate([y, mu]), RESIDUAL_TOL)
-
-    def _on_ring(self, c: np.ndarray) -> np.ndarray:
-        """Values on F, in ``ring`` order, of the fields whose sine
-        transforms are c[i]: the inverse transform of F's four lines only."""
-        s = self.sigma
-        e = s[:: s.shape[0] - 1]  # rows a = 0 and m - 1 of sigma
-        lines = e @ c @ s
-        inner = e @ c.transpose(0, 2, 1) @ s[:, 1:-1]  # the columns b = 0, m - 1 between
-        return np.concatenate([lines.reshape(len(c), -1), inner.reshape(len(c), -1)], axis=1)
-
-    def _ring_transform(self, f: np.ndarray) -> np.ndarray:
-        """Sine transforms of the fields that are f[i] on F (``ring`` order)
-        and zero elsewhere: the adjoint of ``_on_ring``.  A field on the
-        rows a = 0, m - 1 and the columns b = 0, m - 1 transforms to
-        e^T (rows sigma) + (columns sigma)^T e, e the rows 0 and m - 1 of
-        sigma: four outer products, taken as one product of width 4."""
-        s, m = self.sigma, self.sigma.shape[0]
-        e = np.broadcast_to(s[:: m - 1], (len(f), 2, m))
-        lines = f[:, : 2 * m].reshape(len(f), 2, m)
-        inner = f[:, 2 * m :].reshape(len(f), 2, m - 2)
-        left = np.concatenate([e, inner @ s[1:-1]], axis=1)
-        return left.transpose(0, 2, 1) @ np.concatenate([lines @ s, e], axis=1)
+        np.subtract(b_mu, ry, out=mu)
+        r = np.empty_like(b)
+        r_y, r_mu = r[:n_y], r[n_y:]
+        np.subtract(b_mu, np.add(ry, mu, out=r_mu), out=r_mu)
+        del ry
+        np.multiply(self.k, y, out=r_y)
+        r_y -= self.lap @ mu
+        np.subtract(b_y, r_y, out=r_y)
+        return linalg.check_residual(r, b, x, RESIDUAL_TOL)
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
@@ -343,9 +351,9 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     ``operators.dirichlet_hessian`` and h w_k ``model.loop_well_weights``.
     Every block is built in its final CSR arrays: H is scaled in place, and
     the block-diagonal parts are concatenated from their blocks' arrays.
-    The solver's time-constant parts are set here too: the sine basis and
-    the symbols of L_D and P^-1 on the (n-1)^2 interior grid, and the D4
-    basis of the first layer F and the loop (``SparseSystem``).
+    The solver's time-constant parts are set here too: the sine basis, the
+    1-D eigenvalues ell and P^-1's symbol on the (n-1)^2 interior grid, and
+    the D4 basis of the first layer F and the loop (``SparseSystem``).
     """
     _, _, k1, k2 = _relaxation(params)
     h, ni = grid.h, grid.n_int
@@ -366,12 +374,12 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     l_loop.data *= params.M2
     lap = linalg._block_diag([l_mu, l_loop])
     del hess, l_mu, l_loop  # freed before the solver's arrays: a lower heap peak
-    sigma, lam = ops.dirichlet_modes(grid.n)
-    lam = lam[:, None] + lam
+    sigma, ell = ops.dirichlet_modes(grid.n)
+    lam = ell[:, None] + ell
     ring = _ring(grid.n)
     basis, sector, vertex = ops.mirror_basis(grid, np.r_[ring, ni : ni + grid.n_loop])
     return SparseSystem(
-        k=k, lap=lap, rows=rows, m1=params.M1, s1=params.s1, sigma=sigma, lam=lam,
+        k=k, lap=lap, rows=rows, m1=params.M1, s1=params.s1, sigma=sigma, ell=ell,
         inv_p=1.0 / (k1 + params.M1 * lam * (lam - params.s1)), ring=ring, basis=basis,
         sector=sector, vertex=vertex,
     )

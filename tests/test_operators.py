@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -394,6 +399,36 @@ def test_poisson_rejects_bad_tol(g10):
         with pytest.raises(ValueError, match="tol"):
             solve_poisson_loop_zeromean(np.zeros(g10.n_loop), g10, tol=tol)
     assert operators._pinned_factor.cache_info().currsize == 0
+
+
+# a run in a fresh interpreter (this one has imported scipy.sparse.linalg
+# already): it never loads SuperLU's package, and the Poisson reference
+# loads it on its first call and meets its tolerance
+LAZY_SUPERLU = """
+import sys
+import numpy as np
+import hyperch
+from hyperch import cli, operators
+assert cli.main(["run", "n=8", "beta1=0.1", "beta2=0.1", "t_end=0.0005",
+                 "snapshot_times=0.0002", "output_dir=" + sys.argv[1]]) == 0
+assert "scipy.sparse.linalg" not in sys.modules, "a run loaded scipy.sparse.linalg"
+g = hyperch.build_grid(8)
+w = np.random.default_rng(5).standard_normal(g.n_int)
+p = hyperch.solve_poisson_neumann_zeromean(w, g, tol=1e-10)
+assert "scipy.sparse.linalg" in sys.modules
+err = np.abs(operators.neumann_laplacian_matrix(8) @ p - (w - w.mean())).max()
+assert err <= 1e-10 * max(1.0, np.abs(w - w.mean()).max()), err
+"""
+
+
+def test_runs_never_load_superlu_and_the_poisson_reference_does(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).resolve().parents[1]))
+    out = tmp_path / "o"
+    done = subprocess.run([sys.executable, "-c", LAZY_SUPERLU, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert {f.name for f in out.iterdir()} >= {
+        "diag.csv", "final.vtk", "effective.cfg", "snap_step0000002.vtk"}
 
 
 # ---- summation-by-parts pairing -----------------------------------------

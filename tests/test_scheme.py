@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -404,6 +405,37 @@ def test_factoring_holds_only_its_blocks():
     assert peak <= 0.75 * square
     assert [b.shape for b in fac.blocks] == [(k, k) for k in np.bincount(system.sector)[:5]]
     assert not [v for obj in (fac, fac._lu) for v in vars(obj).values() if sp.issparse(v)]
+
+
+def test_solve_holds_few_grid_sized_temporaries():
+    # a factored solve holds x and its residual r, each 2 (n-1)^2 + 8n
+    # long, and besides them one grid-sized product at a time, R y and
+    # then L mu; before them, the right-hand side, the transforms and the
+    # correction, a product of two (12, n - 1) stacks, take at most three
+    # grids.  6.49 (n-1)^2 doubles at n = 64 (5.45 at n = 200), against
+    # 12.0 with the symbol of L_D held and F's line transforms as
+    # (2, n - 1, n - 1) arrays
+    g = build_grid(64)
+    system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
+    b = np.random.default_rng(2).standard_normal(2 * system.k.size)
+    system.solve(b)  # factors
+    tracemalloc.start()
+    try:
+        system.solve(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * (g.n - 1) ** 2 * 8
+
+
+def test_solve_rejects_a_mis_shaped_rhs():
+    g = build_grid(6)
+    system = assemble_system(g, params_for(g))
+    dim = 2 * (g.n_int + g.n_loop)
+    for b in (np.ones(dim - 1), np.ones((2, dim // 2)), np.ones(dim + 1)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {b.shape}, expected ({dim},)")):
+            system.solve(b)
+    assert system._direct is None  # nothing factored for it
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 21, 51])
