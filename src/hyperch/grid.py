@@ -9,7 +9,7 @@ Both sets are subsets of the (n+1)^2 vertex grid: the interior in
 row-major (i, j) order, the loop through ``Grid.loop_ij``.  The grid
 holds no stencils; ``operators`` builds them on the vertex grid and
 restricts them with these maps.  Grids compare by identity: the module
-caches (read-only per-n weight arrays and the Poisson factors) key on n.
+caches (read-only per-n weight arrays) key on n.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class Grid:
     def loop_index(self, i: int, j: int) -> int:
         """Loop index of perimeter vertex (i, j)."""
         n = self.n
+        if not (0 <= i <= n and 0 <= j <= n):
+            raise IndexError(f"({i},{j}) is not a vertex")
         if j == 0 and i < n:
             return i
         if i == n and j < n:

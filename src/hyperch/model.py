@@ -6,7 +6,8 @@ energy over the perimeter loop).  The modified energy augments the total
 by kinetic-like terms built from inverse Laplacians of the rate fields;
 it is the quantity the hyperbolic relaxation dissipates.  Runs read those
 inverses from the potentials the step carries (``scheme.diag_record``);
-``modified_energy`` here computes them by Poisson solves and is the
+``modified_energy`` here computes them afresh by the zero-mean Poisson
+solves of ``operators`` (cosine and Fourier transforms) and is the
 reference the run's rows are tested against.  Module caches hold only
 read-only per-n arrays that the step or the diagnostic row reads.
 """

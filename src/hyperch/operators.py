@@ -18,13 +18,15 @@ them equal.  The Dirichlet 5-point Laplacian is diagonal in the 2-D
 sine basis of the interior grid (``dirichlet_modes``).
 The Poisson solvers invert the Neumann Laplacian (bulk) and the
 periodic loop Laplacian on mean-free right-hand sides, the operators of
-the scheme's evolution rows.  They back ``model.modified_energy``, the
-reference the tests hold a run's kinetic terms to; runs read those terms
-from the potentials the step carries and never call the solvers, so
-SuperLU's package (``scipy.sparse.linalg``) is imported on first use.
-Every matrix is built afresh per call and belongs to its caller; a module
-cache holds only a read-only per-n array that the step or the diagnostic
-row reads, plus the Poisson solvers' pinned factors.
+the scheme's evolution rows.  Both are diagonal in a known basis, the
+2-D cosine basis of the interior grid (``neumann_modes``) and the
+Fourier basis of the loop (``loop_eigenvalues``), so each solve is two
+transforms and a division that drops the constant mode.  They back
+``model.modified_energy``, the reference the tests hold a run's kinetic
+terms to; runs read those terms from the potentials the step carries and
+never call the solvers.  Every matrix is built afresh per call and
+belongs to its caller; a module cache holds only a read-only per-n array
+that the step or the diagnostic row reads.
 """
 
 from __future__ import annotations
@@ -260,7 +262,7 @@ def dirichlet_energy_loop(psi: np.ndarray, grid: Grid) -> float:
     return 0.5 * grad_norm_sq_loop(psi, grid)
 
 
-# ---- Laplacian matrices and cached Poisson factorizations -------------
+# ---- Laplacian matrices and zero-mean Poisson solves -------------------
 
 
 def neumann_laplacian_matrix(n: int) -> sp.csr_matrix:
@@ -286,56 +288,85 @@ def loop_laplacian_matrix(n: int) -> sp.csr_matrix:
     return (lap / (1.0 / n) ** 2).tocsr()
 
 
-@lru_cache(maxsize=8)
-def _pinned_factor(n: int, which: str) -> tuple[sp.csr_matrix, sp.linalg.SuperLU]:
-    """The ``which`` ("bulk" or "loop") Laplacian and the LU
-    factorization of it with row 0 pinned.
-
-    For a symmetric operator with constants in the kernel and a mean-free
-    right-hand side (with rhs[0] set to 0), the pinned solve is exact: the
-    dropped row's residual vanishes automatically.  Ordered by minimum
-    degree on A^T + A: at n = 50 the bulk factor's fill is 40% below
-    COLAMD's.  SuperLU's package is imported here, on first use.
-    """
-    import scipy.sparse.linalg as spla
-    lap = neumann_laplacian_matrix(n) if which == "bulk" else loop_laplacian_matrix(n)
-    pinned = lap.tolil()
-    pinned[0, :] = 0.0
-    pinned[0, 0] = 1.0
-    return lap, spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A")
+def neumann_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, mu): the orthonormal DCT-II matrix of the m = n - 1 interior
+    nodes of a side, c[a, k] = sqrt(2/m) cos(pi (a + 1/2) k / m) with
+    column 0 equal to sqrt(1/m), and the eigenvalues mu[k] =
+    -4 sin^2(pi k / 2m) / h^2 of the second difference with mirror ghosts.
+    ``neumann_laplacian_matrix(n)`` is (c x c) diag(mu_k + mu_l) (c x c)^T;
+    mode (0, 0), the constants, is its kernel."""
+    m, h = n - 1, 1.0 / n
+    k = np.arange(m)
+    # cos(pi j / 2m) with j = (2a + 1) k reduced mod 4m, so the argument
+    # stays below 2 pi
+    c = np.sqrt(2.0 / m) * np.cos(0.5 * np.pi / m * (np.outer(2 * k + 1, k) % (4 * m)))
+    c[:, 0] = np.sqrt(1.0 / m)
+    return c, -4.0 * np.sin(0.5 * np.pi / m * k) ** 2 / (h * h)
 
 
-def _solve_zeromean(w: np.ndarray, n: int, which: str, tol: float) -> np.ndarray:
-    """Pinned solve, its residual checked against the factored Laplacian."""
+def loop_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalues -4 sin^2(pi k / 4n) / h^2, k = 0..2n, of
+    ``loop_laplacian_matrix(n)`` on the Fourier modes exp(2 pi i k s / 4n)
+    that ``np.fft.rfft`` resolves; mode 4n - k has the eigenvalue of k."""
+    h = 1.0 / n
+    return -4.0 * np.sin(0.25 * np.pi / n * np.arange(2 * n + 1)) ** 2 / (h * h)
+
+
+def _check_tol(tol: float) -> None:
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lap, factor = _pinned_factor(n, which)
-    w_free = w - w.mean()
-    rhs = w_free.copy()
-    rhs[0] = 0.0
-    p = factor.solve(rhs)
-    p -= p.mean()
-    resid = float(np.abs(lap @ p - w_free).max())
+
+
+def _check_residual(lap_p: np.ndarray, w_free: np.ndarray, tol: float) -> None:
+    """Raise unless the operator's image of the solution is the mean-free
+    data to ``tol`` relative to max(1, max |data|)."""
+    resid = float(np.abs(lap_p - w_free).max())
     scale = max(1.0, float(np.abs(w_free).max()))
     if not resid <= tol * scale:
         raise PoissonSolveError(
             f"zero-mean Poisson solve residual {resid:.3e} exceeds tol {tol:.3e}"
         )
-    return p
 
 
 def solve_poisson_neumann_zeromean(w: np.ndarray, grid: Grid, tol: float = 1e-10) -> np.ndarray:
     """Solve lap(p) = w - mean(w) with the mirror-ghost Neumann Laplacian.
 
     The right-hand side is projected to zero mean (the operator's range)
-    and the solution is returned with zero mean.
+    and the solution is returned with zero mean: in the cosine basis of
+    ``neumann_modes`` every mode but the constant one is divided by its
+    eigenvalue.  The residual is checked against the 5-point stencil with
+    mirror ghosts.
     """
-    return _solve_zeromean(_check_bulk(w, grid), grid.n, "bulk", tol)
+    w = _check_bulk(w, grid)
+    _check_tol(tol)
+    m, h = grid.n - 1, grid.h
+    c, mu = neumann_modes(grid.n)
+    w_free = (w - w.mean()).reshape(m, m)
+    eig = np.add.outer(mu, mu)
+    eig[0, 0] = np.inf  # the constant mode drops out
+    p = c @ ((c.T @ w_free @ c) / eig) @ c.T
+    ghost = np.pad(p, 1, mode="edge")  # each ghost equals its inside neighbor
+    lap_p = ghost[:-2, 1:-1] + ghost[2:, 1:-1] + ghost[1:-1, :-2] + ghost[1:-1, 2:] - 4.0 * p
+    _check_residual(lap_p / (h * h), w_free, tol)
+    return p.ravel()
 
 
 def solve_poisson_loop_zeromean(w: np.ndarray, grid: Grid, tol: float = 1e-10) -> np.ndarray:
-    """Solve the periodic loop Poisson problem on mean-free data."""
-    return _solve_zeromean(_check_loop(w, grid), grid.n, "loop", tol)
+    """Solve the periodic loop Poisson problem on mean-free data.
+
+    Every Fourier mode but k = 0 is divided by its eigenvalue
+    (``loop_eigenvalues``); the residual is checked against the periodic
+    second difference.
+    """
+    w = _check_loop(w, grid)
+    _check_tol(tol)
+    w_free = w - w.mean()
+    eig = loop_eigenvalues(grid.n)
+    eig[0] = np.inf  # the constant mode drops out
+    q = np.fft.irfft(np.fft.rfft(w_free) / eig, grid.n_loop)
+    lap_q = np.roll(q, 1) + np.roll(q, -1) - 2.0 * q
+    _check_residual(lap_q / (grid.h * grid.h), w_free, tol)
+    return q
 
 
 def grad_norm_sq_interior(p: np.ndarray, grid: Grid) -> float:

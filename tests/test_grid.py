@@ -49,6 +49,27 @@ def test_loop_map_bijective(n):
     assert ks == set(range(4 * n))
 
 
+@pytest.mark.parametrize("n", [4, 5, 10])
+def test_index_maps_reject_other_vertices(n):
+    # loop_index takes the 4n perimeter vertices only: every interior
+    # vertex and every coordinate pair off the grid raises, including those
+    # whose other coordinate alone would place them on a side
+    g = build_grid(n)
+    perimeter = {tuple(int(v) for v in ij) for ij in g.loop_ij}
+    for i in range(-2, n + 3):
+        for j in range(-2, n + 3):
+            if (i, j) in perimeter:
+                continue
+            with pytest.raises(IndexError):
+                g.loop_index(i, j)
+    for i, j in [(0, 1), (1, 0), (n, 1), (1, n), (-1, 1), (1, -1), (n + 1, 2)]:
+        with pytest.raises(IndexError):
+            g.interior_index(i, j)
+    for idx in (-1, g.n_int, g.n_int + 5):
+        with pytest.raises(IndexError):
+            g.interior_ij(idx)
+
+
 @pytest.mark.parametrize("n", [4, 9, 12])
 def test_loop_adjacency_spacing(n):
     g = build_grid(n)

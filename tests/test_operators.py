@@ -177,15 +177,13 @@ def test_dirichlet_energy_bulk_matches_edge_loop(n):
 
 
 def test_cached_weights_are_read_only():
-    # a module cache holds only read-only per-n arrays, or tuples of
-    # them; the Poisson solvers' pinned factor is the one exception
+    # a module cache holds only read-only per-n arrays, or tuples of them
     cached = {
         f"{mod.__name__}.{name}": f
         for mod in (operators, model)
         for name, f in vars(mod).items()
         if hasattr(f, "cache_info")
     }
-    del cached["hyperch.operators._pinned_factor"]
     assert len(cached) == 3, sorted(cached)
     for name, f in cached.items():
         out = f(6)
@@ -391,40 +389,40 @@ def test_poisson_loop_constant_rhs_gives_zero():
 
 
 def test_poisson_rejects_bad_tol(g10):
-    # a bad tol fails fast: no Laplacian is factored or cached for it
-    operators._pinned_factor.cache_clear()
     for tol in (0.0, np.nan, -1.0):
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ValueError, match="tol must be positive"):
             solve_poisson_neumann_zeromean(np.zeros(g10.n_int), g10, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ValueError, match="tol must be positive"):
             solve_poisson_loop_zeromean(np.zeros(g10.n_loop), g10, tol=tol)
-    assert operators._pinned_factor.cache_info().currsize == 0
 
 
-# a run in a fresh interpreter (this one has imported scipy.sparse.linalg
-# already): it never loads SuperLU's package, and the Poisson reference
-# loads it on its first call and meets its tolerance
-LAZY_SUPERLU = """
+# a run and both Poisson references in a fresh interpreter (this one has
+# imported scipy.sparse.linalg already): none of them loads SuperLU's
+# package, and the references meet their tolerance
+NO_SUPERLU = """
 import sys
 import numpy as np
 import hyperch
 from hyperch import cli, operators
 assert cli.main(["run", "n=8", "beta1=0.1", "beta2=0.1", "t_end=0.0005",
                  "snapshot_times=0.0002", "output_dir=" + sys.argv[1]]) == 0
-assert "scipy.sparse.linalg" not in sys.modules, "a run loaded scipy.sparse.linalg"
 g = hyperch.build_grid(8)
-w = np.random.default_rng(5).standard_normal(g.n_int)
+rng = np.random.default_rng(5)
+w, v = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
 p = hyperch.solve_poisson_neumann_zeromean(w, g, tol=1e-10)
-assert "scipy.sparse.linalg" in sys.modules
-err = np.abs(operators.neumann_laplacian_matrix(8) @ p - (w - w.mean())).max()
-assert err <= 1e-10 * max(1.0, np.abs(w - w.mean()).max()), err
+q = hyperch.solve_poisson_loop_zeromean(v, g, tol=1e-10)
+assert "scipy.sparse.linalg" not in sys.modules, "scipy.sparse.linalg was loaded"
+for lap, x, rhs in [(operators.neumann_laplacian_matrix(8), p, w - w.mean()),
+                    (operators.loop_laplacian_matrix(8), q, v - v.mean())]:
+    err = np.abs(lap @ x - rhs).max()
+    assert err <= 1e-10 * max(1.0, np.abs(rhs).max()), err
 """
 
 
-def test_runs_never_load_superlu_and_the_poisson_reference_does(tmp_path):
+def test_runs_and_the_poisson_references_never_load_superlu(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).resolve().parents[1]))
     out = tmp_path / "o"
-    done = subprocess.run([sys.executable, "-c", LAZY_SUPERLU, str(out)], env=env,
+    done = subprocess.run([sys.executable, "-c", NO_SUPERLU, str(out)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert {f.name for f in out.iterdir()} >= {
@@ -466,11 +464,6 @@ def test_poisson_rejects_nan_data(g10):
         solve_poisson_loop_zeromean(np.full(g10.n_loop, np.nan), g10)
 
 
-def test_poisson_rejects_nan_tol(g10):
-    with pytest.raises(ValueError, match="tol must be positive"):
-        solve_poisson_neumann_zeromean(np.zeros(g10.n_int), g10, tol=np.nan)
-
-
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 50])
 def test_dirichlet_modes_diagonalize_the_interior_block_of_the_hessian(n):
     # sigma is symmetric and orthogonal, its rows a and m - 1 - a differ by
@@ -486,3 +479,48 @@ def test_dirichlet_modes_diagonalize_the_interior_block_of_the_hessian(n):
     modes = np.kron(sigma, sigma)
     want = modes @ np.diag(np.add.outer(lam, lam).ravel()) @ modes
     assert np.abs(l_d - want).max() <= 1e-13 * np.abs(l_d).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50])
+def test_neumann_modes_diagonalize_the_neumann_laplacian(n):
+    # c is orthogonal, its column 0 is constant, and (c x c) diag(mu_k +
+    # mu_l) (c x c)^T is the mirror-ghost Neumann Laplacian
+    c, mu = operators.neumann_modes(n)
+    m = n - 1
+    assert np.abs(c.T @ c - np.eye(m)).max() <= 1e-15 * m
+    assert np.all(c[:, 0] == c[0, 0]) and mu[0] == 0.0
+    lap = neumann_laplacian_matrix(n).toarray()
+    modes = np.kron(c, c)
+    want = modes @ np.diag(np.add.outer(mu, mu).ravel()) @ modes.T
+    assert np.abs(lap - want).max() <= 1e-13 * np.abs(lap).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50])
+def test_loop_eigenvalues_are_those_of_the_loop_laplacian(n):
+    # Fourier mode k of the 4n-node loop is an eigenvector of the periodic
+    # second difference with eigenvalue lam[k] (lam[4n - k] for k > 2n),
+    # and these are the matrix's whole spectrum
+    lam = operators.loop_eigenvalues(n)
+    nl = 4 * n
+    full = np.concatenate([lam, lam[-2:0:-1]])
+    lap = loop_laplacian_matrix(n).toarray()
+    s = np.arange(nl)
+    modes = np.exp(2j * np.pi / nl * (np.outer(s, s) % nl))  # argument below 2 pi
+    scale = np.abs(lap).max()
+    assert np.abs(lap @ modes - modes * full).max() <= 1e-13 * scale
+    assert np.abs(np.sort(full) - np.linalg.eigvalsh(lap)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 13, 16])
+def test_poisson_solvers_match_the_pseudoinverse(n):
+    # the minimum-norm solution of the singular system on mean-free data,
+    # which is the zero-mean one, by the dense pseudoinverse
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    for solve, lap, size in [
+        (solve_poisson_neumann_zeromean, neumann_laplacian_matrix(n), g.n_int),
+        (solve_poisson_loop_zeromean, loop_laplacian_matrix(n), g.n_loop),
+    ]:
+        w = rng.standard_normal(size) + 2.0
+        want = np.linalg.pinv(lap.toarray()) @ (w - w.mean())
+        assert np.abs(solve(w, g) - want).max() <= 1e-12 * np.abs(want).max()

@@ -698,6 +698,33 @@ def test_masses_exact_to_roundoff():
                 assert abs(surface_mass(st.psi, g) - ms0) <= 1e-13, (case, beta)
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    n=hst.integers(4, 32),
+    case=hst.integers(1, 4),
+    seed=hst.integers(0, 2**16),
+    beta1=hst.floats(0.0, 1.0),
+    beta2=hst.floats(0.0, 1.0),
+)
+def test_per_step_mass_roundoff_over_grids_cases_and_relaxations(n, case, seed, beta1, beta2):
+    # the bound of test_masses_exact_to_roundoff, on each step's change of
+    # either mass, over random grid sizes, initial states and relaxations
+    from hyperch import bulk_mass, surface_mass
+
+    g = build_grid(n)
+    params = params_for(g, beta1=beta1, beta2=beta2)
+    system = assemble_system(g, params)
+    phi0, psi0 = init_case(CaseSpec(case=case, seed=seed, n=n), g)
+    st = init_state(phi0, psi0, g)
+    masses = bulk_mass(st.phi, g), surface_mass(st.psi, g)
+    for _ in range(10):
+        st, _ = step(st, system, g, params)
+        new = bulk_mass(st.phi, g), surface_mass(st.psi, g)
+        assert abs(new[0] - masses[0]) <= 1e-13
+        assert abs(new[1] - masses[1]) <= 1e-13
+        masses = new
+
+
 def test_rate_mean_recurrence():
     # weighted bulk-rate sum contracts by beta/(beta+tau) each step;
     # the loop-rate sum does the same with plain summation
