@@ -34,17 +34,20 @@ class Grid:
 
     def interior_index(self, i: int, j: int) -> int:
         """Flat index of interior vertex (i, j), 1 <= i, j <= n-1."""
+        _check_ints(i=i, j=j)
         if not (1 <= i <= self.n - 1 and 1 <= j <= self.n - 1):
             raise IndexError(f"({i},{j}) is not an interior vertex")
         return (i - 1) * (self.n - 1) + (j - 1)
 
     def interior_ij(self, idx: int) -> tuple[int, int]:
+        _check_ints(idx=idx)
         if not (0 <= idx < self.n_int):
             raise IndexError(f"interior index {idx} out of range")
         return idx // (self.n - 1) + 1, idx % (self.n - 1) + 1
 
     def loop_index(self, i: int, j: int) -> int:
         """Loop index of perimeter vertex (i, j)."""
+        _check_ints(i=i, j=j)
         n = self.n
         if not (0 <= i <= n and 0 <= j <= n):
             raise IndexError(f"({i},{j}) is not a vertex")
@@ -59,6 +62,7 @@ class Grid:
         raise IndexError(f"({i},{j}) is not a perimeter vertex")
 
     def is_interior(self, i: int, j: int) -> bool:
+        _check_ints(i=i, j=j)
         return 1 <= i <= self.n - 1 and 1 <= j <= self.n - 1
 
     # ---- coordinates ------------------------------------------------
@@ -78,6 +82,14 @@ class Grid:
         return np.arange(self.n_loop) * self.h
 
 
+def _check_ints(**args) -> None:
+    """TypeError naming the first argument that is not an integer (Python
+    or numpy): the index maps' range checks compare values only."""
+    for name, value in args.items():
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+
+
 def build_grid(n: int) -> Grid:
     """Build the grid for n subdivisions per side.
 
@@ -87,8 +99,7 @@ def build_grid(n: int) -> Grid:
     5-point stencil reaches no loop node.  The operators themselves are
     defined from n = 2 on.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError(f"n must be an integer, got {type(n).__name__}")
+    _check_ints(n=n)
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     n = int(n)

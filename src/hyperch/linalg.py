@@ -1,14 +1,14 @@
 """Dense linear algebra for the time-constant boundary system.
 
-The matrix never changes within a run, so it is factored once by
-LAPACK's LU with partial pivoting (getrf) and every step pays one set of
-triangular solves (getrs), held to a relative-residual contract.  A
-block-diagonal matrix is held as its distinct dense blocks and never
-expanded: each is factored once, a block that repeats solves the
-right-hand sides of all its copies as the columns of one call, and each
-block's part of the residual follows its solve.  The scheme factors its
-boundary capacitance matrix this way: the four sector blocks of A, 4n - 4
-wide in all, and the block B, 2n - 2 wide, with two copies.
+The matrix never changes within a run, so each distinct diagonal block
+of it is inverted once (bordered elimination, ``_inverse``), and every
+step pays one matrix product per block, held to a relative-residual
+contract.  A block-diagonal matrix is held as its distinct dense blocks
+and never expanded: a block that repeats applies its inverse to the
+right-hand sides of all its copies as the columns of one product.  The
+scheme holds its boundary capacitance matrix this way: the four sector
+blocks of A, 4n - 4 wide in all, and the block B, 2n - 2 wide, with two
+copies.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
-
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
 
 
 class SolveError(RuntimeError):
@@ -76,53 +73,66 @@ def _block_diag(blocks: list[sp.spmatrix]) -> sp.spmatrix:
     )
 
 
-class BlockLU:
-    """LAPACK LU factors (getrf's packed ``lu`` and ``piv``) of the distinct
-    diagonal blocks of a block-diagonal matrix a, block k repeated
-    ``copies[k]`` times in a row along the diagonal; ``L`` (its unit
-    diagonal implicit, as LAPACK keeps it) and ``U`` are block-diagonal
-    over the distinct factors, exact zeros dropped, so their nnz is what
-    the packed factors store."""
+def _inverse(a: np.ndarray, f: int, k: int) -> np.ndarray:
+    """Inverse of block k, a = [[A11, A12], [A21, A22]] split after its
+    first f rows and columns: with E = A11^-1 A12, F = A21 A11^-1 and the
+    Schur complement S = A22 - A21 E, it is [[A11^-1 + E S^-1 F, -E S^-1],
+    [-S^-1 F, S^-1]], two inversions of about half the width and six
+    products, near half the time of one inversion of a.  A part that
+    numpy's LU finds exactly singular raises a SolveError naming it."""
+    part = f"leading {f}x{f} part"
+    try:
+        x11 = np.linalg.inv(a[:f, :f])
+        e, fr = x11 @ a[:f, f:], a[f:, :f] @ x11
+        part = f"Schur complement on its last {a.shape[0] - f} rows"
+        s_inv = np.linalg.inv(a[f:, f:] - a[f:, :f] @ e)
+    except np.linalg.LinAlgError:
+        raise SolveError(f"block {k} is singular: its {part} is") from None
+    e_s = e @ s_inv
+    return np.block([[x11 + e_s @ fr, -e_s], [-(s_inv @ fr), s_inv]])
 
-    def __init__(self, factors: list[tuple[np.ndarray, np.ndarray]], copies: list[int]):
-        self.factors, self.copies = factors, copies
+
+class BlockInverse:
+    """The distinct blocks' inverses and copy counts.  ``L`` and ``U``, the
+    block diagonals of the inverses' strict lower and upper triangles
+    (exact zeros dropped), exist for the benchmark's fill count alone."""
+
+    def __init__(self, inverses: list[np.ndarray], copies: list[int]):
+        self.inverses, self.copies = inverses, copies
 
     @property
     def L(self) -> sp.csc_matrix:
-        return _block_diag([sp.csc_matrix(np.tril(lu, -1)) for lu, _ in self.factors])
+        return _block_diag([sp.csc_matrix(np.tril(inv, -1)) for inv in self.inverses])
 
     @property
     def U(self) -> sp.csc_matrix:
-        return _block_diag([sp.csc_matrix(np.triu(lu)) for lu, _ in self.factors])
+        return _block_diag([sp.csc_matrix(np.triu(inv)) for inv in self.inverses])
 
 
 class DirectFactorization:
-    """Reusable dense LU of a time-constant block-diagonal matrix
+    """Reusable dense inverse of a time-constant block-diagonal matrix
     (residual-checked).
 
     The matrix ``a`` is blockdiag(``copies[0]`` copies of ``blocks[0]``,
     then ``copies[1]`` of ``blocks[1]``, ...); a single matrix is one block
     with one copy.  Only the distinct square blocks are held (``blocks``,
-    dense): ``a`` is built on each read, for the benchmark's size counts
-    and the tests, exact zeros dropped.  Each block is factored once
-    (``_lu``, a BlockLU) from a copy, so the caller's arrays are never
-    rewritten; an exactly zero pivot raises a SolveError that names the
-    block and the pivot.  ``solve`` runs one loop over the distinct blocks.
+    dense, never rewritten).  Block k is inverted once, eliminated after
+    its first ``splits[k]`` rows and columns (none by default), into
+    ``_lu``, a BlockInverse.  ``a`` (built on each read, exact zeros
+    dropped), ``_lu.L``, ``_lu.U`` and ``solve``'s ``tol`` and residual
+    on ``a`` serve the benchmark's counts and the tests.
     """
 
-    def __init__(self, blocks: list[np.ndarray], copies: list[int]):
+    def __init__(self, blocks: list[np.ndarray], copies: list[int],
+                 splits: list[int] | None = None):
         if len(blocks) != len(copies) or not all(c >= 1 for c in copies):
             raise ValueError(f"need one copy count >= 1 per block, got {list(copies)}")
         self.blocks = blocks = [np.asarray(b, dtype=float) for b in blocks]
         if not all(b.ndim == 2 and b.shape[0] == b.shape[1] for b in blocks):
             raise ValueError(f"blocks must be square, got shapes {[b.shape for b in blocks]}")
-        factors = []
-        for k, blk in enumerate(blocks):
-            lu, piv, info = _getrf(blk)
-            if info > 0:
-                raise SolveError(f"block {k} is singular: pivot {info - 1} of its LU is exactly 0")
-            factors.append((lu, piv))
-        self._lu = BlockLU(factors, list(copies))
+        splits = [0] * len(blocks) if splits is None else splits
+        inverses = [_inverse(b, f, k) for k, (b, f) in enumerate(zip(blocks, splits, strict=True))]
+        self._lu = BlockInverse(inverses, list(copies))
 
     @property
     def a(self) -> sp.csr_matrix:
@@ -131,15 +141,15 @@ class DirectFactorization:
         )
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
-        """x with a x = b and its stats: each distinct block solves the
-        parts of b that meet its copies as the columns of one getrs call,
-        then forms its part of b - a x as one product."""
+        """x with a x = b and its stats: each distinct block applies its
+        inverse to the parts of b that meet its copies as the columns of
+        one product, then forms its part of b - a x as one product."""
         b = np.asarray(b, dtype=float)
         x, r, start = np.empty_like(b), np.empty_like(b), 0
-        for blk, (lu, piv), c in zip(self.blocks, self._lu.factors, self._lu.copies):
+        for blk, inv, c in zip(self.blocks, self._lu.inverses, self._lu.copies):
             stop = start + c * blk.shape[0]
             x_k = x[start:stop].reshape(c, -1)
-            x_k[...] = _getrs(lu, piv, b[start:stop].reshape(c, -1).T)[0].T
+            np.matmul(b[start:stop].reshape(c, -1), inv.T, out=x_k)
             np.subtract(b[start:stop], (x_k @ blk.T).ravel(), out=r[start:stop])
             start = stop
         return check_residual(r, b, x, tol)

@@ -17,12 +17,12 @@ two sine transforms plus the capacitance-matrix correction of Buzbee,
 Dorr, George & Golub (SIAM J. Numer. Anal. 8, 1971) on the first
 interior layer and the loop: a bordered system 8n - 8 wide.  That system
 commutes with the eight symmetries of the square, the group D4, so it is
-factored in the D4-adapted orthonormal basis Q of those nodes: Q^T C Q =
+inverted in the D4-adapted orthonormal basis Q of those nodes: Q^T C Q =
 blockdiag(A, B, B), with A the blocks of the four one-dimensional
 representations and B that of the two-dimensional one, which appears
-twice and is factored once.  The explicit wells plus the linear
+twice and is inverted once.  The explicit wells plus the linear
 stabilizers keep every block constant in time, so the blocks are
-assembled and factorized once per run.  The increment form keeps K y
+assembled and inverted once per run.  The increment form keeps K y
 out of floating point, so the masses are conserved to roundoff and a
 constant state at a well root does not move.  The rate fields are the
 increments over tau, exact difference quotients, and start at zero,
@@ -164,9 +164,10 @@ class SparseSystem:
     of width |F| + 4n = 8n - 8, and y_phi = P^-1 (r_phi - U z - S_phi,psi
     y_psi).  C commutes with D4, so in the D4 basis Q of F and the loop
     (``basis``, ``sector`` and ``vertex`` from ``operators.mirror_basis``)
-    it is blockdiag(A, B, B).  The factor holds A's four sector blocks and
-    B once each, and the maps ``_enter`` and ``_leave`` into and out of it
-    carry Q and C's sparse couplings.
+    it is blockdiag(A, B, B).  The factor holds the inverses of A's four
+    sector blocks and of B, each formed once by bordered elimination after
+    the block's columns on F, and the maps ``_enter`` and ``_leave`` into
+    and out of it carry Q and C's sparse couplings.
     Every solution's residual is formed on the coupled rows from k, lap
     and rows.
     """
@@ -188,9 +189,11 @@ class SparseSystem:
     _leave: sp.csr_matrix | None = field(default=None, repr=False)
 
     def direct(self) -> linalg.DirectFactorization:
-        """Factor of Q^T C Q = blockdiag(A, B, B), with A the blocks of
-        sectors 0 to 3 and B that of sector 4, each factored once, built on
-        first use with the maps into and out of it:
+        """Inverse of Q^T C Q = blockdiag(A, B, B), with A the blocks of
+        sectors 0 to 3 and B that of sector 4, each inverted once by
+        bordered elimination after its columns on F, where the block is I
+        plus a smoothing operator and well conditioned, built on first use
+        with the maps into and out of it:
 
         - ``_enter`` takes [V^T P^-1 r_phi | P^-1 r_phi on F | r_psi] to
           Q^T of C's right-hand side;
@@ -203,8 +206,13 @@ class SparseSystem:
             self._enter = sp.hstack([q[:nf].T, -(q[nf:].T @ lr).tocsc(), q[nf:].T], format="csc")
             v = (r_f @ q[nf:]).tocsr()
             self._leave = sp.vstack([sp.diags(u) @ (q[:nf] + v), v, q[nf:]], format="csr")
-            self._direct = linalg.DirectFactorization(blocks, [1, 1, 1, 1, 2])
+            splits = self._f_columns()[:5]  # each block's columns on F, then the loop's
+            self._direct = linalg.DirectFactorization(blocks, [1, 1, 1, 1, 2], splits)
         return self._direct
+
+    def _f_columns(self) -> np.ndarray:
+        """Each sector's count of columns on F, which come first in it."""
+        return np.bincount(self.sector[self.vertex < self.ring.size], minlength=6)
 
     def _couplings(self) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
         """C's sparse parts (u, R_F,psi, LR, S_psi,psi): U's diagonal on F,
@@ -229,19 +237,22 @@ class SparseSystem:
              [-LR G_1 U,    S_psi,psi - LR (M1 G_lam + G_1 U) R_F,psi]]
 
         with symbols 1/p, lam/p, rho = (lam - s1)/p and lam rho, since
-        P^-1 l_mu = G_lam/p + G_1/p J.  A column on F is fixed by its values
-        v on the row a = 0 and w on the column b = 0, the corners halved
-        between the two; the other two lines are these times the sector's
-        parities (sx, sy).  Its sine transform is 2 s0_k (sigma v)_l +
+        P^-1 l_mu = G_lam/p + G_1/p J.  Only three symbols' blocks are
+        formed, as G_rho = G_lam - s1 G_1, and U's block, diagonal, scales
+        their columns; F's columns, ``_f_columns()`` of them, come first in
+        each sector.  A column on F is fixed by its values v on the row
+        a = 0 and w on the column b = 0, the corners halved between the
+        two; the other two lines are these times the sector's parities
+        (sx, sy).  Its sine transform is 2 s0_k (sigma v)_l +
         2 (sigma w)_k s0_l on the modes k, l of those parities (s0 is
         sigma's first row) and zero elsewhere, so each G_g block is a few
         products of width n, and no (8n - 8)^2 matrix is formed."""
         s, m = self.sigma, self.sigma.shape[0]
-        symbols = np.empty((4, m, m))  # filled in place: set-up's peak memory at large n
+        symbols = np.empty((3, m, m))  # filled in place: set-up's peak memory at large n
         symbols[0] = self.inv_p
         lam = np.add(self.ell[:, None], self.ell, out=symbols[1])  # scaled by 1/p last
         np.multiply(np.subtract(lam, self.s1, out=symbols[2]), self.inv_p, out=symbols[2])
-        np.multiply(symbols[2], lam, out=symbols[3])
+        symbols[2] *= lam
         lam *= self.inv_p
         u, r_f, lr, s_pp = self._couplings() if couplings is None else couplings
         # C's sparse parts on [F | loop], which Q keeps apart: its columns
@@ -254,14 +265,13 @@ class SparseSystem:
         lines.data[np.isin(lines.row, [0, m - 1, m, 2 * m - 1])] *= 0.5
         even = np.arange(m) % 2 == 0
         blocks = []
-        for sec, (sx, sy) in enumerate(_PARITIES):
+        for sec, ((sx, sy), f) in enumerate(zip(_PARITIES, self._f_columns())):
             lo, hi = np.searchsorted(self.sector, [sec, sec + 1])
-            f = np.count_nonzero(self.vertex[lo:hi] < self.ring.size)  # F's columns come first
             kx, ly = np.flatnonzero(even == (sx > 0)), np.flatnonzero(even == (sy > 0))
             vw = _dense(lines, 0, 2 * m, lo, lo + f)
             x, w = s[ly] @ vw[:m], s[kx] @ vw[m:]
             sk, sl = s[0, kx], s[0, ly]
-            # the four symbols' blocks at once: products over modes (kx, ly)
+            # the three symbols' blocks at once: products over modes (kx, ly)
             gs = symbols[:, kx[:, None], ly]
             t = w.T @ ((sk[:, None] * gs * sl) @ x)
             g = x.T @ ((sk * sk @ gs)[..., None] * x)
@@ -269,12 +279,13 @@ class SparseSystem:
             g += t
             g += t.transpose(0, 2, 1)
             g *= 4.0
-            g1, g_lam, g_rho, g_lr = g
+            g1, g_lam, g_lr = g
             part = _dense(sparse, lo, hi, lo, hi)
-            du, rh, lrh, sh = part[:f, :f], part[:f, f:], part[f:, :f], part[f:, f:]
+            du, rh, lrh, sh = part.diagonal()[:f], part[:f, f:], part[f:, :f], part[f:, f:]
+            g_rho_u, g1_u = (g_lam - self.s1 * g1) * du, g1 * du  # U's block is diagonal
             blocks.append(np.block([
-                [np.eye(f) + g_rho @ du, (self.m1 * g_lr + g_rho @ du) @ rh],
-                [-lrh @ (g1 @ du), sh - lrh @ ((self.m1 * g_lam + g1 @ du) @ rh)],
+                [np.eye(f) + g_rho_u, (self.m1 * g_lr + g_rho_u) @ rh],
+                [-lrh @ g1_u, sh - lrh @ ((self.m1 * g_lam + g1_u) @ rh)],
             ]))
         return blocks
 

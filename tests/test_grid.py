@@ -70,6 +70,23 @@ def test_index_maps_reject_other_vertices(n):
             g.interior_ij(idx)
 
 
+def test_index_maps_reject_non_integers():
+    # the range checks compare values only: 1.5 passed them and came back
+    # as a fractional index.  A TypeError names the argument, as
+    # build_grid's does for n; numpy integers are integers
+    g = build_grid(4)
+    calls = [(lambda: g.loop_index(1.5, 0), "i"), (lambda: g.loop_index(4, 1.0), "j"),
+             (lambda: g.interior_index(1.5, 1), "i"), (lambda: g.interior_index(1, 2.0), "j"),
+             (lambda: g.interior_ij(2.5), "idx"), (lambda: g.is_interior(1, 1.5), "j")]
+    for call, name in calls:
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got float$"):
+            call()
+    assert g.loop_index(np.int64(1), np.int32(0)) == 1
+    assert g.interior_index(np.int64(1), np.int64(2)) == 1
+    assert g.interior_ij(np.int64(4)) == (2, 2)
+    assert g.is_interior(np.int64(2), np.int8(3))
+
+
 @pytest.mark.parametrize("n", [4, 9, 12])
 def test_loop_adjacency_spacing(n):
     g = build_grid(n)

@@ -388,11 +388,12 @@ def test_system_holds_only_field_and_boundary_sized_matrices():
 
 def test_factoring_holds_only_its_blocks():
     # factoring keeps the distinct blocks, A's four sector blocks and B,
-    # and their dense LU factors, with no expanded blockdiag(A, B, B).  C is
+    # and their dense inverses, with no expanded blockdiag(A, B, B).  C is
     # built sector by sector from products of width n, so factoring's
     # transients stay below one dense (8n - 8)^2 matrix, C's nodal form:
-    # 0.62 of its 2.0 MB at n = 64, most of it the sparse couplings in the
-    # D4 basis, which grow like n; the blocks and their LUs take 0.125 each
+    # 0.60 of its 2.0 MB at n = 64, most of it the sparse couplings in the
+    # D4 basis, which grow like n; the blocks and their inverses take
+    # 0.125 each
     g = build_grid(64)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     square = (8 * g.n - 8) ** 2 * 8
@@ -436,6 +437,27 @@ def test_solve_rejects_a_mis_shaped_rhs():
         with pytest.raises(ValueError, match=re.escape(f"shape {b.shape}, expected ({dim},)")):
             system.solve(b)
     assert system._direct is None  # nothing factored for it
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
+def test_u_is_exactly_diagonal_in_each_d4_sector(n):
+    # U = M1 J is constant on each D4 orbit of F, and Q's columns on F are
+    # orthonormal within one orbit, so each sector's block of Q_F^T U Q_F
+    # is diagonal with no roundoff off it (between sectors it is zero to
+    # roundoff only, and never read): capacitance_blocks scales columns by
+    # its diagonal.  F's columns come first in each sector, _f_columns()
+    # of them
+    g = build_grid(n)
+    system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
+    nf, u = system.ring.size, system._couplings()[0]
+    q_f = system.basis[:nf]
+    d = (q_f.T @ sp.diags(u) @ q_f).toarray()
+    on_f = system.vertex < nf
+    for s, f in enumerate(system._f_columns()):
+        cols = np.flatnonzero(system.sector == s)
+        assert on_f[cols[:f]].all() and not on_f[cols[f:]].any()
+        block = d[np.ix_(cols[:f], cols[:f])]
+        assert np.array_equal(block, np.diag(np.diag(block)))
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 21, 51])
