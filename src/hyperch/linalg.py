@@ -8,7 +8,8 @@ and never expanded: a block that repeats applies its inverse to the
 right-hand sides of all its copies as the columns of one product.  The
 scheme holds its boundary capacitance matrix this way: the four sector
 blocks of A, 4n - 4 wide in all, and the block B, 2n - 2 wide, with two
-copies.
+copies.  Only the expansions ``a``, ``L`` and ``U``, for the benchmark's
+counts and the tests, build scipy matrices, importing scipy themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class SolveError(RuntimeError):
@@ -57,22 +57,6 @@ def check_residual(
     return x, stats
 
 
-def _block_diag(blocks: list[sp.spmatrix]) -> sp.spmatrix:
-    """blockdiag(blocks) of square blocks, all CSR or all CSC, built from
-    the blocks' own arrays in their order (no COO round trip)."""
-    dims = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()  # Python ints keep
-    nnz = np.cumsum([0] + [b.nnz for b in blocks]).tolist()  # the index dtype
-    indptr = [blocks[0].indptr[:1]] + [b.indptr[1:] + z for b, z in zip(blocks, nnz)]
-    return type(blocks[0])(
-        (
-            np.concatenate([b.data for b in blocks]),
-            np.concatenate([b.indices + d for b, d in zip(blocks, dims)]),
-            np.concatenate(indptr),
-        ),
-        (dims[-1],) * 2,
-    )
-
-
 def _inverse(a: np.ndarray, f: int, k: int) -> np.ndarray:
     """Inverse of block k, a = [[A11, A12], [A21, A22]] split after its
     first f rows and columns: with E = A11^-1 A12, F = A21 A11^-1 and the
@@ -101,12 +85,16 @@ class BlockInverse:
         self.inverses, self.copies = inverses, copies
 
     @property
-    def L(self) -> sp.csc_matrix:
-        return _block_diag([sp.csc_matrix(np.tril(inv, -1)) for inv in self.inverses])
+    def L(self) -> "scipy.sparse.csc_matrix":
+        from scipy.sparse import block_diag, csc_matrix
+
+        return block_diag([csc_matrix(np.tril(inv, -1)) for inv in self.inverses], format="csc")
 
     @property
-    def U(self) -> sp.csc_matrix:
-        return _block_diag([sp.csc_matrix(np.triu(inv)) for inv in self.inverses])
+    def U(self) -> "scipy.sparse.csc_matrix":
+        from scipy.sparse import block_diag, csc_matrix
+
+        return block_diag([csc_matrix(np.triu(inv)) for inv in self.inverses], format="csc")
 
 
 class DirectFactorization:
@@ -135,10 +123,11 @@ class DirectFactorization:
         self._lu = BlockInverse(inverses, list(copies))
 
     @property
-    def a(self) -> sp.csr_matrix:
-        return _block_diag(
-            [sp.csr_matrix(b) for b, c in zip(self.blocks, self._lu.copies) for _ in range(c)]
-        )
+    def a(self) -> "scipy.sparse.csr_matrix":
+        from scipy.sparse import block_diag, csr_matrix
+
+        copies = zip(self.blocks, self._lu.copies)
+        return block_diag([csr_matrix(b) for b, c in copies for _ in range(c)], format="csr")
 
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, SolveStats]:
         """x with a x = b and its stats: each distinct block applies its

@@ -1,36 +1,28 @@
 """Coupled linear scheme: assembly, per-step right-hand side, stepping.
 
-One time step solves the coupled linear system for the stacked unknowns
-x = [d | mu]: the increment d = y_new - y of the fields y = [phi | psi]
-and their chemical potentials mu = [mu_int | mu_loop].  The bulk
-chemical potential has unknowns at interior nodes only; its no-flux
-condition enters the bulk evolution rows as the mirror-ghost Neumann
-Laplacian.  Every chemical potential is an explicit sparse function of
-the fields, so the coupled system is the 2x2 block saddle-point form
-[[K, -L], [R, I]] and the solve eliminates mu exactly: it solves the
-Schur complement K + L R on the fields, half the unknowns, and rebuilds
-mu by one matrix-vector product after each solve; the full residual is
-taken on the block rows, never on an assembled coupled matrix.  K + L R
-is never formed either.  Away from the boundary it is a polynomial in
+One time step solves the coupled linear system for x = [d | mu]: the
+increment d = y_new - y of the fields y = [phi | psi] and their chemical
+potentials mu = [mu_int | mu_loop].  The bulk chemical potential lives
+on interior nodes only; its no-flux condition enters the bulk evolution
+rows as the mirror-ghost Neumann Laplacian.  Every chemical potential is
+an explicit linear function of the fields, so the system is the block
+form [[K, -L], [R, I]], and the solve eliminates mu exactly: it solves
+the Schur complement K + L R on the fields and rebuilds mu by one product.
+K + L R is never formed.  Away from the boundary it is a polynomial in
 the Dirichlet Laplacian, diagonal in the 2-D sine basis, so a solve is
 two sine transforms plus the capacitance-matrix correction of Buzbee,
 Dorr, George & Golub (SIAM J. Numer. Anal. 8, 1971) on the first
-interior layer and the loop: a bordered system 8n - 8 wide.  That system
-commutes with the eight symmetries of the square, the group D4, so it is
-inverted in the D4-adapted orthonormal basis Q of those nodes: Q^T C Q =
-blockdiag(A, B, B), with A the blocks of the four one-dimensional
-representations and B that of the two-dimensional one, which appears
-twice and is inverted once.  The explicit wells plus the linear
-stabilizers keep every block constant in time, so the blocks are
-assembled and inverted once per run.  The increment form keeps K y
-out of floating point, so the masses are conserved to roundoff and a
-constant state at a well root does not move.  The rate fields are the
-increments over tau, exact difference quotients, and start at zero,
-which realizes the mass-conservation initialization.  The step also carries the
-inverse-Laplacian potentials of the rate fields, read off the solved mu,
-so a diagnostic row prices the modified energy's kinetic terms without a
-Poisson solve.  The stencils are the ``operators`` module's matrices;
-this module only places them in blocks.
+interior layer and the loop, 8n - 8 wide.  That system commutes with the
+symmetry group D4 of the square, so in its D4-adapted basis Q it is
+blockdiag(A, B, B), inverted once per run: the explicit wells and the
+linear stabilizers keep every block constant in time.  The increment
+form keeps K y out of floating point, so the masses are conserved to
+roundoff and a constant state at a well root does not move.  The rates
+are the increments over tau, zero at the start, and the step carries
+their inverse-Laplacian potentials, read off the solved mu, so a
+diagnostic row prices the modified energy's kinetic terms without a
+Poisson solve.  The blocks L and R are slice stencils of ``operators``
+run into buffers the system holds; set-up and steps use numpy alone.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from . import model as mdl
@@ -98,7 +89,8 @@ def split_unknowns(x: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
     dim = 2 * (grid.n_int + grid.n_loop)
     if x.shape != (dim,):
         raise ValueError(f"stacked vector has shape {x.shape}, expected ({dim},)")
-    return tuple(np.split(x, np.cumsum([grid.n_int, grid.n_loop, grid.n_int])))
+    ni, n_y = grid.n_int, grid.n_int + grid.n_loop
+    return x[:ni], x[ni:n_y], x[n_y : n_y + ni], x[n_y + ni :]
 
 
 def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
@@ -111,6 +103,8 @@ def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
 
 # (x, y) parities of sectors 0 to 4 of ``operators.mirror_basis``
 _PARITIES = ((1, 1), (1, 1), (-1, -1), (-1, -1), (1, -1))
+# the loop's second difference on a node's two neighbors and itself
+_SECOND_DIFFERENCE = np.array([1.0, 1.0, -2.0])
 
 
 def _ring(n: int) -> np.ndarray:
@@ -123,130 +117,172 @@ def _ring(n: int) -> np.ndarray:
     return np.concatenate([row, (m - 1) * m + row, inner, inner + m - 1]).astype(np.int32)
 
 
-def _dense(a: sp.coo_matrix, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """a[r0:r1, c0:c1] as a dense array, from the entries of a, which has
-    no duplicates."""
-    keep = (a.row >= r0) & (a.row < r1) & (a.col >= c0) & (a.col < c1)
-    out = np.zeros((r1 - r0, c1 - c0))
-    out[a.row[keep] - r0, a.col[keep] - c0] = a.data[keep]
-    return out
-
-
 @dataclass
 class SparseSystem:
-    """Time-constant blocks of the coupled system and the reusable factor
-    of its boundary capacitance matrix.
+    """Time-constant blocks of the coupled system, applied as stencils, and
+    the factor of its boundary capacitance matrix (the name is from when
+    they were sparse matrices; the benchmark traces ``SparseSystem.solve``).
 
-    The coupled system [[K, -L], [R, I]] acts on x = [y | mu].  The
-    evolution rows are K y - L mu, with K = diag(``k``) = blockdiag(k1 I,
-    k2 I) and the mobility Laplacians L = blockdiag(M1 l_mu, M2 l_loop)
-    (``lap``); the potential rows R y + mu (R is ``rows``) define mu as an
-    explicit function of the fields.  Eliminating mu leaves S = K + L R on
-    y, which is never formed.  With L_D the Dirichlet 5-point Laplacian
-    (L_D - s1 I is R's bulk block), S's bulk block is P + U V^T:
-
-    - P = k1 I + M1 L_D (L_D - s1 I) is diagonal in the 2-D sine basis
-      sigma x sigma (``sigma`` from ``operators.dirichlet_modes``); ``ell``
-      holds the eigenvalues of the 1-D second difference, so L_D's symbol
-      is lam_kl = ell_k + ell_l, never held, and ``inv_p`` is that of P^-1;
-    - U = M1 J, where J = l_mu - L_D is diagonal and nonzero only on the
-      first layer F (``ring``): 1/h^2 for each neighbor a node has on the
-      loop;
-    - V^T = (L_D - s1 I)[F, :].
-
-    S's loop rows read the bulk on F only, and its loop columns are
-    M1 l_mu R[:, loop] with R[:, loop] nonzero in F's rows only.  So
+    The coupled system [[K, -L], [R, I]] acts on x = [y | mu]: K =
+    diag(``k``), L = blockdiag(M1 l_mu, M2 l_loop) (``apply_lap``) and
+    R y = [L_D phi + trace - s1 phi | -d_n y + l_loop psi - stab psi]
+    (``apply_rows``), with L_D the Dirichlet 5-point Laplacian and ``stab``
+    = s2 + s1 h w_k.  Eliminating mu leaves S = K + L R on y, never formed.
+    S's bulk block is P + U V^T: P = k1 I + M1 L_D (L_D - s1 I) is diagonal
+    in the sine basis sigma x sigma, with symbol lam_kl = ell_k + ell_l and
+    ``inv_p`` that of P^-1; U = M1 (l_mu - L_D) is diagonal on the first
+    layer F (``ring``), ``u``, M1/h^2 per loop neighbor; V^T = (L_D - s1
+    I)[F, :].  F and the loop couple only through each edge node's inward
+    neighbor (``loop_to_f``, its position in F, or |F| at a corner), so
     S y = r is solved by the capacitance-matrix method: z = V^T y_phi and
-    y_psi solve the bordered system
-
-        C [z | y_psi] = [V^T P^-1 r_phi | r_psi - S_psi,phi P^-1 r_phi]
-
-    of width |F| + 4n = 8n - 8, and y_phi = P^-1 (r_phi - U z - S_phi,psi
-    y_psi).  C commutes with D4, so in the D4 basis Q of F and the loop
-    (``basis``, ``sector`` and ``vertex`` from ``operators.mirror_basis``)
-    it is blockdiag(A, B, B).  The factor holds the inverses of A's four
-    sector blocks and of B, each formed once by bordered elimination after
-    the block's columns on F, and the maps ``_enter`` and ``_leave`` into
-    and out of it carry Q and C's sparse couplings.
-    Every solution's residual is formed on the coupled rows from k, lap
-    and rows.
+    y_psi solve C [z | y_psi] = [V^T P^-1 r_phi | r_psi - S_psi,phi P^-1
+    r_phi], 8n - 8 wide, and y_phi = P^-1 (r_phi - U z - S_phi,psi y_psi).
+    C commutes with D4, so in the D4 basis Q of F and the loop (``q_cols``,
+    ``q_vals``, ``sector``, ``vertex`` from ``operators.mirror_basis``) it
+    is blockdiag(A, B, B); the factor holds the inverses of A's four sector
+    blocks and of B, and ``_enter`` and ``_leave`` apply Q and C's
+    couplings as gathers.  The products run through held buffers into
+    ``out``, a new array unless given (``solve`` and ``step`` give ``_out``).
     """
 
     k: np.ndarray
-    lap: sp.csr_matrix = field(repr=False)
-    rows: sp.csr_matrix = field(repr=False)
     m1: float
+    m2: float
     s1: float
+    stab: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     ell: np.ndarray = field(repr=False)
     inv_p: np.ndarray = field(repr=False)
     ring: np.ndarray = field(repr=False)
-    basis: sp.csr_matrix = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    loop_index: np.ndarray = field(repr=False)
+    loop_to_f: np.ndarray = field(repr=False)
+    q_cols: np.ndarray = field(repr=False)
+    q_vals: np.ndarray = field(repr=False)
     sector: np.ndarray = field(repr=False)
     vertex: np.ndarray = field(repr=False)
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
-    _enter: sp.csc_matrix | None = field(default=None, repr=False)
-    _leave: sp.csr_matrix | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        n, nl, side = self.n, self.stab.size, self.n**2 + 0.5 * self.n
+        self._w_rows = np.array([side, side, -2.0 * side - n, float(n)])  # on loop_index
+        loop = np.arange(nl)  # each loop node's two neighbors and itself
+        self._loop3 = np.stack([(loop - 1) % nl, (loop + 1) % nl, loop], axis=1)
+        self._lr_index = self.loop_to_f[self._loop3]  # their F neighbors, for LR
+        e = self.sigma[:: n - 2]  # sigma's rows 0 and m - 1, solve's line data
+        self._e4, self._e2 = np.concatenate([e, e * self.ell]), np.broadcast_to(e, (2, 2, n - 1))
+        self._full = np.empty((n + 1, n + 1))
+        self._flat = np.empty((n + 1) * (n - 1))  # the five-point stencil's output
+        self._tmp = np.empty((n - 1) ** 2)
+        self._out = np.empty(self.k.size)
+
+    @property
+    def n(self) -> int:
+        return self.sigma.shape[0] + 1
+
+    def apply_rows(self, phi: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """R [phi | psi]: the 5-point Laplacian less s1 phi, and on the loop
+        (1/h^2 + 1/2h) times the tangential second difference, less (psi -
+        phi_in)/h and stab psi.  The stencils' weights sum to zero exactly
+        and the stabilizers come on their own, so at a constant well root
+        these are the right-hand side's potential rows to the bit."""
+        n, mm = self.n, (self.n - 1) ** 2
+        out = np.empty(self.k.size) if out is None else out
+        full = ops._vertex_values(phi, psi, n, self._full)
+        np.copyto(out[:mm].reshape(n - 1, n - 1), ops._five_point(full, self._flat))
+        out[:mm] *= float(n * n)
+        out[:mm] -= np.multiply(phi, self.s1, out=self._tmp)
+        loop = np.matmul(full.ravel()[self.loop_index], self._w_rows, out=out[mm:])
+        loop -= self.stab * psi
+        return out
+
+    def apply_lap(self, mu_int: np.ndarray, mu_loop: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """L [mu_int | mu_loop]: the 5-point stencil with mirror ghosts and
+        the loop's periodic second difference."""
+        n, mm = self.n, (self.n - 1) ** 2
+        out = np.empty(self.k.size) if out is None else out
+        full, p = self._full, mu_int.reshape(n - 1, n - 1)
+        full[1:n, 1:n], full[0, 1:n], full[n, 1:n] = p, p[0], p[-1]  # the mirror ghosts:
+        full[1:n, 0], full[1:n, n] = p[:, 0], p[:, -1]  # each the first inside value
+        np.copyto(out[:mm].reshape(n - 1, n - 1), ops._five_point(full, self._flat))
+        out[:mm] *= self.m1 * n * n
+        np.matmul(mu_loop[self._loop3], _SECOND_DIFFERENCE, out=out[mm:])
+        out[mm:] *= self.m2 * n * n
+        return out
+
+    def _enter(self, on_f: np.ndarray, r_psi: np.ndarray) -> np.ndarray:
+        """Q^T [a | r_psi - LR b] for on_f = [a; b] on F: the factor's
+        right-hand side, LR = M2 l_loop R[loop, F], R[loop, F] an edge
+        node's inward neighbor at weight 1/h."""
+        nf = self.ring.size
+        nodes = np.empty(self.q_cols.shape[0])
+        nodes[:nf] = on_f[0]  # then b, a zero appended for the corners, gathered for LR
+        np.matmul(np.append(on_f[1], 0.0)[self._lr_index], _SECOND_DIFFERENCE, out=nodes[nf:])
+        nodes[nf:] *= -self.m2 * float(self.n) ** 3
+        nodes[nf:] += r_psi
+        return ops.basis_apply_t(self.q_cols, self.q_vals, nodes)
+
+    def _leave(self, sol: np.ndarray) -> np.ndarray:
+        """[U (z + R_F,psi y_psi) | R_F,psi y_psi | y_psi] for [z | y_psi] =
+        Q sol, R[F, loop] a node's loop neighbors at weight 1/h^2."""
+        nf = self.ring.size
+        nodes = ops.basis_apply(self.q_cols, self.q_vals, sol)
+        out = np.empty(nf + nodes.size)
+        v = np.bincount(self.loop_to_f, nodes[nf:], minlength=nf + 1)[:nf]
+        np.multiply(v, float(self.n**2), out=out[nf : 2 * nf])
+        np.multiply(self.u, np.add(nodes[:nf], out[nf : 2 * nf], out=out[:nf]), out=out[:nf])
+        out[2 * nf :] = nodes[nf:]
+        return out
 
     def direct(self) -> linalg.DirectFactorization:
-        """Inverse of Q^T C Q = blockdiag(A, B, B), with A the blocks of
-        sectors 0 to 3 and B that of sector 4, each inverted once by
-        bordered elimination after its columns on F, where the block is I
-        plus a smoothing operator and well conditioned, built on first use
-        with the maps into and out of it:
-
-        - ``_enter`` takes [V^T P^-1 r_phi | P^-1 r_phi on F | r_psi] to
-          Q^T of C's right-hand side;
-        - ``_leave`` takes the factor's solution to [U (z + R_F,psi
-          y_psi) | R_F,psi y_psi | y_psi], what y_phi and y read."""
+        """Inverse of Q^T C Q = blockdiag(A, B, B), built on first use: A's
+        four sector blocks and B, each inverted once by bordered elimination
+        after its columns on F, where it is I plus a smoothing operator."""
         if self._direct is None:
-            u, r_f, lr, _ = couplings = self._couplings()
-            blocks = self.capacitance_blocks(couplings)
-            nf, q = self.ring.size, self.basis
-            self._enter = sp.hstack([q[:nf].T, -(q[nf:].T @ lr).tocsc(), q[nf:].T], format="csc")
-            v = (r_f @ q[nf:]).tocsr()
-            self._leave = sp.vstack([sp.diags(u) @ (q[:nf] + v), v, q[nf:]], format="csr")
-            splits = self._f_columns()[:5]  # each block's columns on F, then the loop's
-            self._direct = linalg.DirectFactorization(blocks, [1, 1, 1, 1, 2], splits)
+            self._direct = linalg.DirectFactorization(
+                self.capacitance_blocks(), [1, 1, 1, 1, 2], self._f_columns()[:5])
         return self._direct
 
     def _f_columns(self) -> np.ndarray:
         """Each sector's count of columns on F, which come first in it."""
         return np.bincount(self.sector[self.vertex < self.ring.size], minlength=6)
 
-    def _couplings(self) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """C's sparse parts (u, R_F,psi, LR, S_psi,psi): U's diagonal on F,
-        R's block from the loop to F, S_psi,phi's columns on F (LR = M2
-        l_loop R[loop, F]) and S's loop block."""
-        m, ring = self.sigma.shape[0], self.ring
-        ni = m * m
-        corner = np.isin(np.arange(ring.size), [0, m - 1, m, 2 * m - 1])  # two loop neighbors
-        u = self.m1 * (m + 1.0) ** 2 * np.where(corner, 2.0, 1.0)
-        loop_rows = self.lap[ni:] @ self.rows  # S's loop rows, less K
-        s_pp = loop_rows[:, ni:] + sp.diags(self.k[ni:])
-        return u, self.rows[ring][:, ni:], loop_rows[:, ring], s_pp
+    def _couplings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """C's sparse parts [[U, R_F,psi], [LR, S_psi,psi]] on [F | loop] as
+        (row, column, value) triplets, duplicates summed.  LR and S_psi,psi
+        - k2 I are M2 l_loop R[loop, :]: an entry (p, q, r) of R gives
+        (p + d, q, M2 r c_d / h^2) for d = -1, 0, 1, c = (1, -2, 1)."""
+        n, nf, nl = self.n, self.ring.size, self.stab.size
+        edge = np.flatnonzero(self.loop_to_f < nf)
+        at_f, loop, side = self.loop_to_f[edge], np.arange(nl), n * n + 0.5 * n
+        p = np.concatenate([edge, loop, loop, loop])
+        q = np.concatenate([at_f, nf + (loop - 1) % nl, nf + (loop + 1) % nl, nf + loop])
+        diag = -2.0 * side - n * (self.loop_to_f < nf) - self.stab
+        r = self.m2 * float(n * n) * np.concatenate([np.full(edge.size, float(n)),
+                                                     np.full(2 * nl, side), diag])
+        rows = [np.arange(nf), at_f] + [nf + (p + d) % nl for d in (-1, 0, 1)] + [nf + loop]
+        vals = [self.u, np.full(edge.size, float(n * n)), r, -2.0 * r, r, np.full(nl, self.k[-1])]
+        cols = [np.arange(nf), nf + edge, q, q, q, nf + loop]
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
-    def capacitance_blocks(self, couplings: tuple | None = None) -> list[np.ndarray]:
+    def capacitance_blocks(self) -> list[np.ndarray]:
         """Q_s^T C Q_s, dense, for the sectors s = 0 to 4: A's four blocks
-        and B; sector 5's block equals B and is never formed.
-
-        With G_g the operator of symbol g in the sine basis (P^-1 is G_1/p)
-        and every operator restricted to the sector's columns, the block is
-
-            [[I + G_rho U,  (M1 G_lam,rho + G_rho U) R_F,psi],
-             [-LR G_1 U,    S_psi,psi - LR (M1 G_lam + G_1 U) R_F,psi]]
-
-        with symbols 1/p, lam/p, rho = (lam - s1)/p and lam rho, since
-        P^-1 l_mu = G_lam/p + G_1/p J.  Only three symbols' blocks are
-        formed, as G_rho = G_lam - s1 G_1, and U's block, diagonal, scales
-        their columns; F's columns, ``_f_columns()`` of them, come first in
-        each sector.  A column on F is fixed by its values v on the row
-        a = 0 and w on the column b = 0, the corners halved between the
-        two; the other two lines are these times the sector's parities
-        (sx, sy).  Its sine transform is 2 s0_k (sigma v)_l +
-        2 (sigma w)_k s0_l on the modes k, l of those parities (s0 is
-        sigma's first row) and zero elsewhere, so each G_g block is a few
-        products of width n, and no (8n - 8)^2 matrix is formed."""
+        and B (sector 5's equals B).  With G_g the operator of symbol g in
+        the sine basis (P^-1 is G_1/p), restricted to the sector, the block
+        is [[I + G_rho U, (M1 G_lam,rho + G_rho U) R_F,psi], [-LR G_1 U,
+        S_psi,psi - LR (M1 G_lam + G_1 U) R_F,psi]] with symbols 1/p, lam/p,
+        rho = (lam - s1)/p and lam rho; G_rho = G_lam - s1 G_1, and U's
+        diagonal block scales columns.  F's columns, ``_f_columns()`` of
+        them, come first; one is fixed by its values v on F's row a = 0 and
+        w on its column b = 0 (corners halved), the other lines being these
+        times the sector's parities, so its sine transform is 2 s0_k (sigma
+        v)_l + 2 (sigma w)_k s0_l on the modes of those parities, and each
+        G_g block is a few products of width n.  The sparse parts' block X
+        is read off at the sector's vertices: C Q_s = Q_s X, and row
+        vertex[t] of Q_s is nonzero in column t alone, so X[t] is row
+        vertex[t] of C Q_s over that entry, one pass over ``_couplings``."""
         s, m = self.sigma, self.sigma.shape[0]
         symbols = np.empty((3, m, m))  # filled in place: set-up's peak memory at large n
         symbols[0] = self.inv_p
@@ -254,21 +290,21 @@ class SparseSystem:
         np.multiply(np.subtract(lam, self.s1, out=symbols[2]), self.inv_p, out=symbols[2])
         symbols[2] *= lam
         lam *= self.inv_p
-        u, r_f, lr, s_pp = self._couplings() if couplings is None else couplings
-        # C's sparse parts on [F | loop], which Q keeps apart: its columns
-        # lie on F or on the loop
-        sparse = sp.bmat([[sp.diags(u), r_f], [lr, s_pp]], format="csr")
-        sparse = (self.basis.T @ sparse @ self.basis).tocoo()
+        i, j, c = self._couplings()
         # Q's rows on the row a = 0 and on the column b = 0 of F; the corners,
         # rows 0, m - 1, m and 2m - 1 of ``lines``, are halved between them
-        lines = self.basis[np.r_[0:m, 0, 2 * m : 3 * m - 2, m]].tocoo()
-        lines.data[np.isin(lines.row, [0, m - 1, m, 2 * m - 1])] *= 0.5
+        lines = np.r_[0:m, 0, 2 * m : 3 * m - 2, m]
+        half = np.where(np.isin(np.arange(2 * m), [0, m - 1, m, 2 * m - 1]), 0.5, 1.0)
+        at = np.empty(self.q_cols.shape[0], dtype=np.int64)  # a node's row in its sector's block
         even = np.arange(m) % 2 == 0
         blocks = []
         for sec, ((sx, sy), f) in enumerate(zip(_PARITIES, self._f_columns())):
             lo, hi = np.searchsorted(self.sector, [sec, sec + 1])
+            cols, vals = self.q_cols[:, sec] - lo, self.q_vals[:, sec]
             kx, ly = np.flatnonzero(even == (sx > 0)), np.flatnonzero(even == (sy > 0))
-            vw = _dense(lines, 0, 2 * m, lo, lo + f)
+            vw = np.zeros((2 * m, f))
+            on = np.flatnonzero(vals[lines])
+            vw[on, cols[lines[on]]] = vals[lines[on]] * half[on]
             x, w = s[ly] @ vw[:m], s[kx] @ vw[m:]
             sk, sl = s[0, kx], s[0, ly]
             # the three symbols' blocks at once: products over modes (kx, ly)
@@ -280,7 +316,12 @@ class SparseSystem:
             g += t.transpose(0, 2, 1)
             g *= 4.0
             g1, g_lam, g_lr = g
-            part = _dense(sparse, lo, hi, lo, hi)
+            at.fill(-1)
+            at[self.vertex[lo:hi]] = np.arange(hi - lo)
+            keep = (at[i] >= 0) & (vals[j] != 0.0)
+            ik, jk = i[keep], j[keep]
+            part = np.bincount(at[ik] * (hi - lo) + cols[jk], c[keep] * vals[jk] / vals[ik],
+                               minlength=(hi - lo) ** 2).reshape(hi - lo, hi - lo)
             du, rh, lrh, sh = part.diagonal()[:f], part[:f, f:], part[f:, :f], part[f:, f:]
             g_rho_u, g1_u = (g_lam - self.s1 * g1) * du, g1 * du  # U's block is diagonal
             blocks.append(np.block([
@@ -290,130 +331,111 @@ class SparseSystem:
         return blocks
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, linalg.SolveStats]:
-        """Solve [[K, -L], [R, I]] x = b for x = [y | mu], b of shape
-        (2 * (n_int + n_loop),) (else a ValueError): y solves S y = b_y +
-        L b_mu by the capacitance-matrix method, then mu = b_mu - R y.  Two
-        sine transforms of the (n-1)^2 grid; as lam_kl = ell_k + ell_l, the
-        rest is on F's four lines: products with [e; e ell], e sigma's rows
-        0 and m - 1, and the correction P^-1 (L^T R) of two (12, m) stacks.
-        x and the residual [b_y - (K y - L mu) | b_mu - (R y + mu)] fill one
-        array each; x is returned with ||residual|| / ||b|| <= RESIDUAL_TOL,
-        or a SolveError carries x and its stats."""
+        """Solve [[K, -L], [R, I]] x = b for x = [y | mu] (b of the wrong
+        shape is a ValueError): y solves S y = b_y + L b_mu by two sine
+        transforms and, on F's four lines, the capacitance correction, then
+        mu = b_mu - R y.  x is returned with its coupled residual's norm at
+        most RESIDUAL_TOL ||b||, or a SolveError carries x and its stats."""
         b = np.asarray(b, dtype=float)
         n_y = self.k.size
         if b.shape != (2 * n_y,):
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({2 * n_y},)")
         b_y, b_mu = b[:n_y], b[n_y:]
-        fac = self.direct()  # built on first use, with _enter and _leave
+        fac = self.direct()  # built on first use
         s, ell, m, nf = self.sigma, self.ell, self.sigma.shape[0], self.ring.size
-        rhs = b_y + self.lap @ b_mu
-        c = s @ rhs[: m * m].reshape(m, m) @ s
+        mm = m * m
+        rhs = self.apply_lap(b_mu[:mm], b_mu[mm:], out=self._out)
+        rhs += b_y
+        c = s @ rhs[:mm].reshape(m, m) @ s
         c *= self.inv_p  # P^-1 r_phi in the sine basis
         # F's lines e g sigma and e g^T sigma of g = c (lam - s1) and of c, e
         # sigma's rows 0 and m - 1: e (c (lam - s1)) = (e ell) c + (e c) (ell - s1)
-        e4 = np.concatenate([s[:: m - 1], s[:: m - 1] * ell])
-        g = [np.concatenate([t[2:] + t[:2] * (ell - self.s1), t[:2]]) for t in (e4 @ c, e4 @ c.T)]
+        e4, ell_s1 = self._e4, ell - self.s1
+        g = [np.concatenate([t[2:] + t[:2] * ell_s1, t[:2]]) for t in (e4 @ c, e4 @ c.T)]
         on_f = np.concatenate([(g[0] @ s).reshape(2, -1), (g[1] @ s[:, 1:-1]).reshape(2, -1)], 1)
         # the coupled rows' residual below, not the capacitance one, is checked
-        sol, _ = fac.solve(self._enter @ np.concatenate([on_f.ravel(), rhs[m * m :]]), tol=math.inf)
-        del rhs  # freed before x and r: a lower peak
-        uz_v_y = self._leave @ sol
+        sol, _ = fac.solve(self._enter(on_f, rhs[mm:]), tol=math.inf)
+        uz_v_y = self._leave(sol)
         # the factor's field f_i on F transforms to d_i = left_i^T right_i:
         # e by the transforms of f_i's rows, and those of its columns by e
         f = uz_v_y[: 2 * nf].reshape(2, nf)
-        e2 = np.broadcast_to(e4[:2], (2, 2, m))
-        left = np.concatenate([e2, f[:, 2 * m :].reshape(2, 2, m - 2) @ s[1:-1]], axis=1)
-        right = np.concatenate([f[:, : 2 * m].reshape(2, 2, m) @ s, e2], axis=1)
+        left = np.concatenate([self._e2, f[:, 2 * m :].reshape(2, 2, m - 2) @ s[1:-1]], axis=1)
+        right = np.concatenate([f[:, : 2 * m].reshape(2, 2, m) @ s, self._e2], axis=1)
         # d_0 + M1 lam d_1, lam d_1 = (ell left_1)^T right_1 + left_1^T (right_1 ell)
         lf = np.concatenate([left[0], self.m1 * ell * left[1], self.m1 * left[1]])
         corr = lf.T @ np.concatenate([right[0], right[1], right[1] * ell])
         corr *= self.inv_p
         c -= corr
         x = np.empty_like(b)
-        np.matmul(np.matmul(s, c, out=corr), s, out=x[: m * m].reshape(m, m))
-        del c, corr  # freed before r, as rhs
-        x[m * m : n_y] = uz_v_y[2 * nf :]
+        np.matmul(np.matmul(s, c, out=corr), s, out=x[:mm].reshape(m, m))
+        del c, corr  # freed before r: a lower peak
+        x[mm:n_y] = uz_v_y[2 * nf :]
         y, mu = x[:n_y], x[n_y:]
-        ry = self.rows @ y
+        ry = self.apply_rows(y[:mm], y[mm:], out=self._out)
         np.subtract(b_mu, ry, out=mu)
         r = np.empty_like(b)
         r_y, r_mu = r[:n_y], r[n_y:]
         np.subtract(b_mu, np.add(ry, mu, out=r_mu), out=r_mu)
-        del ry
         np.multiply(self.k, y, out=r_y)
-        r_y -= self.lap @ mu
+        r_y -= self.apply_lap(mu[:mm], mu[mm:], out=self._out)
         np.subtract(b_y, r_y, out=r_y)
         return linalg.check_residual(r, b, x, RESIDUAL_TOL)
 
 
 def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
-    """Assemble the blocks of the coupled system for one (grid, params)
-    pair; entries depend only on grid and params.
+    """The blocks of the coupled system for one (grid, params) pair.
 
     The evolution rows apply to mu_int the mirror-ghost Neumann Laplacian
-    l_mu: the ghost value of mu outside each side is the first interior
-    value, which realizes the no-flux condition.  l_mu is symmetric with
-    zero column sums, so the uniform interior quadrature of phi is
-    conserved, and since l_mu is the operator the modified energy's
-    kinetic term inverts, the modified energy dissipates.  The potential
-    rows are the gradient of the discrete energy in the field weights
-    W = blockdiag(h^2 I, h I), so W R is symmetric:
-    R = -W^-1 H - blockdiag(s1 I, diag(s2 + s1 h w_k) - l_loop), with H
-    ``operators.dirichlet_hessian`` and h w_k ``model.loop_well_weights``.
-    Every block is built in its final CSR arrays: H is scaled in place, and
-    the block-diagonal parts are concatenated from their blocks' arrays.
-    The solver's time-constant parts are set here too: the sine basis, the
-    1-D eigenvalues ell and P^-1's symbol on the (n-1)^2 interior grid, and
-    the D4 basis of the first layer F and the loop (``SparseSystem``).
+    l_mu, with zero column sums, so the interior sum of phi is conserved;
+    the modified energy's kinetic term inverts it, so that energy
+    dissipates.  The potential rows are the gradient of the discrete energy
+    in the field weights W = blockdiag(h^2 I, h I): W R is symmetric.
     """
     _, _, k1, k2 = _relaxation(params)
-    h, ni = grid.h, grid.n_int
+    n, ni = grid.n, grid.n_int
     k = np.concatenate([np.full(ni, k1), np.full(grid.n_loop, k2)])
-    l_loop = ops.loop_laplacian_matrix(grid.n)
-    hess = ops.dirichlet_hessian(grid)  # scaled in place into -W^-1 H
-    cut = hess.indptr[ni]
-    hess.data[:cut] *= -1.0 / (h * h)
-    hess.data[cut:] *= -1.0 / h
-    loop_diag = sp.diags(params.s2 + params.s1 * mdl.loop_well_weights(grid.n))
-    # scipy sizes the difference for nnz(H) + nnz(blockdiag) and keeps views
-    # of those arrays; the copy holds R at its exact size for the run
-    rows = (hess - linalg._block_diag(
-        [params.s1 * sp.identity(ni, format="csr"), loop_diag - l_loop]
-    )).copy()
-    l_mu = ops.neumann_laplacian_matrix(grid.n)
-    l_mu.data *= params.M1
-    l_loop.data *= params.M2
-    lap = linalg._block_diag([l_mu, l_loop])
-    del hess, l_mu, l_loop  # freed before the solver's arrays: a lower heap peak
-    sigma, ell = ops.dirichlet_modes(grid.n)
+    sigma, ell = ops.dirichlet_modes(n)
     lam = ell[:, None] + ell
-    ring = _ring(grid.n)
-    basis, sector, vertex = ops.mirror_basis(grid, np.r_[ring, ni : ni + grid.n_loop])
+    ring = _ring(n)
+    q_cols, q_vals, sector, vertex = ops.mirror_basis(grid, np.r_[ring, ni : ni + grid.n_loop])
+    loop_index = ops.loop_stencil_index(grid)
+    at_f = np.full((n + 1) ** 2, ring.size)  # a vertex's position in F, else |F|
+    i, j = np.divmod(ring, n - 1)
+    at_f[(i + 1) * (n + 1) + j + 1] = np.arange(ring.size)
+    loop_to_f = at_f[loop_index[:, 3]]  # a corner's inward index is its own
     return SparseSystem(
-        k=k, lap=lap, rows=rows, m1=params.M1, s1=params.s1, sigma=sigma, ell=ell,
-        inv_p=1.0 / (k1 + params.M1 * lam * (lam - params.s1)), ring=ring, basis=basis,
+        k=k, m1=params.M1, m2=params.M2, s1=params.s1,
+        stab=params.s2 + params.s1 * mdl.loop_well_weights(n), sigma=sigma, ell=ell,
+        inv_p=1.0 / (k1 + params.M1 * lam * (lam - params.s1)), ring=ring,
+        u=params.M1 * float(n * n) * np.bincount(loop_to_f, minlength=ring.size + 1)[:-1],
+        loop_index=loop_index, loop_to_f=loop_to_f, q_cols=q_cols, q_vals=q_vals,
         sector=sector, vertex=vertex,
     )
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:
-    """Per-step right-hand side [r Phi | c(y)]: the last rates times
-    r = beta/tau, and the wells minus the stabilizers, the loop rows with
-    the bulk well's f - s1 psi at weight h w_k.  ``step`` subtracts R y."""
+    """Per-step right-hand side [r Phi | c(y)], filled in place: the last
+    rates times r = beta/tau, and the wells minus the stabilizers, the loop
+    rows with the bulk well's f - s1 psi at weight h w_k.  ``step``
+    subtracts R y."""
     phi = ops._check_bulk(state.phi, grid)
     psi = ops._check_loop(state.psi, grid)
     r1, r2, _, _ = _relaxation(params)
-    y = np.concatenate([phi, psi])
-    f_y = mdl.f_val(y, params.eps) - params.s1 * y
-    return np.concatenate(
-        [
-            r1 * state.Phi,
-            r2 * state.Psi,
-            f_y[: grid.n_int],
-            mdl.g_val(psi, params.delta) - params.s2 * psi
-            + mdl.loop_well_weights(grid.n) * f_y[grid.n_int :],
-        ]
-    )
+    ni, n_y = grid.n_int, grid.n_int + grid.n_loop
+    b = np.empty(2 * n_y)
+    np.multiply(state.Phi, r1, out=b[:ni])
+    np.multiply(state.Psi, r2, out=b[ni:n_y])
+    y = b[n_y:]
+    y[:ni], y[ni:] = phi, psi
+    f_y = mdl.f_val(y, params.eps)
+    np.subtract(f_y, np.multiply(y, params.s1, out=y), out=y)
+    del f_y
+    loop = y[ni:]
+    loop *= mdl.loop_well_weights(grid.n)
+    g = mdl.g_val(psi, params.delta)
+    g -= params.s2 * psi
+    loop += g
+    return b
 
 
 def step(
@@ -439,7 +461,7 @@ def step(
     SolveError with the solution and its stats; both name the step.
     """
     b = assemble_rhs(state, grid, params)
-    b[system.k.size :] -= system.rows @ np.concatenate([state.phi, state.psi])
+    b[system.k.size :] -= system.apply_rows(state.phi, state.psi, out=system._out)
     if not np.all(np.isfinite(b)):
         raise NonFiniteStateError(f"non-finite right-hand side at step {state.step + 1}")
     try:
@@ -448,19 +470,15 @@ def step(
         raise linalg.SolveError(
             f"{exc} at step {state.step + 1}", x=exc.x, stats=exc.stats
         ) from exc
+    del b  # freed before the new state's arrays: a lower peak
     d_phi, d_psi, mu_int, mu_loop = split_unknowns(x, grid)
     r1, r2, _, _ = _relaxation(params)
     tau = params.tau
-    new = State(
-        phi=state.phi + d_phi,
-        psi=state.psi + d_psi,
-        Phi=d_phi / tau,
-        Psi=d_psi / tau,
-        P=(params.M1 / (1.0 + r1)) * mu_int + (r1 / (1.0 + r1)) * state.P,
-        Q=(params.M2 / (1.0 + r2)) * mu_loop + (r2 / (1.0 + r2)) * state.Q,
-        t=(state.step + 1) * tau,
-        step=state.step + 1,
-    )
+    p, q = mu_int * (params.M1 / (1.0 + r1)), mu_loop * (params.M2 / (1.0 + r2))
+    p += (r1 / (1.0 + r1)) * state.P
+    q += (r2 / (1.0 + r2)) * state.Q
+    new = State(phi=state.phi + d_phi, psi=state.psi + d_psi, Phi=d_phi / tau, Psi=d_psi / tau,
+                P=p, Q=q, t=(state.step + 1) * tau, step=state.step + 1)
     return new, stats
 
 

@@ -6,16 +6,17 @@ keeps mu unknowns at the non-corner edge nodes (mu_edge) with explicit
 mirror closure rows (b') mu_edge = mu_1.  Its unknowns are ordered
 [phi | mu_int | mu_edge | psi | mu_loop] (``offsets``);
 ``eliminate_mu_edge`` reduces it to the package's stacked unknowns
-[phi | psi | mu_int | mu_loop], rows and columns alike.  ``coupled_matrix``
-places the package's blocks in that coupled form, which the package never
-assembles itself, ``schur_matrix`` their Schur complement K + L R, which
-the package never forms, and ``capacitance_matrix`` the bordered boundary
-system the package factors, from dense inverses.
-``reference_hessian``, ``reference_neumann_laplacian`` and
-``reference_blocks`` are the package's earlier sparse formulas for its
-stencils and the blocks lap and rows: Kronecker products permuted by
-fancy indexing, scipy's block_diag and vstack.  The package writes the
-same matrices out entry by entry, to the bit.
+[phi | psi | mu_int | mu_loop], rows and columns alike.  The package
+applies its blocks as stencils and never forms a matrix of the fields:
+``probe`` reads a product's matrix off its columns, and ``coupled_matrix``
+places the probed blocks in the coupled form.  ``reference_hessian``,
+``reference_neumann_stencil``, ``reference_loop_stencil`` and
+``reference_blocks`` are sparse formulas for the same stencils and for
+the blocks L and R: Kronecker products permuted by fancy indexing,
+scipy's block_diag and vstack.  ``schur_matrix`` is their Schur
+complement K + L R, and ``capacitance_matrix`` the bordered boundary
+system the package factors, from dense inverses.  ``basis_matrix``
+expands the padded arrays of the package's D4 basis into a sparse matrix.
 """
 
 import numpy as np
@@ -186,19 +187,45 @@ def eliminate_mu_edge(grid, a, b=None):
     return a[np.ix_(keep, keep)] - a_ke @ a[np.ix_(edge, keep)], b[keep] - a_ke @ b[edge]
 
 
+def probe(apply, size):
+    """The dense matrix of the linear map ``apply`` on vectors of length
+    ``size``, column by column."""
+    return np.column_stack([apply(col) for col in np.eye(size)])
+
+
+def probed_blocks(system):
+    """(L, R), dense, read off the products ``system.apply_lap`` and
+    ``system.apply_rows`` on [y | mu]'s halves."""
+    ni = system.sigma.shape[0] ** 2
+    return tuple(probe(lambda v: f(v[:ni], v[ni:]), system.k.size)
+                 for f in (system.apply_lap, system.apply_rows))
+
+
 def coupled_matrix(system):
-    """The coupled operator [[diag(k), -lap], [rows, I]] on [y | mu],
-    assembled from the blocks a ``SparseSystem`` holds."""
-    eye = sp.identity(system.k.size)
-    return sp.bmat([[sp.diags(system.k), -system.lap], [system.rows, eye]], format="csr")
+    """The coupled operator [[diag(k), -L], [R, I]] on [y | mu], dense,
+    from the blocks a ``SparseSystem`` applies."""
+    lap, rows = probed_blocks(system)
+    return np.block([[np.diag(system.k), -lap], [rows, np.eye(system.k.size)]])
 
 
-def schur_matrix(system):
-    """The Schur complement diag(k) + lap @ rows on [y], in canonical CSR,
-    assembled from the blocks a ``SparseSystem`` holds."""
-    schur = (sp.diags(system.k) + system.lap @ system.rows).tocsr()
+def schur_matrix(grid, params):
+    """The Schur complement diag(k) + L R on [y], in canonical CSR, from
+    the reference blocks."""
+    lap, rows = reference_blocks(grid, params)
+    tau = params.tau
+    k1 = (params.beta1 / tau + 1.0) / tau
+    k2 = (params.beta2 / tau + 1.0) / tau
+    k = np.r_[np.full(grid.n_int, k1), np.full(grid.n_loop, k2)]
+    schur = (sp.diags(k) + lap @ rows).tocsr()
     schur.sort_indices()
     return schur
+
+
+def basis_matrix(cols, vals):
+    """Q as a CSR matrix from ``operators.mirror_basis``'s padded arrays."""
+    valid = vals != 0.0
+    indptr = np.r_[0, valid.sum(axis=1).cumsum()]
+    return sp.csr_matrix((vals[valid], cols[valid], indptr), (cols.shape[0],) * 2)
 
 
 def _free_end_second_difference(m):
@@ -224,9 +251,20 @@ def reference_hessian(grid):
     return hess
 
 
+def reference_neumann_stencil(n):
+    """kron(a, I) + kron(I, a) on the (n-1)^2 interior grid, unscaled."""
+    return _kron_sum(_free_end_second_difference(n - 1), sp.identity(n - 1))
+
+
 def reference_neumann_laplacian(n):
     """-(kron(a, I) + kron(I, a)) / h^2 on the (n-1)^2 interior grid."""
-    return -_kron_sum(_free_end_second_difference(n - 1), sp.identity(n - 1)) / (1.0 / n) ** 2
+    return -reference_neumann_stencil(n) / (1.0 / n) ** 2
+
+
+def reference_loop_stencil(n):
+    """The periodic second difference on the 4n-node loop, unscaled."""
+    nl = 4 * n
+    return sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - nl, -1, 0, 1, nl - 1], shape=(nl, nl)).tocsr()
 
 
 def reference_blocks(grid, params):
@@ -246,8 +284,9 @@ def reference_blocks(grid, params):
     return lap, rows
 
 
-def capacitance_matrix(system, grid, params):
-    """The bordered capacitance matrix C on [F | loop] (F = ``system.ring``)
+def capacitance_matrix(grid, params, ring):
+    """The bordered capacitance matrix C on [F | loop] (F = ``ring``, the
+    first interior layer as ``SparseSystem.ring`` lists it)
     from the dense Schur complement S and the reference Laplacians: with
     L_D = -H_int,int / h^2 the Dirichlet and l_mu the Neumann Laplacian,
     U = M1 (l_mu - L_D)[:, F], V^T = (L_D - s1 I)[F, :] and P = S_pp - U V^T,
@@ -256,8 +295,8 @@ def capacitance_matrix(system, grid, params):
              [-S_psi,p P^-1 U,   S_psi,psi - S_psi,p P^-1 S_p,psi]],
 
     with P inverted densely.  Also returns P."""
-    s = schur_matrix(system).toarray()
-    ni, ring = grid.n_int, system.ring
+    s = schur_matrix(grid, params).toarray()
+    ni = grid.n_int
     l_d = -reference_hessian(grid)[:ni, :ni].toarray() / (grid.h * grid.h)
     u = params.M1 * (reference_neumann_laplacian(grid.n).toarray() - l_d)[:, ring]
     vt = (l_d - params.s1 * np.eye(ni))[ring]

@@ -206,7 +206,7 @@ def test_criterion_7_oracle_equivalence(beta):
     # step solves for the increment: [y_new - y | mu], moved back to [y_new | mu]
     y = np.concatenate([state.phi, state.psi])
     b = hc.assemble_rhs(state, g, params)
-    b[y.size :] -= system.rows @ y
+    b[y.size :] -= system.apply_rows(state.phi, state.psi)
     x_sparse, _ = system.solve(b)
     x_sparse[: y.size] += y
     dense = dense_matrix(g, params)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hyperch import build_grid
-from hyperch.operators import dirichlet_hessian
+from dense_oracle import probe
+from hyperch import apply_bulk_laplacian, build_grid, normal_derivative
 
 
 def test_counting_n4():
@@ -109,10 +109,21 @@ def test_loop_starts_at_origin_counterclockwise():
 # ---- stencils restricted from the vertex grid through the index maps ----
 
 
+def dirichlet_hessian(g):
+    """H, the Hessian of the bulk Dirichlet energy on [phi | psi], dense,
+    read off the package's stencils: -h^2 apply_bulk_laplacian on the
+    interior rows and h normal_derivative on the loop rows (both divisions
+    below are exact)."""
+    n, ni = g.n, g.n_int
+    return probe(lambda y: np.concatenate([
+        -apply_bulk_laplacian(y[:ni], y[ni:], g) / float(n * n),
+        normal_derivative(y[:ni], y[ni:], g) / float(n)]), ni + g.n_loop)
+
+
 def _row(m, r):
-    """Row r of a sparse matrix as {column: value}."""
-    row = m.getrow(r)
-    return dict(zip(row.indices.tolist(), row.data.tolist()))
+    """Row r of a dense matrix as {column: value}, its nonzeros."""
+    (cols,) = np.nonzero(m[r])
+    return dict(zip(cols.tolist(), m[r, cols].tolist()))
 
 
 def test_edge_stencil_bottom():
@@ -152,7 +163,7 @@ def test_interior_neighbors_interior_or_loop():
     g = build_grid(6)
     lap = dirichlet_hessian(g)[: g.n_int]
     # every interior vertex sees itself and four neighbors, interior or loop
-    assert np.array_equal(np.diff(lap.indptr), np.full(g.n_int, 5))
+    assert np.array_equal(np.count_nonzero(lap, axis=1), np.full(g.n_int, 5))
     # interior stencils never touch corner loop nodes
     corners = [g.n_int + g.loop_index(i, j) for i in (0, g.n) for j in (0, g.n)]
-    assert lap[:, corners].nnz == 0
+    assert not lap[:, corners].any()

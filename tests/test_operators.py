@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from dense_oracle import basis_matrix, reference_hessian
 from hyperch import (
     PoissonSolveError,
     apply_bulk_laplacian,
@@ -24,7 +25,6 @@ from hyperch import (
 )
 from hyperch import model, operators
 from hyperch.operators import (
-    dirichlet_hessian,
     grad_norm_sq_interior,
     grad_norm_sq_loop,
     loop_laplacian_matrix,
@@ -194,17 +194,23 @@ def test_cached_weights_are_read_only():
 
 
 def test_matrices_belong_to_their_caller():
-    # scaling a returned matrix in place reaches no later assembly
+    # scaling a returned matrix in place reaches no later call, and no
+    # system: the step's stencils never read the matrix builders
     g = build_grid(8)
     params = model.ModelParams.with_defaults(g.h, beta1=0.1, beta2=0.1)
-    want = assemble_system(g, params)
-    for mat in (neumann_laplacian_matrix(8), loop_laplacian_matrix(8), dirichlet_hessian(g)):
-        mat.data *= 3.0
-    got = assemble_system(g, params)
-    for name in ("lap", "rows"):
-        a, b = getattr(got, name), getattr(want, name)
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, part), getattr(b, part))
+    y = np.random.default_rng(3).standard_normal(g.n_int + g.n_loop)
+    before = assemble_system(g, params)
+    want = [f(8).toarray() for f in (neumann_laplacian_matrix, loop_laplacian_matrix)]
+    want_products = (before.apply_rows(y[: g.n_int], y[g.n_int :]),
+                     before.apply_lap(y[: g.n_int], y[g.n_int :]))
+    for f in (neumann_laplacian_matrix, loop_laplacian_matrix):
+        f(8).data *= 3.0
+    assert all(np.array_equal(f(8).toarray(), w)
+               for f, w in zip((neumann_laplacian_matrix, loop_laplacian_matrix), want))
+    after = assemble_system(g, params)
+    got_products = (after.apply_rows(y[: g.n_int], y[g.n_int :]),
+                    after.apply_lap(y[: g.n_int], y[g.n_int :]))
+    assert all(np.array_equal(a, b) for a, b in zip(got_products, want_products))
 
 
 def test_weights_share_one_trapezoid_vector():
@@ -227,17 +233,26 @@ def test_weights_share_one_trapezoid_vector():
 @settings(max_examples=25, deadline=None)
 @given(n=hst.integers(4, 20), seed=hst.integers(0, 2**16))
 def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
-    # (1/2) y^T H y is the bulk Dirichlet energy, H annihilates constants
-    # and is symmetric
+    # the rows of H, the Hessian of the bulk Dirichlet energy, are the
+    # stencils apply_bulk_laplacian (-H y / h^2 on the interior) and
+    # normal_derivative (H y / h on the loop): (1/2) y^T H y is the energy,
+    # H annihilates constants, exactly where its stencils' partial sums
+    # are, and is symmetric, z^T H y = y^T H z
     g = build_grid(n)
     rng = np.random.default_rng(seed)
-    phi, psi = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
-    y = np.concatenate([phi, psi])
-    hess = dirichlet_hessian(g)
-    assert 0.5 * float(y @ (hess @ y)) == pytest.approx(
+
+    def hess(phi, psi):
+        return np.concatenate([-g.h * g.h * apply_bulk_laplacian(phi, psi, g),
+                               g.h * normal_derivative(phi, psi, g)])
+
+    y, z = rng.standard_normal((2, g.n_int + g.n_loop))
+    phi, psi = y[: g.n_int], y[g.n_int :]
+    assert 0.5 * float(y @ hess(phi, psi)) == pytest.approx(
         dirichlet_energy_bulk(phi, psi, g), rel=1e-13)
-    assert np.array_equal(np.asarray(hess.sum(axis=1)).ravel(), np.zeros(y.size))
-    assert (hess - hess.T).nnz == 0
+    c = rng.integers(-64, 65) / 8.0  # sums of a few copies of it are exact
+    assert not hess(np.full(g.n_int, c), np.full(g.n_loop, c)).any()
+    assert float(z @ hess(phi, psi)) == pytest.approx(
+        float(y @ hess(z[: g.n_int], z[g.n_int :])), rel=1e-12, abs=1e-12)
 
 
 # ---- mirror basis ----------------------------------------------------------
@@ -247,7 +262,8 @@ def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
 def test_mirror_basis_is_orthonormal(n):
     # Q^T Q = I; Q is not symmetric (its docstring says why), so Q^-1 = Q^T
     g = build_grid(n)
-    q, _, _ = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
+    cols, vals, _, _ = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
+    q = basis_matrix(cols, vals)
     assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
     assert abs(q - q.T).max() > 0.0
 
@@ -262,7 +278,8 @@ def test_mirror_basis_sector_sizes(n, sizes):
     # ones only the m(m-1)/2 with lo < hi; -- likewise with m'; each copy
     # of E has m m' columns.  Sectors are contiguous, in order.
     g = build_grid(n)
-    q, sector, vertex = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
+    cols, vals, sector, vertex = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
+    q = basis_matrix(cols, vals)
     m, m_off = n // 2 + 1, (n + 1) // 2
     closed = [m * (m + 1) // 2, m * (m - 1) // 2, m_off * (m_off + 1) // 2,
               m_off * (m_off - 1) // 2, m * m_off, m * m_off]
@@ -283,16 +300,18 @@ def test_mirror_basis_of_the_boundary_layers(n):
     inner = np.arange(1, m - 1) * m
     ring = np.concatenate([np.arange(m), (m - 1) * m + np.arange(m), inner, inner + m - 1])
     nodes = np.concatenate([ring, g.n_int + np.arange(g.n_loop)])
-    q, sector, vertex = operators.mirror_basis(g, nodes)
-    assert q.shape == (8 * n - 8,) * 2
+    cols, vals, sector, vertex = operators.mirror_basis(g, nodes)
+    q = basis_matrix(cols, vals)
+    assert q.shape == (8 * n - 8,) * 2 and cols.shape == vals.shape == (8 * n - 8, 6)
     assert abs(q.T @ q - sp.identity(q.shape[0])).max() <= 1e-15
     assert np.count_nonzero(sector == 4) == np.count_nonzero(sector == 5) == 2 * n - 2
     assert np.count_nonzero(vertex[sector == 4] < ring.size) == n - 2
     for s in range(6):
         on_f = vertex[sector == s] < ring.size
         assert np.array_equal(on_f, np.sort(on_f)[::-1])
-    full, full_sector, _ = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
-    rows = full[nodes].tocsc()
+    full_cols, full_vals, full_sector, _ = operators.mirror_basis(
+        g, np.arange(g.n_int + g.n_loop))
+    rows = basis_matrix(full_cols, full_vals)[nodes].tocsc()
     keep = np.flatnonzero(np.diff(rows.indptr) > 0)  # the whole grid's columns on these orbits
     assert np.array_equal(full_sector[keep], sector)
     assert abs(rows[:, keep] - q).max() == 0.0
@@ -307,8 +326,8 @@ def test_mirror_basis_columns_have_their_sector_parities(n):
     # lies in the quadrant of its parities; in sectors 0 to 3 its
     # min(i, n - i) <= min(j, n - j) if swap-even and > if odd.
     g = build_grid(n)
-    q, sector, vertex = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
-    dense, eye = q.toarray(), np.eye(q.shape[0])
+    cols, vals, sector, vertex = operators.mirror_basis(g, np.arange(g.n_int + g.n_loop))
+    dense, eye = basis_matrix(cols, vals).toarray(), np.eye(cols.shape[0])
     parities = [(1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1), (1, -1, 0), (-1, 1, 0)]
     n_e = np.count_nonzero(sector == 5)
     for t, s in enumerate(sector):
@@ -397,25 +416,36 @@ def test_poisson_rejects_bad_tol(g10):
 
 
 # a run and both Poisson references in a fresh interpreter (this one has
-# imported scipy.sparse.linalg already): none of them loads SuperLU's
-# package, and the references meet their tolerance
+# imported scipy for the tests): none of them loads any of scipy, SuperLU's
+# package included, and the references meet their tolerance, checked
+# against the matrix builders, which import scipy.sparse themselves
 NO_SUPERLU = """
 import sys
 import numpy as np
+
+
+def no_scipy(when):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{when}: {loaded}"
+
+
 import hyperch
 from hyperch import cli, operators
+no_scipy("after import hyperch")
 assert cli.main(["run", "n=8", "beta1=0.1", "beta2=0.1", "t_end=0.0005",
                  "snapshot_times=0.0002", "output_dir=" + sys.argv[1]]) == 0
+no_scipy("after hyperch run")
 g = hyperch.build_grid(8)
 rng = np.random.default_rng(5)
 w, v = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
 p = hyperch.solve_poisson_neumann_zeromean(w, g, tol=1e-10)
 q = hyperch.solve_poisson_loop_zeromean(v, g, tol=1e-10)
-assert "scipy.sparse.linalg" not in sys.modules, "scipy.sparse.linalg was loaded"
+no_scipy("after the Poisson references")
 for lap, x, rhs in [(operators.neumann_laplacian_matrix(8), p, w - w.mean()),
                     (operators.loop_laplacian_matrix(8), q, v - v.mean())]:
     err = np.abs(lap @ x - rhs).max()
     assert err <= 1e-10 * max(1.0, np.abs(rhs).max()), err
+assert "scipy.sparse.linalg" not in sys.modules, "scipy.sparse.linalg was loaded"
 """
 
 
@@ -475,7 +505,7 @@ def test_dirichlet_modes_diagonalize_the_interior_block_of_the_hessian(n):
     assert np.array_equal(sigma, sigma.T)
     assert np.abs(sigma @ sigma - np.eye(m)).max() <= 1e-15 * m
     assert np.abs(sigma[::-1] - sigma * (-1.0) ** np.arange(m)).max() <= 1e-15
-    l_d = -operators.dirichlet_hessian(g)[: g.n_int, : g.n_int].toarray() / (g.h * g.h)
+    l_d = -reference_hessian(g)[: g.n_int, : g.n_int].toarray() / (g.h * g.h)
     modes = np.kron(sigma, sigma)
     want = modes @ np.diag(np.add.outer(lam, lam).ravel()) @ modes
     assert np.abs(l_d - want).max() <= 1e-13 * np.abs(l_d).max()

@@ -10,15 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dense_oracle import (
+    basis_matrix,
     capacitance_matrix,
     coupled_matrix,
     dense_matrix,
     dense_rhs,
     eliminate_mu_edge,
     offsets,
+    probed_blocks,
     reference_blocks,
     reference_hessian,
+    reference_loop_stencil,
     reference_neumann_laplacian,
+    reference_neumann_stencil,
     schur_matrix,
 )
 
@@ -48,7 +52,6 @@ from hyperch import (
 from hyperch import model, operators, scheme
 from hyperch.linalg import DirectFactorization
 from hyperch.operators import (
-    dirichlet_hessian,
     grad_norm_sq_interior,
     grad_norm_sq_loop,
     loop_laplacian_matrix,
@@ -69,9 +72,8 @@ def params_for(grid, **kw):
 def increment_rhs(state, system, grid, params):
     """The right-hand side ``step`` solves for [y_new - y | mu]: R y
     subtracted from the potential rows of ``assemble_rhs``."""
-    y = np.concatenate([state.phi, state.psi])
     b = assemble_rhs(state, grid, params)
-    b[y.size :] -= system.rows @ y
+    b[system.k.size :] -= system.apply_rows(state.phi, state.psi)
     return b
 
 
@@ -148,7 +150,7 @@ def test_matrix_matches_dense_oracle(n, beta):
     params = params_for(g, beta1=beta, beta2=beta)
     system = assemble_system(g, params)
     oracle, _ = eliminate_mu_edge(g, dense_matrix(g, params))
-    assert np.allclose(coupled_matrix(system).toarray(), oracle, rtol=1e-13, atol=1e-9)
+    assert np.allclose(coupled_matrix(system), oracle, rtol=1e-13, atol=1e-9)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -236,8 +238,8 @@ def test_clock_stays_on_the_step_lattice(g4):
 @pytest.mark.parametrize("n, beta", ORACLE_CASES)
 def test_schur_matches_dense_schur_complement(n, beta):
     # eliminating every mu block of the naive dense matrix, mu_edge
-    # included, must give the reduced [phi | psi] matrix the direct path
-    # factors
+    # included, must give K + L R of the reference blocks and of the
+    # blocks the step applies
     g = build_grid(n)
     params = params_for(g, beta1=beta, beta2=beta)
     system = assemble_system(g, params)
@@ -248,8 +250,9 @@ def test_schur_matches_dense_schur_complement(n, beta):
     want = a[np.ix_(keep, keep)] - a[np.ix_(keep, mu)] @ np.linalg.solve(
         a[np.ix_(mu, mu)], a[np.ix_(mu, keep)]
     )
-    got = schur_matrix(system).toarray()
-    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    lap, rows = probed_blocks(system)
+    for got in (schur_matrix(g, params).toarray(), np.diag(system.k) + lap @ rows):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @settings(max_examples=20, deadline=None)
@@ -260,35 +263,34 @@ def test_weighted_potential_rows_are_symmetric(n, beta):
     g = build_grid(n)
     system = assemble_system(g, params_for(g, beta1=beta, beta2=beta))
     w = np.concatenate([np.full(g.n_int, g.h * g.h), np.full(g.n_loop, g.h)])
-    wr = (sp.diags(w) @ system.rows).toarray()
+    wr = w[:, None] * probed_blocks(system)[1]
     assert np.abs(wr - wr.T).max() <= 1e-14 * np.abs(wr).max()
 
 
 def test_operators_are_the_blocks_the_scheme_solves_with():
     # apply_bulk_laplacian, normal_derivative and apply_loop_laplacian are
-    # products with the matrices the step system is assembled from: rows
-    # (b), (d) and (c) of the coupled matrix, up to roundoff
+    # the stencils of the step's products, up to roundoff: R y = [lap phi
+    # - s1 phi | -nd y + l_loop psi - (s2 + s1 h w_k) psi], and L's loop
+    # half is M2 l_loop
     g = build_grid(6)
     params = params_for(g, beta1=0.3, beta2=0.3)
-    matrix = coupled_matrix(assemble_system(g, params))
+    system = assemble_system(g, params)
     rng = np.random.default_rng(8)
     phi, psi, q = (rng.standard_normal(k) for k in (g.n_int, g.n_loop, g.n_loop))
-    x = np.concatenate([phi, psi, np.zeros(g.n_int + g.n_loop)])
-    _, _, y_mu_int, y_mu_loop = split_unknowns(matrix @ x, g)
-    x_q = np.concatenate([np.zeros(2 * g.n_int + g.n_loop), q])
-    _, y_q_psi, _, _ = split_unknowns(matrix @ x_q, g)
+    ry = system.apply_rows(phi, psi)
+    lq = system.apply_lap(np.zeros(g.n_int), q)
     lap_loop = operators.apply_loop_laplacian(psi, g)
     nd = operators.normal_derivative(phi, psi, g)
     scale = 1e-13 * (1.0 / g.h**2 + params.s1 + params.s2)
+    y_max = max(np.abs(phi).max(), np.abs(psi).max())
     # mu_int rows on [phi | psi]: lap y - s1 phi
     assert np.abs(operators.apply_bulk_laplacian(phi, psi, g)
-                  - (y_mu_int + params.s1 * phi)).max() <= scale * np.abs(x).max()
+                  - (ry[: g.n_int] + params.s1 * phi)).max() <= scale * y_max
     # mu_loop rows: -nd y + (l_loop - s2 I - s1 h w_k) psi
     stab = params.s2 + params.s1 * model.loop_well_weights(g.n)
-    assert np.abs(nd - (lap_loop - stab * psi - y_mu_loop)).max() <= (
-        scale * np.abs(x).max())
-    # psi rows on mu_loop: -M2 l_loop q
-    assert np.abs(operators.apply_loop_laplacian(q, g) + y_q_psi / params.M2).max() <= (
+    assert np.abs(nd - (lap_loop - stab * psi - ry[g.n_int :])).max() <= scale * y_max
+    # psi rows on mu_loop: M2 l_loop q
+    assert np.abs(operators.apply_loop_laplacian(q, g) - lq[g.n_int :] / params.M2).max() <= (
         scale * np.abs(q).max())
 
 
@@ -316,7 +318,7 @@ def test_direct_solve_reports_full_system_residual(monkeypatch):
     b = _rough_rhs(g, params)
     fac = system.direct()
     exact = fac.solve
-    noise = np.random.default_rng(9).standard_normal(system.basis.shape[0])
+    noise = np.random.default_rng(9).standard_normal(system.q_cols.shape[0])
 
     def off(rhs, tol):
         x, _ = exact(rhs, tol)
@@ -347,39 +349,42 @@ def test_full_residual_check_does_not_trust_the_factor():
 
 
 def test_system_holds_only_field_sized_matrices():
-    # the coupled matrix on [y | mu] and K + L R are never assembled: the
-    # only matrices the system keeps on the fields are the coupled blocks
-    # lap and rows, before and after factoring, and no matrix it keeps is
-    # wider than the fields.  The others act on F and the loop or on one
-    # grid line (test_system_holds_only_field_and_boundary_sized_matrices)
+    # the coupled matrix on [y | mu], K + L R and the blocks L and R
+    # themselves are never formed: before and after factoring, the system
+    # keeps no 2-D array with a side as long as the fields, and the only
+    # field-length arrays it keeps are K's diagonal k and the buffer its
+    # products run into.  The others act on F and the loop, on the grid or
+    # on one grid line (test_system_holds_only_field_and_boundary_sized_matrices)
     g = build_grid(9)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     dim = g.n_int + g.n_loop
     for _ in range(2):
-        held = {k: v.shape for k, v in vars(system).items()
-                if sp.issparse(v) or (isinstance(v, np.ndarray) and v.ndim == 2)}
-        assert {k: s for k, s in held.items() if dim in s} == {
-            "lap": (dim, dim), "rows": (dim, dim)}
+        held = {k: v.shape for k, v in vars(system).items() if isinstance(v, np.ndarray)}
+        assert {k: s for k, s in held.items() if dim in s} == {"k": (dim,), "_out": (dim,)}
         assert max(max(s) for s in held.values()) == dim
-        assert system.k.shape == (dim,)
+        assert max(len(s) for s in held.values()) <= 3
         system.direct()
 
 
 def test_system_holds_only_field_and_boundary_sized_matrices():
-    # the coupled matrix on [y | mu] and K + L R are never assembled: the
-    # system keeps the coupled blocks on the fields, the D4 basis of F and
-    # the loop (8n - 8 wide), and, once factored, the two maps into and out
-    # of the factor; the factor holds only the distinct blocks, A's four
-    # sector blocks and B (test_factoring_holds_only_its_blocks)
+    # the system keeps the D4 basis of F and the loop as two padded
+    # (8n - 8, 6) arrays, the stencils' index maps at the loop's size, and
+    # once factored the factor, which holds only the distinct blocks, A's
+    # four sector blocks and B (test_factoring_holds_only_its_blocks); the
+    # maps into and out of the factor take and give the sizes the solve
+    # reads
     g = build_grid(5)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
-    dim, wide = g.n_int + g.n_loop, 8 * g.n - 8
-    sizes = {"lap": (dim, dim), "rows": (dim, dim), "basis": (wide, wide)}
-    assert {k: v.shape for k, v in vars(system).items() if sp.issparse(v)} == sizes
+    dim, wide, nf = g.n_int + g.n_loop, 8 * g.n - 8, system.ring.size
+    assert system.q_cols.shape == system.q_vals.shape == (wide, 6)
+    assert system.sector.shape == system.vertex.shape == (wide,)
+    assert system.loop_index.shape == (g.n_loop, 4)
+    assert system.loop_to_f.shape == (g.n_loop,) and system.u.shape == (nf,)
     fac = system.direct()
-    nf = system.ring.size
-    sizes.update(_enter=(wide, 2 * nf + g.n_loop), _leave=(2 * nf + g.n_loop, wide))
-    assert {k: v.shape for k, v in vars(system).items() if sp.issparse(v)} == sizes
+    rng = np.random.default_rng(5)
+    assert system._enter(rng.standard_normal((2, nf)), rng.standard_normal(g.n_loop)).shape == (
+        wide,)
+    assert system._leave(rng.standard_normal(wide)).shape == (2 * nf + g.n_loop,)
     assert system.k.shape == (dim,)
     assert [b.shape for b in fac.blocks] == [(k, k) for k in np.bincount(system.sector)[:5]]
     assert sum(b.shape[0] for b in fac.blocks[:4]) == 4 * g.n - 4
@@ -391,9 +396,9 @@ def test_factoring_holds_only_its_blocks():
     # and their dense inverses, with no expanded blockdiag(A, B, B).  C is
     # built sector by sector from products of width n, so factoring's
     # transients stay below one dense (8n - 8)^2 matrix, C's nodal form:
-    # 0.60 of its 2.0 MB at n = 64, most of it the sparse couplings in the
-    # D4 basis, which grow like n; the blocks and their inverses take
-    # 0.125 each
+    # 0.60 of its 2.0 MB at n = 64, of which the blocks and their inverses
+    # take 0.125 each; the sparse couplings are read off one sector's
+    # vertices at a time, as triplets that grow like n
     g = build_grid(64)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
     square = (8 * g.n - 8) ** 2 * 8
@@ -405,7 +410,8 @@ def test_factoring_holds_only_its_blocks():
         tracemalloc.stop()
     assert peak <= 0.75 * square
     assert [b.shape for b in fac.blocks] == [(k, k) for k in np.bincount(system.sector)[:5]]
-    assert not [v for obj in (fac, fac._lu) for v in vars(obj).values() if sp.issparse(v)]
+    held = fac.blocks + fac._lu.inverses
+    assert len(held) == 10 and all(type(v) is np.ndarray for v in held)
 
 
 def test_solve_holds_few_grid_sized_temporaries():
@@ -429,6 +435,73 @@ def test_solve_holds_few_grid_sized_temporaries():
     assert peak <= 7.5 * (g.n - 1) ** 2 * 8
 
 
+def test_step_holds_few_grid_sized_temporaries():
+    # a step fills one right-hand side in place, hands R the fields
+    # without stacking them, and frees b before it builds the new state:
+    # 7.70 (n-1)^2 doubles at n = 64, against 9.46 when assemble_rhs
+    # concatenated four pieces and step stacked [phi | psi] for R y
+    g = build_grid(64)
+    params = params_for(g, beta1=0.1, beta2=0.1)
+    system = assemble_system(g, params)
+    phi0, psi0 = init_case(CaseSpec(case=2, seed=3, n=64), g)
+    st, _ = step(init_state(phi0, psi0, g), system, g, params)  # factors
+    tracemalloc.start()
+    try:
+        step(st, system, g, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * (g.n - 1) ** 2 * 8
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 21, 50])
+def test_stencil_products_match_the_dense_oracle(n):
+    # every product the step applies as a stencil or a gather, against the
+    # matrices of dense_oracle: R and L (reference_blocks), the public
+    # operators (reference_hessian and the loop's second difference), Q and
+    # Q^T (Q expanded from its padded arrays), and the maps into and out of
+    # the factor, from Q and C's couplings in the reference blocks.  Each
+    # agrees to 1e-15 of |M| |v|, the largest row sum of the matrix's
+    # absolute values times the largest entry of the vector (at most 2.4e-16
+    # measured over these n, R's the largest; Q^T's scatter is exact)
+    g = build_grid(n)
+    params = params_for(g, beta1=0.1, beta2=0.3)
+    system = assemble_system(g, params)
+    ni, nf, h = g.n_int, system.ring.size, g.h
+    rng = np.random.default_rng(n)
+    lap, rows = reference_blocks(g, params)
+    hess = reference_hessian(g)
+    q = basis_matrix(system.q_cols, system.q_vals)
+
+    def check(got, matrix, v):
+        bound = 1e-15 * abs(matrix).sum(axis=1).max() * np.abs(v).max()
+        assert np.abs(got - matrix @ v).max() <= bound
+
+    y, mu = rng.standard_normal((2, ni + g.n_loop))
+    check(system.apply_rows(y[:ni], y[ni:]), rows, y)
+    check(system.apply_lap(mu[:ni], mu[ni:]), lap, mu)
+    check(operators.apply_bulk_laplacian(y[:ni], y[ni:], g), -hess[:ni] / (h * h), y)
+    check(operators.normal_derivative(y[:ni], y[ni:], g), hess[ni:] / h, y)
+    check(operators.apply_loop_laplacian(y[ni:], g), reference_loop_stencil(n) / (h * h), y[ni:])
+    x = rng.standard_normal(q.shape[0])
+    check(operators.basis_apply(system.q_cols, system.q_vals, x), q, x)
+    check(operators.basis_apply_t(system.q_cols, system.q_vals, x), q.T, x)
+    # _enter: Q^T [a | r_psi - LR b] from [a | b | r_psi], LR = (L R)[loop, F]
+    ring, loop = system.ring, ni + np.arange(g.n_loop)
+    lr = (lap @ rows)[loop][:, ring]
+    enter = q.T @ sp.bmat([[sp.identity(nf), None, None], [None, -lr, sp.identity(g.n_loop)]])
+    w = rng.standard_normal(2 * nf + g.n_loop)
+    check(system._enter(w[: 2 * nf].reshape(2, nf), w[2 * nf :]), enter, w)
+    # _leave: [U (z + R_F,psi y_psi) | R_F,psi y_psi | y_psi] of [z | y_psi] = Q sol
+    r_fl = rows[ring][:, loop]
+    l_d = -hess[:ni, :ni] / (h * h)
+    u = params.M1 * (reference_neumann_laplacian(n) - l_d)[ring][:, ring].diagonal()
+    leave = sp.vstack([sp.diags(u) @ sp.hstack([sp.identity(nf), r_fl]),
+                       sp.hstack([sp.csr_matrix((nf, nf)), r_fl]),
+                       sp.hstack([sp.csr_matrix((g.n_loop, nf)), sp.identity(g.n_loop)])]) @ q
+    check(system._leave(x), leave, x)
+
+
 def test_solve_rejects_a_mis_shaped_rhs():
     g = build_grid(6)
     system = assemble_system(g, params_for(g))
@@ -441,23 +514,29 @@ def test_solve_rejects_a_mis_shaped_rhs():
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
 def test_u_is_exactly_diagonal_in_each_d4_sector(n):
-    # U = M1 J is constant on each D4 orbit of F, and Q's columns on F are
-    # orthonormal within one orbit, so each sector's block of Q_F^T U Q_F
-    # is diagonal with no roundoff off it (between sectors it is zero to
-    # roundoff only, and never read): capacitance_blocks scales columns by
-    # its diagonal.  F's columns come first in each sector, _f_columns()
-    # of them
+    # U = M1 J is M1 / h^2 per loop neighbor of a node of F, so constant on
+    # each D4 orbit of F, and Q's columns on F are orthonormal within one
+    # orbit: each sector's block of Q_F^T U Q_F is diagonal with no
+    # roundoff off it (between sectors it is zero to roundoff only, and
+    # never read), and its diagonal is U at the column's vertex, which
+    # capacitance_blocks reads off.  F's columns come first in each
+    # sector, _f_columns() of them
     g = build_grid(n)
-    system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
-    nf, u = system.ring.size, system._couplings()[0]
-    q_f = system.basis[:nf]
-    d = (q_f.T @ sp.diags(u) @ q_f).toarray()
+    params = params_for(g, beta1=0.1, beta2=0.1)
+    system = assemble_system(g, params)
+    nf = system.ring.size
+    i, j = np.divmod(system.ring, n - 1)
+    neighbors = (i == 0).astype(int) + (i == n - 2) + (j == 0) + (j == n - 2)
+    assert np.array_equal(system.u, params.M1 * float(n * n) * neighbors)
+    q_f = basis_matrix(system.q_cols, system.q_vals)[:nf]
+    d = (q_f.T @ sp.diags(system.u) @ q_f).toarray()
     on_f = system.vertex < nf
     for s, f in enumerate(system._f_columns()):
         cols = np.flatnonzero(system.sector == s)
         assert on_f[cols[:f]].all() and not on_f[cols[f:]].any()
         block = d[np.ix_(cols[:f], cols[:f])]
         assert np.array_equal(block, np.diag(np.diag(block)))
+        assert np.allclose(np.diag(block), system.u[system.vertex[cols[:f]]], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 21, 51])
@@ -471,11 +550,11 @@ def test_capacitance_blocks_match_the_dense_oracle(n, betas):
     g = build_grid(n)
     params = params_for(g, beta1=betas[0], beta2=betas[1])
     system = assemble_system(g, params)
-    c, p = capacitance_matrix(system, g, params)
+    c, p = capacitance_matrix(g, params, system.ring)
     modes = np.kron(system.sigma, system.sigma)
     assert np.abs(modes @ p @ modes - np.diag(1.0 / system.inv_p.ravel())).max() <= (
         1e-12 * np.abs(p).max())
-    q, sector = system.basis.toarray(), system.sector
+    q, sector = basis_matrix(system.q_cols, system.q_vals).toarray(), system.sector
     full, scale = q.T @ c @ q, np.abs(c).max()
     assert np.abs(full[sector[:, None] != sector]).max() <= 1e-12 * scale
     blocks = system.capacitance_blocks()
@@ -502,11 +581,13 @@ def check_solve_against_nodal_lu(n, beta1, beta2, seed):
     # oracle's formula: the coupled residual holds its contract, and y and
     # mu agree to 1e-12 relative
     g = build_grid(n)
-    system = assemble_system(g, params_for(g, beta1=beta1, beta2=beta2))
+    params = params_for(g, beta1=beta1, beta2=beta2)
+    system = assemble_system(g, params)
     b = np.random.default_rng(seed).standard_normal(2 * system.k.size)
     b_y, b_mu = np.split(b, 2)
-    y = spla.splu(schur_matrix(system).tocsc()).solve(b_y + system.lap @ b_mu)
-    want = np.concatenate([y, b_mu - system.rows @ y])
+    lap, rows = reference_blocks(g, params)
+    y = spla.splu(schur_matrix(g, params).tocsc()).solve(b_y + lap @ b_mu)
+    want = np.concatenate([y, b_mu - rows @ y])
     got, stats = system.solve(b)
     assert stats.rel_residual <= scheme.RESIDUAL_TOL
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -534,33 +615,43 @@ def test_sector_solve_matches_nodal_factor_property(n, beta1, beta2, seed):
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 21, 51])
 @pytest.mark.parametrize("betas", [(0.0, 0.0), (0.1, 0.3)])
 def test_written_out_stencils_match_the_kronecker_formulas_to_the_bit(n, betas):
-    # H and the Neumann Laplacian are written out as their 5-point stencils
-    # in the caller's order, and lap and rows concatenated from their
-    # blocks' arrays; the Kronecker products, fancy-index permutation,
-    # block_diag and vstack they replace give the same arrays
+    # the slice stencils and the Kronecker formulas they replace (H, the
+    # Neumann Laplacian and the loop's second difference by scipy's kron,
+    # fancy-index permutation and diags) give the same products on
+    # small-integer fields, where every partial sum is exact: the stencils'
+    # weights and the matrices' entries are the same numbers, and both
+    # sides scale them by the same factors in the same order.  So do the
+    # matrix builders the tests and criterion 8 use
     g = build_grid(n)
     params = params_for(g, beta1=betas[0], beta2=betas[1])
     system = assemble_system(g, params)
-    lap, rows = reference_blocks(g, params)
+    ni, nn = g.n_int, float(n * n)
+    rng = np.random.default_rng(n)
+    y, mu = (rng.integers(-8, 9, ni + g.n_loop).astype(float) for _ in range(2))
+    phi, psi = y[:ni], y[ni:]
+    hy = reference_hessian(g) @ y
+    sd = reference_loop_stencil(n) @ psi
+    neumann = reference_neumann_stencil(n) @ mu[:ni]
+    stab = params.s2 + params.s1 * model.loop_well_weights(n)
     pairs = [
-        (dirichlet_hessian(g), reference_hessian(g)),
-        (neumann_laplacian_matrix(n), reference_neumann_laplacian(n)),
-        (system.lap, lap),
-        (system.rows, rows),
+        (operators.apply_bulk_laplacian(phi, psi, g), nn * -hy[:ni]),
+        (operators.normal_derivative(phi, psi, g), n * hy[ni:]),
+        (operators.apply_loop_laplacian(psi, g), nn * sd),
+        (system.apply_rows(phi, psi),
+         np.concatenate([nn * -hy[:ni] - params.s1 * phi, (nn * sd - n * hy[ni:]) - stab * psi])),
+        (system.apply_lap(mu[:ni], mu[ni:]),
+         np.concatenate([params.M1 * n * n * -neumann,
+                         params.M2 * n * n * (reference_loop_stencil(n) @ mu[ni:])])),
+        (neumann_laplacian_matrix(n) @ mu[:ni], nn * -neumann),
     ]
-    for got, ref in pairs:
-        assert got.format == "csr" and got.shape == ref.shape
-        for part in ("data", "indices", "indptr"):
-            want = getattr(ref, part)
-            assert getattr(got, part).dtype == want.dtype
-            assert np.array_equal(getattr(got, part), want)
+    for got, want in pairs:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_assembly_builds_its_blocks_in_place():
-    # every block is built in its final CSR arrays, with no Kronecker
-    # product, permutation or COO round trip, so set-up's transients stay
-    # near the size of what the system keeps, its sparse blocks and its
-    # arrays: 1.86x at n = 64
+    # set-up is numpy alone and forms no matrix: the blocks are stencils,
+    # so its transients stay near the size of what the system keeps, its
+    # arrays and buffers: 1.25x at n = 64 (1.86x when it built CSR blocks)
     g = build_grid(64)
     params = params_for(g, beta1=0.1, beta2=0.1)
     assemble_system(g, params)  # the per-n caches are not set-up's transients
@@ -570,39 +661,46 @@ def test_assembly_builds_its_blocks_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = (system.lap, system.rows, system.basis)
-    own = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in held)
-    own += sum(v.nbytes for v in vars(system).values() if isinstance(v, np.ndarray))
+    own = sum(v.nbytes for v in vars(system).values() if isinstance(v, np.ndarray))
     assert peak <= 2.4 * own
-    # the factor's set-up indexes with these as they are, without a cast
+    # the factor's set-up and the step's gathers index with these as they
+    # are, without a cast
     assert system.sector.dtype == system.vertex.dtype == np.int32
-    assert all(m.indices.dtype == m.indptr.dtype == np.int32 for m in held)
+    assert system.q_cols.dtype == system.loop_index.dtype == system.loop_to_f.dtype == np.intp
 
 
 def test_rows_are_held_at_their_exact_size():
-    # a CSR difference is allocated for the sum of its operands' nnz; R
-    # keeps no such slack for the run
+    # R is held as its stencil's data alone, each array at the loop's
+    # size: the loop stabilizer and each loop node's four neighbor
+    # indices, next to the scalar s1.  Applied into a given buffer it
+    # allocates no grid-sized array, only the loop rows' gather of those
+    # four neighbors: 4.1 loop fields at n = 200
     g = build_grid(200)
-    rows = assemble_system(g, params_for(g)).rows
-    for part in (rows.data, rows.indices):
-        while part.base is not None:
-            part = part.base
-        assert part.size == rows.nnz
+    system = assemble_system(g, params_for(g))
+    assert system.stab.shape == (g.n_loop,) and system.loop_index.shape == (g.n_loop, 4)
+    out = np.empty(system.k.size)
+    phi, psi = np.ones(g.n_int), np.ones(g.n_loop)
+    system.apply_rows(phi, psi, out=out)
+    tracemalloc.start()
+    try:
+        system.apply_rows(phi, psi, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * g.n_loop * 8
 
 
 def test_factoring_leaves_the_blocks_untouched():
-    # C is built from products with k, lap, rows and the basis, which
-    # must not rewrite the arrays it read
+    # C is built from the system's coefficients, index maps and symbols,
+    # which factoring must not rewrite
     g = build_grid(8)
     system = assemble_system(g, params_for(g, beta1=0.1, beta2=0.1))
-    names = ("lap", "rows", "basis")
-    held = [getattr(system, name).copy() for name in names]
-    k = system.k.copy()
+    held = {k: v.copy() for k, v in vars(system).items()
+            if isinstance(v, np.ndarray) and not k.startswith("_")}
+    assert len(held) == 13
     system.direct()
-    assert np.array_equal(system.k, k)
-    for before, name in zip(held, names):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(before, part), getattr(getattr(system, name), part))
+    for name, before in held.items():
+        assert np.array_equal(getattr(system, name), before), name
 
 
 def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
@@ -647,7 +745,7 @@ def test_schur_commutes_with_the_symmetries_of_the_square(n):
     # the swap reverses the loop's orientation, which the periodic loop
     # Laplacian and the normal derivative do not see
     g = build_grid(n)
-    schur = schur_matrix(assemble_system(g, params_for(g, beta1=0.1, beta2=0.3)))
+    schur = schur_matrix(g, params_for(g, beta1=0.1, beta2=0.3))
     for fi, fj in ((lambda i, j: n - i, lambda i, j: j), (lambda i, j: i, lambda i, j: n - j),
                    (lambda i, j: j, lambda i, j: i)):
         perm = vertex_permutation(g, fi, fj)
@@ -685,9 +783,10 @@ def test_constant_fixed_points(value, n, beta):
 @example(value=1.0, n=8, beta=0.1)
 def test_constant_states_are_bitwise_fixed(value, n, beta):
     # in increment form the right-hand side of a constant state at a well
-    # root is [r Phi | mu(y)] = [0 | 0] up to the rounding of R's entries,
-    # so the increment rounds away: the fields do not move by one bit.  At
-    # 0 it is exactly zero, and so are the solve's residual and the rates
+    # root is [r Phi | mu(y)] = [0 | 0] exactly: R's stencils give exact
+    # zeros on a constant and its stabilizers cancel the right-hand side's
+    # to the bit.  So the increment is zero, the fields do not move by one
+    # bit, and the solve's residual and the rates are zero
     g = build_grid(n)
     params = params_for(g, beta1=beta, beta2=beta)
     system = assemble_system(g, params)
@@ -696,9 +795,22 @@ def test_constant_states_are_bitwise_fixed(value, n, beta):
     for _ in range(5):
         st, stats = step(st, system, g, params)
         assert np.array_equal(st.phi, phi0) and np.array_equal(st.psi, psi0)
-        if value == 0.0:
-            assert stats.rel_residual == 0.0
-            assert not (st.Phi.any() or st.Psi.any() or st.P.any() or st.Q.any())
+        assert stats.rel_residual == 0.0
+        assert not (st.Phi.any() or st.Psi.any() or st.P.any() or st.Q.any())
+
+
+def test_well_roots_give_exactly_zero_potential_rows_at_every_n():
+    # c(y) - R y at a constant +-1 is exactly 0 for every n, not just for
+    # most: with -4/h^2 - s1 added into one diagonal entry of R it was
+    # nonzero for 36 of these 74 pairs (up to 7.4e-13 at n = 31)
+    for n in range(4, 41):
+        g = build_grid(n)
+        params = params_for(g, beta1=0.1, beta2=0.1)
+        system = assemble_system(g, params)
+        for value in (-1.0, 1.0):
+            st = init_state(np.full(g.n_int, value), np.full(g.n_loop, value), g)
+            b = increment_rhs(st, system, g, params)
+            assert not b.any(), (n, value, np.abs(b).max())
 
 
 def test_masses_exact_to_roundoff():
