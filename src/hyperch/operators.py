@@ -42,16 +42,19 @@ def _check_loop(psi: np.ndarray, grid: Grid) -> np.ndarray:
     return psi
 
 
-def _vertex_values(phi: np.ndarray, psi: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+def _vertex_values(phi: np.ndarray, psi: np.ndarray, loop_flat: np.ndarray, out: np.ndarray
+                   ) -> np.ndarray:
     """Write phi into the interior of the (n+1, n+1) vertex array ``out``
-    and psi around its border, loop node k at ``grid.loop_ij[k]``: the
-    loop runs counterclockwise from the origin along the four sides."""
+    and psi at the loop's flat indices ``loop_flat`` (``_loop_flat``)."""
+    n = out.shape[0] - 1
     out[1:n, 1:n] = phi.reshape(n - 1, n - 1)
-    out[:n, 0] = psi[:n]
-    out[n, :n] = psi[n : 2 * n]
-    out[n:0:-1, n] = psi[2 * n : 3 * n]
-    out[0, n:0:-1] = psi[3 * n :]
+    np.put(out, loop_flat, psi)
     return out
+
+
+def _loop_flat(grid: Grid) -> np.ndarray:
+    """Flat (n+1)^2 vertex-array index of each loop node, at ``grid.loop_ij``."""
+    return grid.loop_ij @ np.array([grid.n + 1, 1])
 
 
 def to_full_grid(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -59,7 +62,7 @@ def to_full_grid(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
 
     Axis 0 is the x index i, axis 1 the y index j.
     """
-    return _vertex_values(_check_bulk(phi, grid), _check_loop(psi, grid), grid.n,
+    return _vertex_values(_check_bulk(phi, grid), _check_loop(psi, grid), _loop_flat(grid),
                           np.empty((grid.n + 1, grid.n + 1)))
 
 
@@ -88,12 +91,16 @@ def _five_point(full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out.reshape(w - 2, w)[:, : w - 2]
 
 
+# weights on ``loop_stencil_index``'s columns of h^2 l_loop psi and h d_n y:
+# every loop row here and in the scheme's R is built from them
+_LOOP_TANGENTIAL, _LOOP_NORMAL = np.array([1.0, 1.0, -2.0, 0.0]), np.array([-0.5, -0.5, 2.0, -1.0])
+
+
 def loop_stencil_index(grid: Grid) -> np.ndarray:
     """(4n, 4) flat indices in the (n+1)^2 vertex array of each loop node's
     previous and next node, itself and its inward neighbor; a corner has
     none and gets its own index, so its normal difference is zero."""
-    n, ij = grid.n, grid.loop_ij
-    flat = ij @ np.array([n + 1, 1])
+    n, ij, flat = grid.n, grid.loop_ij, _loop_flat(grid)
     corner = (np.arange(grid.n_loop) % n == 0)[:, None]
     inward = np.where(corner, ij, np.clip(ij, 1, n - 1)) @ np.array([n + 1, 1])
     return np.stack([np.roll(flat, 1), np.roll(flat, -1), flat, inward], axis=1)
@@ -103,7 +110,7 @@ def _vertex_index(grid: Grid) -> np.ndarray:
     """Flat (n+1)^2 vertex-grid indices, row-major in (i, j), in the order
     of [phi | psi]: interior vertices, then the loop (``grid.loop_ij``)."""
     n1, inner = grid.n + 1, np.arange(1, grid.n)
-    order = np.concatenate([(inner[:, None] * n1 + inner).ravel(), grid.loop_ij @ [n1, 1]])
+    order = np.concatenate([(inner[:, None] * n1 + inner).ravel(), _loop_flat(grid)])
     return order.astype(np.int32)  # halves the index arrays built on it
 
 
@@ -207,7 +214,7 @@ def normal_derivative(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarra
     difference at an edge node, (2 psi_c - psi_a - psi_b)/(2h) at a corner
     (the mean of its two sides).  Exact on affine fields."""
     near = to_full_grid(phi, psi, grid).ravel()[loop_stencil_index(grid)]
-    return near @ (grid.n * np.array([-0.5, -0.5, 2.0, -1.0]))
+    return near @ (grid.n * _LOOP_NORMAL)
 
 
 def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float:

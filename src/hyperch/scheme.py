@@ -103,8 +103,6 @@ def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
 
 # (x, y) parities of sectors 0 to 4 of ``operators.mirror_basis``
 _PARITIES = ((1, 1), (1, 1), (-1, -1), (-1, -1), (1, -1))
-# the loop's second difference on a node's two neighbors and itself
-_SECOND_DIFFERENCE = np.array([1.0, 1.0, -2.0])
 
 
 def _ring(n: int) -> np.ndarray:
@@ -164,8 +162,10 @@ class SparseSystem:
     _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        n, nl, side = self.n, self.stab.size, self.n**2 + 0.5 * self.n
-        self._w_rows = np.array([side, side, -2.0 * side - n, float(n)])  # on loop_index
+        n, nl = self.n, self.stab.size
+        # R's loop rows on loop_index, less stab, and h^2 l_loop on _loop3
+        self._w_rows = float(n * n) * ops._LOOP_TANGENTIAL - n * ops._LOOP_NORMAL
+        self._second = ops._LOOP_TANGENTIAL[:3]
         loop = np.arange(nl)  # each loop node's two neighbors and itself
         self._loop3 = np.stack([(loop - 1) % nl, (loop + 1) % nl, loop], axis=1)
         self._lr_index = self.loop_to_f[self._loop3]  # their F neighbors, for LR
@@ -189,7 +189,7 @@ class SparseSystem:
         these are the right-hand side's potential rows to the bit."""
         n, mm = self.n, (self.n - 1) ** 2
         out = np.empty(self.k.size) if out is None else out
-        full = ops._vertex_values(phi, psi, n, self._full)
+        full = ops._vertex_values(phi, psi, self.loop_index[:, 2], self._full)
         np.copyto(out[:mm].reshape(n - 1, n - 1), ops._five_point(full, self._flat))
         out[:mm] *= float(n * n)
         out[:mm] -= np.multiply(phi, self.s1, out=self._tmp)
@@ -208,19 +208,19 @@ class SparseSystem:
         full[1:n, 0], full[1:n, n] = p[:, 0], p[:, -1]  # each the first inside value
         np.copyto(out[:mm].reshape(n - 1, n - 1), ops._five_point(full, self._flat))
         out[:mm] *= self.m1 * n * n
-        np.matmul(mu_loop[self._loop3], _SECOND_DIFFERENCE, out=out[mm:])
+        np.matmul(mu_loop[self._loop3], self._second, out=out[mm:])
         out[mm:] *= self.m2 * n * n
         return out
 
     def _enter(self, on_f: np.ndarray, r_psi: np.ndarray) -> np.ndarray:
         """Q^T [a | r_psi - LR b] for on_f = [a; b] on F: the factor's
         right-hand side, LR = M2 l_loop R[loop, F], R[loop, F] an edge
-        node's inward neighbor at weight 1/h."""
+        node's inward neighbor at R's inward weight, 1/h."""
         nf = self.ring.size
         nodes = np.empty(self.q_cols.shape[0])
         nodes[:nf] = on_f[0]  # then b, a zero appended for the corners, gathered for LR
-        np.matmul(np.append(on_f[1], 0.0)[self._lr_index], _SECOND_DIFFERENCE, out=nodes[nf:])
-        nodes[nf:] *= -self.m2 * float(self.n) ** 3
+        np.matmul(np.append(on_f[1], 0.0)[self._lr_index], self._second, out=nodes[nf:])
+        nodes[nf:] *= -self.m2 * float(self.n**2) * self._w_rows[3]
         nodes[nf:] += r_psi
         return ops.basis_apply_t(self.q_cols, self.q_vals, nodes)
 
@@ -253,19 +253,19 @@ class SparseSystem:
         """C's sparse parts [[U, R_F,psi], [LR, S_psi,psi]] on [F | loop] as
         (row, column, value) triplets, duplicates summed.  LR and S_psi,psi
         - k2 I are M2 l_loop R[loop, :]: an entry (p, q, r) of R gives
-        (p + d, q, M2 r c_d / h^2) for d = -1, 0, 1, c = (1, -2, 1)."""
+        (p + d, q, M2 r c_d / h^2) for d = -1, 1, 0 and c = ``_second``."""
         n, nf, nl = self.n, self.ring.size, self.stab.size
-        edge = np.flatnonzero(self.loop_to_f < nf)
-        at_f, loop, side = self.loop_to_f[edge], np.arange(nl), n * n + 0.5 * n
-        p = np.concatenate([edge, loop, loop, loop])
-        q = np.concatenate([at_f, nf + (loop - 1) % nl, nf + (loop + 1) % nl, nf + loop])
-        diag = -2.0 * side - n * (self.loop_to_f < nf) - self.stab
-        r = self.m2 * float(n * n) * np.concatenate([np.full(edge.size, float(n)),
-                                                     np.full(2 * nl, side), diag])
-        rows = [np.arange(nf), at_f] + [nf + (p + d) % nl for d in (-1, 0, 1)] + [nf + loop]
-        vals = [self.u, np.full(edge.size, float(n * n)), r, -2.0 * r, r, np.full(nl, self.k[-1])]
+        loop, edge = np.arange(nl), np.flatnonzero(self.loop_to_f < nf)
+        # R[loop, :] on loop_index's columns; a corner's inward one is itself
+        inward = np.where(self.loop_to_f < nf, self.loop_to_f, nf + loop)
+        p = np.concatenate([np.repeat(loop, 4), loop])
+        q = np.concatenate([np.column_stack([nf + self._loop3, inward]).ravel(), nf + loop])
+        r = self.m2 * float(n * n) * np.concatenate([np.tile(self._w_rows, nl), -self.stab])
+        rows = [np.arange(nf), self.loop_to_f[edge]] + [nf + (p + d) % nl for d in (-1, 1, 0)]
+        vals = [self.u, np.full(edge.size, float(n * n))] + [r * c for c in self._second]
         cols = [np.arange(nf), nf + edge, q, q, q, nf + loop]
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        return (np.concatenate(rows + [nf + loop]), np.concatenate(cols),
+                np.concatenate(vals + [np.full(nl, self.k[-1])]))
 
     def capacitance_blocks(self) -> list[np.ndarray]:
         """Q_s^T C Q_s, dense, for the sectors s = 0 to 4: A's four blocks

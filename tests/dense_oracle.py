@@ -8,8 +8,9 @@ mirror closure rows (b') mu_edge = mu_1.  Its unknowns are ordered
 ``eliminate_mu_edge`` reduces it to the package's stacked unknowns
 [phi | psi | mu_int | mu_loop], rows and columns alike.  The package
 applies its blocks as stencils and never forms a matrix of the fields:
-``probe`` reads a product's matrix off its columns, and ``coupled_matrix``
-places the probed blocks in the coupled form.  ``reference_hessian``,
+``probe`` reads a product's matrix off its columns (``probed_hessian``,
+``probed_blocks``), and ``coupled_matrix`` places the probed blocks in
+the coupled form.  ``reference_hessian``,
 ``reference_neumann_stencil``, ``reference_loop_stencil`` and
 ``reference_blocks`` are sparse formulas for the same stencils and for
 the blocks L and R: Kronecker products permuted by fancy indexing,
@@ -23,7 +24,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from hyperch.model import loop_well_weights
-from hyperch.operators import loop_laplacian_matrix, trapezoid_weights
+from hyperch.operators import (
+    apply_bulk_laplacian,
+    loop_laplacian_matrix,
+    normal_derivative,
+    trapezoid_weights,
+)
 
 
 def offsets(grid):
@@ -191,6 +197,17 @@ def probe(apply, size):
     """The dense matrix of the linear map ``apply`` on vectors of length
     ``size``, column by column."""
     return np.column_stack([apply(col) for col in np.eye(size)])
+
+
+def probed_hessian(grid):
+    """H, the Hessian of the bulk Dirichlet energy on [phi | psi], dense,
+    read off the package's stencils: -h^2 apply_bulk_laplacian on the
+    interior rows and h normal_derivative on the loop rows (both divisions
+    below are exact)."""
+    n, ni = grid.n, grid.n_int
+    return probe(lambda y: np.concatenate([
+        -apply_bulk_laplacian(y[:ni], y[ni:], grid) / float(n * n),
+        normal_derivative(y[:ni], y[ni:], grid) / float(n)]), ni + grid.n_loop)
 
 
 def probed_blocks(system):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dense_oracle import probe
-from hyperch import apply_bulk_laplacian, build_grid, normal_derivative
+from dense_oracle import probed_hessian
+from hyperch import build_grid
 
 
 def test_counting_n4():
@@ -109,17 +109,6 @@ def test_loop_starts_at_origin_counterclockwise():
 # ---- stencils restricted from the vertex grid through the index maps ----
 
 
-def dirichlet_hessian(g):
-    """H, the Hessian of the bulk Dirichlet energy on [phi | psi], dense,
-    read off the package's stencils: -h^2 apply_bulk_laplacian on the
-    interior rows and h normal_derivative on the loop rows (both divisions
-    below are exact)."""
-    n, ni = g.n, g.n_int
-    return probe(lambda y: np.concatenate([
-        -apply_bulk_laplacian(y[:ni], y[ni:], g) / float(n * n),
-        normal_derivative(y[:ni], y[ni:], g) / float(n)]), ni + g.n_loop)
-
-
 def _row(m, r):
     """Row r of a dense matrix as {column: value}, its nonzeros."""
     (cols,) = np.nonzero(m[r])
@@ -128,7 +117,7 @@ def _row(m, r):
 
 def test_edge_stencil_bottom():
     g = build_grid(10)
-    hess = dirichlet_hessian(g)
+    hess = probed_hessian(g)
     k = g.loop_index(3, 0)
     assert _row(hess, g.n_int + k) == {g.n_int + k: 2.0,
                                        g.n_int + g.loop_index(2, 0): -0.5,
@@ -138,7 +127,7 @@ def test_edge_stencil_bottom():
 
 def test_edge_stencil_right():
     g = build_grid(10)
-    hess = dirichlet_hessian(g)
+    hess = probed_hessian(g)
     k = g.loop_index(10, 5)
     assert _row(hess, g.n_int + k) == {g.n_int + k: 2.0,
                                        g.n_int + g.loop_index(10, 4): -0.5,
@@ -150,7 +139,7 @@ def test_corner_stencil_origin():
     # the two boundary edges at the corner, each at transverse weight 1/2,
     # all on the loop
     g = build_grid(10)
-    hess = dirichlet_hessian(g)
+    hess = probed_hessian(g)
     psi_col = g.n_int  # column of loop node 0
     assert _row(hess, psi_col) == {
         psi_col: 1.0,
@@ -161,7 +150,7 @@ def test_corner_stencil_origin():
 
 def test_interior_neighbors_interior_or_loop():
     g = build_grid(6)
-    lap = dirichlet_hessian(g)[: g.n_int]
+    lap = probed_hessian(g)[: g.n_int]
     # every interior vertex sees itself and four neighbors, interior or loop
     assert np.array_equal(np.count_nonzero(lap, axis=1), np.full(g.n_int, 5))
     # interior stencils never touch corner loop nodes

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from dense_oracle import basis_matrix, reference_hessian
+from dense_oracle import basis_matrix, probed_hessian, reference_hessian
 from hyperch import (
     PoissonSolveError,
     apply_bulk_laplacian,
@@ -233,26 +233,22 @@ def test_weights_share_one_trapezoid_vector():
 @settings(max_examples=25, deadline=None)
 @given(n=hst.integers(4, 20), seed=hst.integers(0, 2**16))
 def test_dirichlet_hessian_is_the_energy_hessian(n, seed):
-    # the rows of H, the Hessian of the bulk Dirichlet energy, are the
-    # stencils apply_bulk_laplacian (-H y / h^2 on the interior) and
-    # normal_derivative (H y / h on the loop): (1/2) y^T H y is the energy,
-    # H annihilates constants, exactly where its stencils' partial sums
-    # are, and is symmetric, z^T H y = y^T H z
+    # H, read off the stencils apply_bulk_laplacian and normal_derivative:
+    # (1/2) y^T H y is the bulk Dirichlet energy, H has zero row sums and
+    # is symmetric, both exactly, and its stencils map a constant to zeros
+    # exactly where their partial sums are exact
     g = build_grid(n)
     rng = np.random.default_rng(seed)
-
-    def hess(phi, psi):
-        return np.concatenate([-g.h * g.h * apply_bulk_laplacian(phi, psi, g),
-                               g.h * normal_derivative(phi, psi, g)])
-
-    y, z = rng.standard_normal((2, g.n_int + g.n_loop))
-    phi, psi = y[: g.n_int], y[g.n_int :]
-    assert 0.5 * float(y @ hess(phi, psi)) == pytest.approx(
+    phi, psi = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
+    y = np.concatenate([phi, psi])
+    hess = probed_hessian(g)
+    assert 0.5 * float(y @ (hess @ y)) == pytest.approx(
         dirichlet_energy_bulk(phi, psi, g), rel=1e-13)
-    c = rng.integers(-64, 65) / 8.0  # sums of a few copies of it are exact
-    assert not hess(np.full(g.n_int, c), np.full(g.n_loop, c)).any()
-    assert float(z @ hess(phi, psi)) == pytest.approx(
-        float(y @ hess(z[: g.n_int], z[g.n_int :])), rel=1e-12, abs=1e-12)
+    assert np.array_equal(hess.sum(axis=1), np.zeros(y.size))
+    assert np.array_equal(hess, hess.T)
+    c = rng.choice([-1, 1]) * rng.integers(1, 65) / 8.0  # nonzero; a few copies sum exactly
+    assert not apply_bulk_laplacian(np.full(g.n_int, c), np.full(g.n_loop, c), g).any()
+    assert not normal_derivative(np.full(g.n_int, c), np.full(g.n_loop, c), g).any()
 
 
 # ---- mirror basis ----------------------------------------------------------
