@@ -28,7 +28,7 @@ run into buffers the system holds; set-up and steps use numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from . import model as mdl
 from . import operators as ops
-from .grid import Grid
+from .grid import Grid, _check_ints
 
 # relative residual ||b - [[K, -L], [R, I]] x|| / ||b|| every solve is held to
 RESIDUAL_TOL = 1e-10
@@ -105,21 +105,14 @@ def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
 _PARITIES = ((1, 1), (1, 1), (-1, -1), (-1, -1), (1, -1))
 
 
-def _ring(n: int) -> np.ndarray:
-    """Interior indices of the first layer F, the 4n - 8 interior nodes
-    next to the loop, line by line: the rows a = 0 and a = m - 1 of the
-    (m, m) interior grid, corners included, then the columns b = 0 and
-    b = m - 1 between them (m = n - 1)."""
-    m = n - 1
-    row, inner = np.arange(m), np.arange(1, m - 1) * m
-    return np.concatenate([row, (m - 1) * m + row, inner, inner + m - 1]).astype(np.int32)
-
-
-@dataclass
 class SparseSystem:
-    """Time-constant blocks of the coupled system, applied as stencils, and
-    the factor of its boundary capacitance matrix (the name is from when
-    they were sparse matrices; the benchmark traces ``SparseSystem.solve``).
+    """Time-constant blocks of the coupled system for one (grid, params)
+    pair, applied as stencils, and the factor of its boundary capacitance
+    matrix.  The constructor derives every array from (grid, params) and
+    the products and solves only read them, so one system serves any
+    number of runs; the factor is built in the first ``solve``.  The name
+    is from when the blocks were sparse matrices; the benchmark traces
+    ``SparseSystem.solve``.
 
     The coupled system [[K, -L], [R, I]] acts on x = [y | mu]: K =
     diag(``k``), L = blockdiag(M1 l_mu, M2 l_loop) (``apply_lap``) and
@@ -143,26 +136,31 @@ class SparseSystem:
     ``out``, a new array unless given (``solve`` and ``step`` give ``_out``).
     """
 
-    k: np.ndarray
-    m1: float
-    m2: float
-    s1: float
-    stab: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    ell: np.ndarray = field(repr=False)
-    inv_p: np.ndarray = field(repr=False)
-    ring: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
-    loop_index: np.ndarray = field(repr=False)
-    loop_to_f: np.ndarray = field(repr=False)
-    q_cols: np.ndarray = field(repr=False)
-    q_vals: np.ndarray = field(repr=False)
-    sector: np.ndarray = field(repr=False)
-    vertex: np.ndarray = field(repr=False)
-    _direct: linalg.DirectFactorization | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        n, nl = self.n, self.stab.size
+    def __init__(self, grid: Grid, params: mdl.ModelParams):
+        _, _, k1, k2 = _relaxation(params)
+        self.n = n = grid.n
+        m, ni, nl = n - 1, grid.n_int, grid.n_loop
+        self.m1, self.m2, self.s1 = params.M1, params.M2, params.s1
+        self.k = np.concatenate([np.full(ni, k1), np.full(nl, k2)])
+        self.stab = params.s2 + params.s1 * mdl.loop_well_weights(n)
+        self.sigma, self.ell = ops.dirichlet_modes(n)
+        lam = self.ell[:, None] + self.ell
+        self.inv_p = 1.0 / (k1 + params.M1 * lam * (lam - params.s1))
+        # F, the 4n - 8 interior nodes next to the loop, line by line: the
+        # rows a = 0 and a = m - 1 of the (m, m) interior grid, corners
+        # included, then the columns b = 0 and b = m - 1 between them
+        row, inner = np.arange(m), np.arange(1, m - 1) * m
+        ring = np.concatenate([row, (m - 1) * m + row, inner, inner + m - 1]).astype(np.int32)
+        self.ring = ring
+        self.q_cols, self.q_vals, self.sector, self.vertex = ops.mirror_basis(
+            grid, np.r_[ring, ni : ni + nl])
+        self.loop_index = ops.loop_stencil_index(grid)
+        at_f = np.full((n + 1) ** 2, ring.size)  # a vertex's position in F, else |F|
+        i, j = np.divmod(ring, m)
+        at_f[(i + 1) * (n + 1) + j + 1] = np.arange(ring.size)
+        self.loop_to_f = at_f[self.loop_index[:, 3]]  # a corner's inward index is its own
+        neighbors = np.bincount(self.loop_to_f, minlength=ring.size + 1)[:-1]  # on the loop
+        self.u = params.M1 * float(n * n) * neighbors
         # R's loop rows on loop_index, less stab, and h^2 l_loop on _loop3
         self._w_rows = float(n * n) * ops._LOOP_TANGENTIAL - n * ops._LOOP_NORMAL
         self._second = ops._LOOP_TANGENTIAL[:3]
@@ -170,15 +168,12 @@ class SparseSystem:
         self._loop3 = np.stack([(loop - 1) % nl, (loop + 1) % nl, loop], axis=1)
         self._lr_index = self.loop_to_f[self._loop3]  # their F neighbors, for LR
         e = self.sigma[:: n - 2]  # sigma's rows 0 and m - 1, solve's line data
-        self._e4, self._e2 = np.concatenate([e, e * self.ell]), np.broadcast_to(e, (2, 2, n - 1))
+        self._e4, self._e2 = np.concatenate([e, e * self.ell]), np.broadcast_to(e, (2, 2, m))
         self._full = np.empty((n + 1, n + 1))
-        self._flat = np.empty((n + 1) * (n - 1))  # the five-point stencil's output
-        self._tmp = np.empty((n - 1) ** 2)
+        self._flat = np.empty((n + 1) * m)  # the five-point stencil's output
+        self._tmp = np.empty(m * m)
         self._out = np.empty(self.k.size)
-
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0] + 1
+        self._direct: linalg.DirectFactorization | None = None
 
     def apply_rows(self, phi: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None
                    ) -> np.ndarray:
@@ -391,35 +386,25 @@ def assemble_system(grid: Grid, params: mdl.ModelParams) -> SparseSystem:
     dissipates.  The potential rows are the gradient of the discrete energy
     in the field weights W = blockdiag(h^2 I, h I): W R is symmetric.
     """
-    _, _, k1, k2 = _relaxation(params)
-    n, ni = grid.n, grid.n_int
-    k = np.concatenate([np.full(ni, k1), np.full(grid.n_loop, k2)])
-    sigma, ell = ops.dirichlet_modes(n)
-    lam = ell[:, None] + ell
-    ring = _ring(n)
-    q_cols, q_vals, sector, vertex = ops.mirror_basis(grid, np.r_[ring, ni : ni + grid.n_loop])
-    loop_index = ops.loop_stencil_index(grid)
-    at_f = np.full((n + 1) ** 2, ring.size)  # a vertex's position in F, else |F|
-    i, j = np.divmod(ring, n - 1)
-    at_f[(i + 1) * (n + 1) + j + 1] = np.arange(ring.size)
-    loop_to_f = at_f[loop_index[:, 3]]  # a corner's inward index is its own
-    return SparseSystem(
-        k=k, m1=params.M1, m2=params.M2, s1=params.s1,
-        stab=params.s2 + params.s1 * mdl.loop_well_weights(n), sigma=sigma, ell=ell,
-        inv_p=1.0 / (k1 + params.M1 * lam * (lam - params.s1)), ring=ring,
-        u=params.M1 * float(n * n) * np.bincount(loop_to_f, minlength=ring.size + 1)[:-1],
-        loop_index=loop_index, loop_to_f=loop_to_f, q_cols=q_cols, q_vals=q_vals,
-        sector=sector, vertex=vertex,
-    )
+    return SparseSystem(grid, params)
+
+
+def _check_size(name: str, value: np.ndarray, size: int) -> None:
+    """ValueError naming the state's field ``name`` unless its shape is
+    (size,): numpy would broadcast a one-element array over every node."""
+    if np.shape(value) != (size,):
+        raise ValueError(f"state.{name} has shape {np.shape(value)}, expected ({size},)")
 
 
 def assemble_rhs(state: State, grid: Grid, params: mdl.ModelParams) -> np.ndarray:
     """Per-step right-hand side [r Phi | c(y)], filled in place: the last
     rates times r = beta/tau, and the wells minus the stabilizers, the loop
     rows with the bulk well's f - s1 psi at weight h w_k.  ``step``
-    subtracts R y."""
+    subtracts R y.  A mis-shaped field is a ValueError."""
     phi = ops._check_bulk(state.phi, grid)
     psi = ops._check_loop(state.psi, grid)
+    _check_size("Phi", state.Phi, grid.n_int)
+    _check_size("Psi", state.Psi, grid.n_loop)
     r1, r2, _, _ = _relaxation(params)
     ni, n_y = grid.n_int, grid.n_int + grid.n_loop
     b = np.empty(2 * n_y)
@@ -458,8 +443,11 @@ def step(
     The clock reads k * tau after step k, as ``lattice_steps`` assumes.
     A non-finite right-hand side raises a NonFiniteStateError, and a
     solve that misses ``RESIDUAL_TOL`` (a non-finite solution included) a
-    SolveError with the solution and its stats; both name the step.
+    SolveError with the solution and its stats; both name the step.  A
+    mis-shaped field or potential is a ValueError that names it.
     """
+    _check_size("P", state.P, grid.n_int)
+    _check_size("Q", state.Q, grid.n_loop)
     b = assemble_rhs(state, grid, params)
     b[system.k.size :] -= system.apply_rows(state.phi, state.psi, out=system._out)
     if not np.all(np.isfinite(b)):
@@ -574,10 +562,12 @@ def run(
     """March the scheme to t_end, collecting diagnostics.
 
     Diagnostics are recorded at step 0, every ``diag_cadence`` steps, and
-    at the final step unconditionally (``diag_record``).  Every solve is
+    at the final step unconditionally (``diag_record``); a ``diag_cadence``
+    that is not an integer is a TypeError.  Every solve is
     held to ``RESIDUAL_TOL``.  ``on_step`` is invoked with every state, the
     initial one included.
     """
+    _check_ints(diag_cadence=diag_cadence)
     if diag_cadence < 1:
         raise ValueError("diag_cadence must be >= 1")
     if system is None:

@@ -703,6 +703,28 @@ def test_factoring_leaves_the_blocks_untouched():
         assert np.array_equal(getattr(system, name), before), name
 
 
+def test_a_run_leaves_a_shared_system_unchanged():
+    # ``hyperch cases`` runs four cases on one system, so a run must not
+    # write into any array the system holds, its factor's included; only
+    # the scratch buffers the products run through may change
+    g = build_grid(12)
+    params = params_for(g, beta1=0.1, beta2=0.3)
+    system = assemble_system(g, params)
+    fac = system.direct()
+    held = {k: v.copy() for k, v in vars(system).items()
+            if isinstance(v, np.ndarray) and k not in ("_full", "_flat", "_tmp", "_out")}
+    assert len(held) == 19
+    blocks = [b.copy() for b in fac.blocks]
+    inverses = [inv.copy() for inv in fac._lu.inverses]
+    phi0, psi0 = init_case(CaseSpec(case=2, seed=0, n=12), g)
+    final, _ = run(init_state(phi0, psi0, g), g, params, 10 * params.tau, system=system)
+    assert final.step == 10 and system.direct() is fac
+    for name, before in held.items():
+        assert np.array_equal(getattr(system, name), before), name
+    for k, (blk, inv) in enumerate(zip(blocks, inverses)):
+        assert np.array_equal(fac.blocks[k], blk) and np.array_equal(fac._lu.inverses[k], inv), k
+
+
 def test_direct_solve_raises_with_full_solution_and_stats(monkeypatch):
     g = build_grid(8)
     params = params_for(g)
@@ -1070,6 +1092,22 @@ def test_nan_rhs_fails_solve_and_step_names_it(g4):
         step(bad, system, g4, params)
 
 
+@pytest.mark.parametrize("name", ["Phi", "Psi", "P", "Q"])
+def test_step_rejects_mis_shaped_rates_and_potentials(name):
+    # a one-element rate or potential would broadcast over every node and
+    # give a well-shaped state with a small residual
+    g = build_grid(8)
+    params = params_for(g, beta1=0.1, beta2=0.1)
+    system = assemble_system(g, params)
+    st = init_state(np.zeros(g.n_int), np.ones(g.n_loop), g)
+    bad = replace(st, **{name: np.zeros(1)})
+    with pytest.raises(ValueError, match=rf"^state\.{name} has shape \(1,\)"):
+        step(bad, system, g, params)
+    if name in ("Phi", "Psi"):
+        with pytest.raises(ValueError, match=rf"^state\.{name} "):
+            assemble_rhs(bad, g, params)
+
+
 def test_non_finite_state_aborts(g4):
     params = params_for(g4)
     system = assemble_system(g4, params)
@@ -1115,5 +1153,18 @@ def test_run_cadence_and_final_record(g4):
     params = params_for(g4)
     st = init_state(np.zeros(g4.n_int), np.ones(g4.n_loop), g4)
     _, records = run(st, g4, params, t_end=7 * params.tau, diag_cadence=3)
+    assert [r.step for r in records] == [0, 3, 6, 7]
+
+
+def test_run_rejects_a_non_integer_diag_cadence(g4):
+    # 1.5 would record at the steps k with k % 1.5 == 0, [0, 3, 6, 7]
+    params = params_for(g4)
+    st = init_state(np.zeros(g4.n_int), np.ones(g4.n_loop), g4)
+    for cadence in (1.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="^diag_cadence must be an integer"):
+            run(st, g4, params, t_end=7 * params.tau, diag_cadence=cadence)
+    with pytest.raises(ValueError, match="diag_cadence must be >= 1"):
+        run(st, g4, params, t_end=7 * params.tau, diag_cadence=0)
+    _, records = run(st, g4, params, t_end=7 * params.tau, diag_cadence=np.int64(3))
     assert [r.step for r in records] == [0, 3, 6, 7]
 
