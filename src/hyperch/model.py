@@ -190,6 +190,7 @@ def total_energy(
     full = ops.to_full_grid(phi, psi, grid)
     h = grid.h
     e_bulk = h * h * float(np.vdot(_trapezoid_weights(grid.n), F_val(full, params.eps)))
+    del full  # freed before the gradient term builds its own grid
     e_bulk += ops.dirichlet_energy_bulk(phi, psi, grid)
     e_surf = h * float(G_val(psi, params.delta).sum())
     e_surf += ops.dirichlet_energy_loop(psi, grid)

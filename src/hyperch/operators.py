@@ -225,10 +225,12 @@ def dirichlet_energy_bulk(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> float
     the quadrature exact on fields linear in x and y.
     """
     full = to_full_grid(phi, psi, grid)
-    dx = full[1:] - full[:-1]
-    dy = full[:, 1:] - full[:, :-1]
     wx, wy = _edge_weights(grid.n)
-    return 0.5 * (float(np.vdot(wx, dx * dx)) + float(np.vdot(wy, dy * dy)))
+    dx = full[1:] - full[:-1]  # squared in place, and freed before dy
+    ex = float(np.vdot(wx, np.square(dx, out=dx)))
+    del dx
+    dy = full[:, 1:] - full[:, :-1]
+    return 0.5 * (ex + float(np.vdot(wy, np.square(dy, out=dy))))
 
 
 @lru_cache(maxsize=8)

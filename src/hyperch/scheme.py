@@ -104,6 +104,36 @@ def _relaxation(params: mdl.ModelParams) -> tuple[float, float, float, float]:
 # (x, y) parities of sectors 0 to 4 of ``operators.mirror_basis``
 _PARITIES = ((1, 1), (1, 1), (-1, -1), (-1, -1), (1, -1))
 
+# grid size n from which a step's two sine transforms fold each axis by its
+# mirror into half-size products; below it the dense products are faster
+FOLD_FROM = 112
+
+
+def _fold(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows a + (m-1-a) of the (m, m) x into out's first ceil(m/2) rows,
+    the middle row of odd m once, and rows a - (m-1-a) into the rest: the
+    even modes read the first part and the odd modes the second.  Every
+    elementwise pass is on contiguous rows, so numpy buffers none."""
+    m, q = x.shape[0], x.shape[0] // 2
+    np.copyto(out[m - q :], x[: -q - 1 : -1])
+    out[q : m - q] = x[q : m - q]
+    np.add(x[:q], out[m - q :], out=out[:q])
+    np.subtract(x[:q], out[m - q :], out=out[m - q :])
+    return out
+
+
+def _unfold(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (m, m) rows from their even and odd parts, w's first ceil(m/2)
+    rows and the rest: out[a] = w[a] + w[m-q+a] and out[m-1-a] = w[a] -
+    w[m-q+a] for a < q = m // 2, and the middle row of odd m is w's.  w's
+    odd part is overwritten."""
+    m, q = w.shape[0], w.shape[0] // 2
+    np.add(w[:q], w[m - q :], out=out[:q])
+    np.subtract(w[:q], w[m - q :], out=w[m - q :])
+    np.copyto(out[: -q - 1 : -1], w[m - q :])
+    out[q : m - q] = w[q : m - q]
+    return out
+
 
 class SparseSystem:
     """Time-constant blocks of the coupled system for one (grid, params)
@@ -120,8 +150,10 @@ class SparseSystem:
     (``apply_rows``), with L_D the Dirichlet 5-point Laplacian and ``stab``
     = s2 + s1 h w_k.  Eliminating mu leaves S = K + L R on y, never formed.
     S's bulk block is P + U V^T: P = k1 I + M1 L_D (L_D - s1 I) is diagonal
-    in the sine basis sigma x sigma, with symbol lam_kl = ell_k + ell_l and
-    ``inv_p`` that of P^-1; U = M1 (l_mu - L_D) is diagonal on the first
+    in the sine basis sigma x sigma, its modes in mirror-parity order (the
+    even ones first, so sigma is not symmetric and the transform is sigma
+    X sigma^T, folded from FOLD_FROM on), with symbol lam_kl = ell_k +
+    ell_l and ``inv_p`` that of P^-1; U = M1 (l_mu - L_D) is diagonal on the first
     layer F (``ring``), ``u``, M1/h^2 per loop neighbor; V^T = (L_D - s1
     I)[F, :].  F and the loop couple only through each edge node's inward
     neighbor (``loop_to_f``, its position in F, or |F| at a corner), so
@@ -143,7 +175,17 @@ class SparseSystem:
         self.m1, self.m2, self.s1 = params.M1, params.M2, params.s1
         self.k = np.concatenate([np.full(ni, k1), np.full(nl, k2)])
         self.stab = params.s2 + params.s1 * mdl.loop_well_weights(n)
-        self.sigma, self.ell = ops.dirichlet_modes(n)
+        sigma, ell = ops.dirichlet_modes(n)
+        order = np.r_[0:m:2, 1:m:2]  # the modes even under the mirror first, then the odd
+        self.sigma, self.ell = sigma[order], ell[order]
+        del sigma
+        half = (m + 1) // 2  # the even modes, and the nodes a <= m - 1 - a
+        self._sigma_t = self._even = self._odd = None  # the transforms' operands, by n
+        if n < FOLD_FROM:
+            self._sigma_t = np.ascontiguousarray(self.sigma.T)
+        else:
+            self._even = self.sigma[:half, :half].copy()
+            self._odd = self.sigma[half:, : m - half].copy()
         lam = self.ell[:, None] + self.ell
         self.inv_p = 1.0 / (k1 + params.M1 * lam * (lam - params.s1))
         # F, the 4n - 8 interior nodes next to the loop, line by line: the
@@ -167,7 +209,7 @@ class SparseSystem:
         loop = np.arange(nl)  # each loop node's two neighbors and itself
         self._loop3 = np.stack([(loop - 1) % nl, (loop + 1) % nl, loop], axis=1)
         self._lr_index = self.loop_to_f[self._loop3]  # their F neighbors, for LR
-        e = self.sigma[:: n - 2]  # sigma's rows 0 and m - 1, solve's line data
+        e = self.sigma[:, :: n - 2].T.copy()  # the modes on nodes 0 and m - 1, solve's line data
         self._e4, self._e2 = np.concatenate([e, e * self.ell]), np.broadcast_to(e, (2, 2, m))
         self._full = np.empty((n + 1, n + 1))
         self._flat = np.empty((n + 1) * m)  # the five-point stencil's output
@@ -231,6 +273,35 @@ class SparseSystem:
         out[2 * nf :] = nodes[nf:]
         return out
 
+    def _to_modes(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """sigma x sigma^T of the (m, m) grid x into out, through work;
+        from FOLD_FROM on x is overwritten.  Folded, each axis takes A to
+        (sigma A)^T = [T_e^T E^T | T_o^T O^T], T = ``_fold``(A) and E, O
+        sigma's even and odd blocks on the nodes a <= m - 1 - a: half the
+        flops of the dense product."""
+        if self._sigma_t is not None:
+            return np.matmul(np.matmul(self.sigma, x, out=work), self._sigma_t, out=out)
+        e, o, p = self._even, self._odd, self._even.shape[0]
+        for a, t, dst in ((x, out, work), (work, x, out)):
+            _fold(a, t)
+            np.matmul(t[:p].T, e.T, out=dst[:, :p])
+            np.matmul(t[p:].T, o.T, out=dst[:, p:])
+        return out
+
+    def _to_nodes(self, c: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """sigma^T c sigma, the inverse of ``_to_modes``, into out through
+        work; from FOLD_FROM on c is overwritten.  Folded, each axis takes A
+        to sigma^T A^T, ``_unfold`` of [E^T A_e^T; O^T A_o^T], A_e and A_o
+        A's columns on the even and the odd modes."""
+        if self._sigma_t is not None:
+            return np.matmul(np.matmul(self._sigma_t, c, out=work), self.sigma, out=out)
+        e, o, p = self._even, self._odd, self._even.shape[0]
+        for dst in (c, out):
+            np.matmul(e.T, c[:, :p].T, out=work[:p])
+            np.matmul(o.T, c[:, p:].T, out=work[p:])
+            _unfold(work, dst)
+        return out
+
     def direct(self) -> linalg.DirectFactorization:
         """Inverse of Q^T C Q = blockdiag(A, B, B), built on first use: A's
         four sector blocks and B, each inverted once by bordered elimination
@@ -291,19 +362,19 @@ class SparseSystem:
         lines = np.r_[0:m, 0, 2 * m : 3 * m - 2, m]
         half = np.where(np.isin(np.arange(2 * m), [0, m - 1, m, 2 * m - 1]), 0.5, 1.0)
         at = np.empty(self.q_cols.shape[0], dtype=np.int64)  # a node's row in its sector's block
-        even = np.arange(m) % 2 == 0
+        even, odd = slice(0, (m + 1) // 2), slice((m + 1) // 2, m)  # sigma's parity classes
         blocks = []
         for sec, ((sx, sy), f) in enumerate(zip(_PARITIES, self._f_columns())):
             lo, hi = np.searchsorted(self.sector, [sec, sec + 1])
             cols, vals = self.q_cols[:, sec] - lo, self.q_vals[:, sec]
-            kx, ly = np.flatnonzero(even == (sx > 0)), np.flatnonzero(even == (sy > 0))
+            kx, ly = even if sx > 0 else odd, even if sy > 0 else odd
             vw = np.zeros((2 * m, f))
             on = np.flatnonzero(vals[lines])
             vw[on, cols[lines[on]]] = vals[lines[on]] * half[on]
             x, w = s[ly] @ vw[:m], s[kx] @ vw[m:]
-            sk, sl = s[0, kx], s[0, ly]
+            sk, sl = s[kx, 0], s[ly, 0]
             # the three symbols' blocks at once: products over modes (kx, ly)
-            gs = symbols[:, kx[:, None], ly]
+            gs = symbols[:, kx, ly]
             t = w.T @ ((sk[:, None] * gs * sl) @ x)
             g = x.T @ ((sk * sk @ gs)[..., None] * x)
             g += w.T @ ((gs @ (sl * sl))[..., None] * w)
@@ -341,10 +412,11 @@ class SparseSystem:
         mm = m * m
         rhs = self.apply_lap(b_mu[:mm], b_mu[mm:], out=self._out)
         rhs += b_y
-        c = s @ rhs[:mm].reshape(m, m) @ s
+        c, corr = np.empty((m, m)), np.empty((m, m))
+        self._to_modes(rhs[:mm].reshape(m, m), c, corr)
         c *= self.inv_p  # P^-1 r_phi in the sine basis
         # F's lines e g sigma and e g^T sigma of g = c (lam - s1) and of c, e
-        # sigma's rows 0 and m - 1: e (c (lam - s1)) = (e ell) c + (e c) (ell - s1)
+        # sigma's columns 0 and m - 1: e (c (lam - s1)) = (e ell) c + (e c) (ell - s1)
         e4, ell_s1 = self._e4, ell - self.s1
         g = [np.concatenate([t[2:] + t[:2] * ell_s1, t[:2]]) for t in (e4 @ c, e4 @ c.T)]
         on_f = np.concatenate([(g[0] @ s).reshape(2, -1), (g[1] @ s[:, 1:-1]).reshape(2, -1)], 1)
@@ -354,15 +426,15 @@ class SparseSystem:
         # the factor's field f_i on F transforms to d_i = left_i^T right_i:
         # e by the transforms of f_i's rows, and those of its columns by e
         f = uz_v_y[: 2 * nf].reshape(2, nf)
-        left = np.concatenate([self._e2, f[:, 2 * m :].reshape(2, 2, m - 2) @ s[1:-1]], axis=1)
-        right = np.concatenate([f[:, : 2 * m].reshape(2, 2, m) @ s, self._e2], axis=1)
+        left = np.concatenate([self._e2, f[:, 2 * m :].reshape(2, 2, m - 2) @ s[:, 1:-1].T], axis=1)
+        right = np.concatenate([f[:, : 2 * m].reshape(2, 2, m) @ s.T, self._e2], axis=1)
         # d_0 + M1 lam d_1, lam d_1 = (ell left_1)^T right_1 + left_1^T (right_1 ell)
         lf = np.concatenate([left[0], self.m1 * ell * left[1], self.m1 * left[1]])
-        corr = lf.T @ np.concatenate([right[0], right[1], right[1] * ell])
+        np.matmul(lf.T, np.concatenate([right[0], right[1], right[1] * ell]), out=corr)
         corr *= self.inv_p
         c -= corr
         x = np.empty_like(b)
-        np.matmul(np.matmul(s, c, out=corr), s, out=x[:mm].reshape(m, m))
+        self._to_nodes(c, x[:mm].reshape(m, m), corr)
         del c, corr  # freed before r: a lower peak
         x[mm:n_y] = uz_v_y[2 * nf :]
         y, mu = x[:n_y], x[n_y:]

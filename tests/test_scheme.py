@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -435,11 +436,20 @@ def test_solve_holds_few_grid_sized_temporaries():
     assert peak <= 7.5 * (g.n - 1) ** 2 * 8
 
 
-def test_step_holds_few_grid_sized_temporaries():
+@contextmanager
+def folded_transforms():
+    """Systems built inside take the step's sine transforms folded at every n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "FOLD_FROM", 4)
+        yield
+
+
+def check_step_peak():
     # a step fills one right-hand side in place, hands R the fields
     # without stacking them, and frees b before it builds the new state:
     # 7.70 (n-1)^2 doubles at n = 64, against 9.46 when assemble_rhs
-    # concatenated four pieces and step stacked [phi | psi] for R y
+    # concatenated four pieces and step stacked [phi | psi] for R y; the
+    # folded transforms run through the same two grids as the dense ones
     g = build_grid(64)
     params = params_for(g, beta1=0.1, beta2=0.1)
     system = assemble_system(g, params)
@@ -452,6 +462,38 @@ def test_step_holds_few_grid_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 8.0 * (g.n - 1) ** 2 * 8
+
+
+def test_step_holds_few_grid_sized_temporaries():
+    assert 64 < scheme.FOLD_FROM  # the dense transforms
+    check_step_peak()
+
+
+def test_folded_step_holds_few_grid_sized_temporaries():
+    with folded_transforms():
+        check_step_peak()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 21, 150, 151])
+def test_folded_transforms_match_the_dense_products(n):
+    # the folded transforms against sigma x sigma^T and sigma^T c sigma
+    # with sigma's modes in mirror-parity order, at both parities of m =
+    # n - 1: an odd m folds a middle row and column on their own.  Each
+    # agrees to 1e-14 of its largest entry (1.2e-15 measured at n = 150),
+    # and the round trip returns x to 1e-14 of x's largest entry
+    g = build_grid(n)
+    with folded_transforms():
+        system = assemble_system(g, params_for(g))
+    s, m = system.sigma, n - 1
+    assert system._sigma_t is None and system._even.shape == ((m + 1) // 2,) * 2
+    x = np.random.default_rng(n).standard_normal((m, m))
+    out, work = np.empty((2, m, m))
+    c = system._to_modes(x.copy(), out, work).copy()
+    want = s @ x @ s.T
+    assert np.abs(c - want).max() <= 1e-14 * np.abs(want).max()
+    back = system._to_nodes(c.copy(), out, work)
+    assert np.abs(back - s.T @ c @ s).max() <= 1e-14 * np.abs(back).max()
+    assert np.abs(back - x).max() <= 1e-14 * np.abs(x).max()
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 21, 50])
@@ -542,7 +584,8 @@ def test_u_is_exactly_diagonal_in_each_d4_sector(n):
 @pytest.mark.parametrize("n", [4, 8, 9, 21, 51])
 @pytest.mark.parametrize("betas", [(0.0, 0.0), (0.1, 0.3)])
 def test_capacitance_blocks_match_the_dense_oracle(n, betas):
-    # S's bulk block is P + U V^T with P diagonal in the sine basis, and
+    # S's bulk block is P + U V^T with P diagonal in the sine basis (its
+    # modes in mirror-parity order, so sigma is not symmetric), and
     # C from dense inverses, restricted to each D4 sector, is the block
     # built from the separable structure, sector 5's the one built for
     # sector 4; C has no entry between sectors.  The factored matrix is
@@ -552,7 +595,7 @@ def test_capacitance_blocks_match_the_dense_oracle(n, betas):
     system = assemble_system(g, params)
     c, p = capacitance_matrix(g, params, system.ring)
     modes = np.kron(system.sigma, system.sigma)
-    assert np.abs(modes @ p @ modes - np.diag(1.0 / system.inv_p.ravel())).max() <= (
+    assert np.abs(modes @ p @ modes.T - np.diag(1.0 / system.inv_p.ravel())).max() <= (
         1e-12 * np.abs(p).max())
     q, sector = basis_matrix(system.q_cols, system.q_vals).toarray(), system.sector
     full, scale = q.T @ c @ q, np.abs(c).max()
@@ -575,14 +618,19 @@ def test_capacitance_blocks_match_the_dense_oracle(n, betas):
     assert not a[sector[:, None] != sector].any()
 
 
-def check_solve_against_nodal_lu(n, beta1, beta2, seed):
+def check_solve_against_nodal_lu(n, beta1, beta2, seed, folded=False):
     # the capacitance-matrix solve, one D4 sector at a time, against
     # scipy's nodal LU of K + L R, the Schur matrix assembled by the dense
     # oracle's formula: the coupled residual holds its contract, and y and
-    # mu agree to 1e-12 relative
+    # mu agree to 1e-12 relative, with either path's transforms
     g = build_grid(n)
     params = params_for(g, beta1=beta1, beta2=beta2)
-    system = assemble_system(g, params)
+    if folded:
+        with folded_transforms():
+            system = assemble_system(g, params)
+        assert system._sigma_t is None
+    else:
+        system = assemble_system(g, params)
     b = np.random.default_rng(seed).standard_normal(2 * system.k.size)
     b_y, b_mu = np.split(b, 2)
     lap, rows = reference_blocks(g, params)
@@ -610,6 +658,25 @@ def test_sector_solve_matches_nodal_factor(n):
 @example(n=10, beta1=0.0, beta2=0.94, seed=0)
 def test_sector_solve_matches_nodal_factor_property(n, beta1, beta2, seed):
     check_solve_against_nodal_lu(n, beta1, beta2, seed)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 50, 51])
+def test_folded_sector_solve_matches_nodal_factor(n):
+    check_solve_against_nodal_lu(n, 0.1, 0.1, seed=n, folded=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=hst.integers(4, 24),
+    beta1=hst.floats(0.0, 1.0),
+    beta2=hst.floats(0.0, 1.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(n=4, beta1=0.0, beta2=0.0, seed=0)
+@example(n=24, beta1=1.0, beta2=0.0, seed=1)
+@example(n=10, beta1=0.0, beta2=0.94, seed=0)
+def test_folded_sector_solve_matches_nodal_factor_property(n, beta1, beta2, seed):
+    check_solve_against_nodal_lu(n, beta1, beta2, seed, folded=True)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 21, 51])
@@ -713,7 +780,7 @@ def test_a_run_leaves_a_shared_system_unchanged():
     fac = system.direct()
     held = {k: v.copy() for k, v in vars(system).items()
             if isinstance(v, np.ndarray) and k not in ("_full", "_flat", "_tmp", "_out")}
-    assert len(held) == 19
+    assert len(held) == 20
     blocks = [b.copy() for b in fac.blocks]
     inverses = [inv.copy() for inv in fac._lu.inverses]
     phi0, psi0 = init_case(CaseSpec(case=2, seed=0, n=12), g)
@@ -1168,3 +1235,23 @@ def test_run_rejects_a_non_integer_diag_cadence(g4):
     _, records = run(st, g4, params, t_end=7 * params.tau, diag_cadence=np.int64(3))
     assert [r.step for r in records] == [0, 3, 6, 7]
 
+
+
+def test_diag_row_holds_few_vertex_grids():
+    # a diagnostic row frees the energy's vertex grid before the gradient
+    # term builds its own, and squares each edge difference in place, one
+    # at a time: 4.00 (n+1)^2 doubles at n = 64, against 5.99 with both
+    # grids and dx, dy, dx*dx and dy*dy held at once
+    g = build_grid(64)
+    params = params_for(g, beta1=0.1, beta2=0.1)
+    system = assemble_system(g, params)
+    phi0, psi0 = init_case(CaseSpec(case=1, seed=0, n=64), g)
+    st, stats = step(init_state(phi0, psi0, g), system, g, params)
+    diag_record(st, g, params, stats)  # the per-n caches
+    tracemalloc.start()
+    try:
+        diag_record(st, g, params, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * (g.n + 1) ** 2 * 8
