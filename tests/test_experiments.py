@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperch import (
     CaseSpec,
@@ -14,6 +16,7 @@ from hyperch import (
     run,
 )
 from hyperch import scheme
+from hyperch.experiments import _pcg64_doubles
 
 
 # ---- initial conditions -----------------------------------------------------
@@ -76,6 +79,47 @@ def test_case_spec_validation():
         CaseSpec(case=2)  # no seed
     with pytest.raises(ValueError, match="seed must be >= 0"):
         CaseSpec(case=2, seed=-1)
+    # a seed is an integer, numpy's included; a bool is not
+    for bad in (2.5, 3.0, "3", True, np.float64(3.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            CaseSpec(case=2, seed=bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        CaseSpec(case=1, seed=2.5)
+    for good in (np.int64(3), np.uint64(3), np.int32(3)):
+        spec = CaseSpec(case=2, seed=good)
+        assert spec.seed == 3 and type(spec.seed) is int
+        assert spec == CaseSpec(case=2, seed=3)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        CaseSpec(case=2, seed=np.int64(-1))
+
+
+# ---- case 2's draws against numpy.random -------------------------------------
+
+# 2**32 - 1 fills one 32-bit word of SeedSequence's entropy, 2**32 + 5 two;
+# 2**200 + 1 has seven, more than its pool of four
+DRAW_SEEDS = [0, 1, 3, 7, 11, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**128 - 1, 2**200 + 1]
+
+
+@pytest.mark.parametrize("n", [4, 8, 50, 200])
+def test_case2_draws_match_numpy_random_bit_for_bit(n):
+    # case 2 reproduces default_rng(seed).uniform without numpy.random:
+    # phi's draws, then psi's from the same stream
+    g = build_grid(n)
+    for seed in DRAW_SEEDS:
+        phi, psi = init_case(CaseSpec(case=2, seed=seed), g)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(phi, rng.uniform(-0.1, 0.1, g.n_int)), seed
+        assert np.array_equal(psi, rng.uniform(0.4, 0.6, g.n_loop)), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**256 - 1), first=st.integers(0, 300), second=st.integers(0, 300))
+def test_pcg64_doubles_match_numpy_random(seed, first, second):
+    # one stream across two draws, either of them empty, and across the
+    # 256-draw blocks of the jump-ahead
+    rng = np.random.default_rng(seed)
+    want = np.concatenate([rng.random(first), rng.random(second)])
+    assert np.array_equal(_pcg64_doubles(seed, first + second), want)
 
 
 # ---- slope fitting -----------------------------------------------------------

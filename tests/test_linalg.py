@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -225,38 +220,3 @@ def test_nan_tol_fails_residual_check():
     a = dense([[2.0, 1.0], [0.0, 3.0]])
     with pytest.raises(SolveError):
         DirectFactorization([a], [1]).solve(np.array([3.0, 3.0]), tol=np.nan)
-
-
-# a run in a fresh interpreter (this one has imported scipy for the tests):
-# the package imports numpy alone and the factor inverts its blocks with
-# numpy, so neither the import nor a run with a snapshot loads any of
-# scipy, and the expansions the benchmark counts (which import
-# scipy.sparse) do not load scipy.linalg, 8.2 MB of peak memory
-NO_SCIPY_LINALG = """
-import sys
-import hyperch
-from hyperch import cli
-
-
-def loaded(prefix):
-    return sorted(m for m in sys.modules if m.split(".")[: len(prefix)] == prefix)
-
-
-assert not loaded(["scipy"]), loaded(["scipy"])
-assert cli.main(["run", "n=8", "beta1=0.1", "beta2=0.1", "t_end=0.0005",
-                 "snapshot_times=0.0002", "output_dir=" + sys.argv[1]]) == 0
-assert not loaded(["scipy"]), loaded(["scipy"])
-g = hyperch.build_grid(8)
-fac = hyperch.assemble_system(g, hyperch.ModelParams.with_defaults(g.h)).direct()
-assert fac.a.nnz and fac._lu.L.nnz + fac._lu.U.nnz
-assert not loaded(["scipy", "linalg"]), loaded(["scipy", "linalg"])
-"""
-
-
-def test_runs_never_load_scipy_linalg(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).resolve().parents[1]))
-    out = tmp_path / "o"
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_LINALG, str(out)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert {"diag.csv", "final.vtk", "snap_step0000002.vtk"} <= {f.name for f in out.iterdir()}

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -409,50 +404,6 @@ def test_poisson_rejects_bad_tol(g10):
             solve_poisson_neumann_zeromean(np.zeros(g10.n_int), g10, tol=tol)
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_poisson_loop_zeromean(np.zeros(g10.n_loop), g10, tol=tol)
-
-
-# a run and both Poisson references in a fresh interpreter (this one has
-# imported scipy for the tests): none of them loads any of scipy, SuperLU's
-# package included, and the references meet their tolerance, checked
-# against the matrix builders, which import scipy.sparse themselves
-NO_SUPERLU = """
-import sys
-import numpy as np
-
-
-def no_scipy(when):
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert not loaded, f"{when}: {loaded}"
-
-
-import hyperch
-from hyperch import cli, operators
-no_scipy("after import hyperch")
-assert cli.main(["run", "n=8", "beta1=0.1", "beta2=0.1", "t_end=0.0005",
-                 "snapshot_times=0.0002", "output_dir=" + sys.argv[1]]) == 0
-no_scipy("after hyperch run")
-g = hyperch.build_grid(8)
-rng = np.random.default_rng(5)
-w, v = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
-p = hyperch.solve_poisson_neumann_zeromean(w, g, tol=1e-10)
-q = hyperch.solve_poisson_loop_zeromean(v, g, tol=1e-10)
-no_scipy("after the Poisson references")
-for lap, x, rhs in [(operators.neumann_laplacian_matrix(8), p, w - w.mean()),
-                    (operators.loop_laplacian_matrix(8), q, v - v.mean())]:
-    err = np.abs(lap @ x - rhs).max()
-    assert err <= 1e-10 * max(1.0, np.abs(rhs).max()), err
-assert "scipy.sparse.linalg" not in sys.modules, "scipy.sparse.linalg was loaded"
-"""
-
-
-def test_runs_and_the_poisson_references_never_load_superlu(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).resolve().parents[1]))
-    out = tmp_path / "o"
-    done = subprocess.run([sys.executable, "-c", NO_SUPERLU, str(out)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert {f.name for f in out.iterdir()} >= {
-        "diag.csv", "final.vtk", "effective.cfg", "snap_step0000002.vtk"}
 
 
 # ---- summation-by-parts pairing -----------------------------------------
