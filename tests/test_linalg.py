@@ -220,3 +220,17 @@ def test_nan_tol_fails_residual_check():
     a = dense([[2.0, 1.0], [0.0, 3.0]])
     with pytest.raises(SolveError):
         DirectFactorization([a], [1]).solve(np.array([3.0, 3.0]), tol=np.nan)
+
+
+# the package imports numpy alone and the factor inverts its blocks with
+# numpy, so neither the import nor a run with a snapshot loads any of
+# scipy, and the expansions the benchmark counts (which import
+# scipy.sparse) do not load scipy.linalg, 8.2 MB of peak memory; one fresh
+# interpreter (conftest's fresh_runs) serves the import-footprint tests
+def test_runs_never_load_scipy_linalg(fresh_runs):
+    assert fresh_runs.loaded("import", "scipy") == []
+    assert fresh_runs.loaded("case-1 run", "scipy") == []
+    assert {"diag.csv", "final.vtk", "snap_step0000002.vtk"} <= fresh_runs.files["case-1 run"]
+    a_nnz, lu_nnz = fresh_runs.expanded
+    assert a_nnz and lu_nnz
+    assert fresh_runs.loaded("expansions", "scipy.linalg") == []

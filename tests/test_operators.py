@@ -406,6 +406,20 @@ def test_poisson_rejects_bad_tol(g10):
             solve_poisson_loop_zeromean(np.zeros(g10.n_loop), g10, tol=tol)
 
 
+# none of a run and both Poisson references loads any of scipy, SuperLU's
+# package included, and the references meet their tolerance, checked
+# against the matrix builders, which import scipy.sparse themselves (one
+# fresh interpreter, conftest's fresh_runs)
+def test_runs_and_the_poisson_references_never_load_superlu(fresh_runs):
+    for when in ("import", "case-1 run", "Poisson references"):
+        assert fresh_runs.loaded(when, "scipy") == [], when
+    for err, rhs_max in fresh_runs.residuals:
+        assert err <= 1e-10 * max(1.0, rhs_max), err
+    assert fresh_runs.loaded("matrix builders", "scipy.sparse.linalg") == []
+    assert fresh_runs.files["case-1 run"] >= {
+        "diag.csv", "final.vtk", "effective.cfg", "snap_step0000002.vtk"}
+
+
 # ---- summation-by-parts pairing -----------------------------------------
 
 

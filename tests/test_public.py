@@ -1,7 +1,4 @@
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import hyperch
@@ -25,56 +22,10 @@ def test_readme_library_example_runs(capsys):
     assert abs(mass_bulk) < 1e-8
 
 
-# a fresh interpreter (this one has imported scipy and numpy.random for the
-# tests): the import, a case-1 run with a snapshot, a case-2 run and both
-# Poisson references load no scipy module, SuperLU's package included, and
-# the runs no numpy.random.  The references meet their tolerance against
-# the matrix builders, which import scipy.sparse themselves; neither those
-# nor the expansions the benchmark counts load scipy.linalg (8.2 MB of peak
-# memory)
-NUMPY_ALONE = """
-import sys
-import numpy as np
-
-
-def none_of(prefix, when):
-    loaded = sorted(m for m in sys.modules if m.split(".")[: len(prefix)] == prefix)
-    assert not loaded, f"{when}: {loaded}"
-
-
-import hyperch
-from hyperch import cli, operators
-none_of(["scipy"], "after import hyperch")
-assert cli.main(["run", "n=8", "beta1=0.1", "beta2=0.1", "t_end=0.0005",
-                 "snapshot_times=0.0002", "output_dir=" + sys.argv[1]]) == 0
-none_of(["scipy"], "after a case-1 run")
-assert cli.main(["run", "n=8", "case=2", "seed=3", "t_end=0.0005",
-                 "output_dir=" + sys.argv[2]]) == 0
-none_of(["scipy"], "after a case-2 run")
-none_of(["numpy", "random"], "after the runs")
-g = hyperch.build_grid(8)
-rng = np.random.default_rng(5)
-w, v = rng.standard_normal(g.n_int), rng.standard_normal(g.n_loop)
-p = hyperch.solve_poisson_neumann_zeromean(w, g, tol=1e-10)
-q = hyperch.solve_poisson_loop_zeromean(v, g, tol=1e-10)
-none_of(["scipy"], "after the Poisson references")
-for lap, x, rhs in [(operators.neumann_laplacian_matrix(8), p, w - w.mean()),
-                    (operators.loop_laplacian_matrix(8), q, v - v.mean())]:
-    err = np.abs(lap @ x - rhs).max()
-    assert err <= 1e-10 * max(1.0, np.abs(rhs).max()), err
-none_of(["scipy", "sparse", "linalg"], "after the matrix builders")
-fac = hyperch.assemble_system(g, hyperch.ModelParams.with_defaults(g.h)).direct()
-assert fac.a.nnz and fac._lu.L.nnz + fac._lu.U.nnz
-none_of(["scipy", "linalg"], "after the benchmark's expansions")
-"""
-
-
-def test_runs_load_numpy_alone(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperch.__file__).resolve().parents[1]))
-    one, two = tmp_path / "case1", tmp_path / "case2"
-    done = subprocess.run([sys.executable, "-c", NUMPY_ALONE, str(one), str(two)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert {f.name for f in one.iterdir()} >= {
-        "diag.csv", "final.vtk", "effective.cfg", "snap_step0000002.vtk"}
-    assert {f.name for f in two.iterdir()} >= {"diag.csv", "final.vtk", "effective.cfg"}
+# a case-2 run draws its data without numpy.random and loads no scipy, so
+# a run of any case loads numpy alone (one fresh interpreter, conftest's
+# fresh_runs, also serves the linalg and operators footprint tests)
+def test_runs_load_numpy_alone(fresh_runs):
+    assert fresh_runs.loaded("case-2 run", "scipy") == []
+    assert fresh_runs.loaded("case-2 run", "numpy.random") == []
+    assert fresh_runs.files["case-2 run"] >= {"diag.csv", "final.vtk", "effective.cfg"}
